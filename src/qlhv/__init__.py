@@ -6,9 +6,7 @@ __version__ = "0.1.0"
 from .quaternions import (
     Basis,
     Q8Element,
-    Quaternion,
     Q8_ELEMENTS,
-    bloch_to_pure_quaternion,
     canonical_phase,
     phase_pair_magnitudes,
     q8_mul,

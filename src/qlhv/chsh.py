@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .quaternions import canonical_phase, phase_pair_magnitudes
-
-TSIRELSON = 2.0 * math.sqrt(2.0)
+from .tolerances import EXACT_TOL
+from .tolerances import TSIRELSON  # noqa: F401  (re-exported)
 
 ALICE_SETTINGS = ("a", "a'")
 BOB_SETTINGS = ("b", "b'")
@@ -39,7 +39,7 @@ class HiddenSpace:
         if len(self.points) != len(self.weights):
             raise ValueError("invalid distribution")
         w = np.asarray(self.weights, dtype=float)
-        if w.size == 0 or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
+        if w.size == 0 or not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= EXACT_TOL):
             raise ValueError("invalid distribution")
 
 

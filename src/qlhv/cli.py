@@ -4,6 +4,11 @@ Every command emits a machine-readable report ({command, version, config,
 checks, elapsed_ms}, JSON by default, CSV as a flat check table) and exits
 0 only if every check passes.  Randomized commands require an explicit
 seed, so reports are reproducible by construction.
+
+A command is one record of COMMANDS: help text, argument specs and a
+handler.  A handler returns its claims (name, expected, actual, rule,
+tolerance) and an optional result payload; RULES decides each claim's
+pass, and the report's config is the parsed arguments.
 """
 
 from __future__ import annotations
@@ -16,87 +21,91 @@ import math
 import re
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import chsh, ghz, oracle, qubit
+from .tolerances import (
+    BOUND_TOL,
+    CLASSICAL,
+    EXACT_TOL,
+    NEGATIVE_WEIGHT_FLOOR,
+    OPTIMUM_TOL,
+    TSIRELSON,
+    bloch_vector,
+)
 
-TSIRELSON = chsh.TSIRELSON
 
-
-# ---------------------------------------------------------------- helpers
+# ---------------------------------------------------------------- arguments
 
 def parse_permutation(text: str):
     """Parse disjoint cycle notation over 1..8, e.g. "(1 5)(2 6)(3 7)(4 8)".
     The empty string is the identity.  Elements may not repeat."""
-    stripped = text.strip()
-    if stripped == "":
-        return qubit.IDENTITY_PERMUTATION
-    if not re.fullmatch(r"(\s*\(\s*\d+(?:[\s,]+\d+)*\s*\)\s*)+", stripped):
+    if not re.fullmatch(r"\s*(\(\s*\d+(?:[\s,]+\d+)*\s*\)\s*)*", text):
         raise ValueError(f"malformed permutation: {text!r}")
+    cycles = [[int(tok) for tok in re.findall(r"\d+", body)]
+              for body in re.findall(r"\(([^()]*)\)", text)]
+    elements = [value for cycle in cycles for value in cycle]
+    if not all(1 <= value <= 8 for value in elements) or len(set(elements)) < len(elements):
+        raise ValueError(f"permutation elements must be distinct and in 1..8: {text!r}")
     mapping = {m: m for m in range(1, 9)}
-    seen: set[int] = set()
-    for cycle_text in re.findall(r"\(([^()]*)\)", stripped):
-        elements = [int(tok) for tok in re.split(r"[\s,]+", cycle_text.strip()) if tok]
-        for value in elements:
-            if not 1 <= value <= 8:
-                raise ValueError(f"permutation element out of range 1..8: {value}")
-            if value in seen:
-                raise ValueError(f"repeated permutation element: {value}")
-            seen.add(value)
-        for pos, value in enumerate(elements):
-            mapping[value] = elements[(pos + 1) % len(elements)]
+    for cycle in cycles:
+        for pos, value in enumerate(cycle):
+            mapping[value] = cycle[(pos + 1) % len(cycle)]
     return tuple(mapping[m] for m in range(1, 9))
 
 
 def _vector3(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated components")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return (x, y, z)
-
-
-def _bloch(text: str) -> tuple[float, float, float]:
-    vec = _vector3(text)
-    if math.sqrt(sum(c * c for c in vec)) > 1.0 + 1e-9:
-        raise argparse.ArgumentTypeError("Bloch vector norm exceeds 1")
+    vec = tuple(float(p) for p in text.split(","))
+    if len(vec) != 3 or not all(math.isfinite(c) for c in vec):
+        raise ValueError("expected three finite comma-separated components")
     return vec
 
 
-def _perm_arg(text: str):
-    try:
-        return parse_permutation(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _bloch(text: str) -> tuple[float, float, float]:
+    return tuple(bloch_vector(_vector3(text)).tolist())
 
 
-def check(name, expected, actual, tolerance=None, passed=None) -> dict:
-    if passed is None:
-        if tolerance is not None:
-            passed = abs(actual - expected) <= tolerance
-        else:
-            passed = actual == expected
-    return {
-        "name": name,
-        "expected": expected,
-        "actual": actual,
-        "tolerance": tolerance,
-        "pass": bool(passed),
-    }
+def _at_least(minimum: int) -> Callable[[str], int]:
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
+def _argument_type(parse: Callable):
+    """An argparse type that reports the ValueError message of parse."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+# ---------------------------------------------------------------- claims
+
+# rule -> pass(expected, actual, tolerance); written so that NaN fails.
+# `reaches` allows the tolerance below the expected value but only
+# BOUND_TOL above it; `all_close` compares each component at BOUND_TOL.
+RULES = {
+    "equal": lambda expected, actual, tol: actual == expected,
+    "close": lambda expected, actual, tol: abs(actual - expected) <= tol,
+    "at_most": lambda expected, actual, tol: actual <= expected + tol,
+    "at_least": lambda expected, actual, tol: actual >= expected - tol,
+    "reaches": lambda expected, actual, tol: expected - tol <= actual <= expected + BOUND_TOL,
+    "all_close": lambda expected, actual, tol: len(actual) == len(expected)
+    and all(abs(a - e) <= BOUND_TOL for a, e in zip(actual, expected)),
+}
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -108,190 +117,128 @@ def _jsonable(value):
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_jsonable(report), indent=2) + "\n"
+        return json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n"
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["name", "expected", "actual", "tolerance", "pass"])
-    for item in report["checks"]:
-        writer.writerow(
-            [
-                item["name"],
-                _jsonable(item["expected"]),
-                _jsonable(item["actual"]),
-                "" if item["tolerance"] is None else item["tolerance"],
-                item["pass"],
-            ]
-        )
+    writer = csv.DictWriter(buffer, fieldnames=("name", "expected", "actual", "tolerance", "pass"))
+    writer.writeheader()
+    writer.writerows(_jsonable(report["checks"]))   # csv writes None as ""
     return buffer.getvalue()
 
 
-# ---------------------------------------------------------------- commands
+# ---------------------------------------------------------------- handlers
 
-def _cmd_chsh_achieve(args):
+def _chsh_achieve(args):
     model = chsh.make_achieving_model()
-    value = chsh.bell_expression(model)
-    checks = [check("bell_expression", TSIRELSON, value, tolerance=1e-9)]
-    correlations = {
-        f"E({a},{b})": chsh.correlation(model, a, b)
-        for a in chsh.ALICE_SETTINGS
-        for b in chsh.BOB_SETTINGS
-    }
-    result = {"model": chsh.model_to_dict(model), "correlations": correlations}
-    return {}, checks, result
+    claims = [("bell_expression", TSIRELSON, chsh.bell_expression(model), "close", BOUND_TOL)]
+    correlations = {f"E({a},{b})": chsh.correlation(model, a, b)
+                    for a in chsh.ALICE_SETTINGS for b in chsh.BOB_SETTINGS}
+    return claims, {"model": chsh.model_to_dict(model), "correlations": correlations}
 
 
-def _cmd_chsh_verify(args):
+def _chsh_verify(args):
     rng = np.random.default_rng(args.seed)
-    max_complex = 0.0
-    max_dominance_gap = -math.inf
+    values, gaps = [], []
     for _ in range(args.samples):
         model = chsh.sample_model(rng)
-        value = chsh.bell_expression(model)
-        max_complex = max(max_complex, value)
-        bound = chsh.analytic_bound(model.thetas[1], model.thetas[3])
-        max_dominance_gap = max(max_dominance_gap, value - bound)
-    rng_real = np.random.default_rng(args.seed)
-    max_real = 0.0
-    for _ in range(args.samples):
-        model = chsh.sample_model(rng_real, phase_choices=(0.0, math.pi))
-        max_real = max(max_real, chsh.bell_expression(model))
-    checks = [
-        check("max_bell_complex_leq_tsirelson", TSIRELSON, max_complex,
-              tolerance=1e-9, passed=max_complex <= TSIRELSON + 1e-9),
-        check("max_bell_real_leq_classical", 2.0, max_real,
-              tolerance=1e-9, passed=max_real <= 2.0 + 1e-9),
-        check("analytic_bound_dominance_gap", 0.0, max_dominance_gap,
-              tolerance=1e-9, passed=max_dominance_gap <= 1e-9),
+        values.append(chsh.bell_expression(model))
+        gaps.append(values[-1] - chsh.analytic_bound(model.thetas[1], model.thetas[3]))
+    rng = np.random.default_rng(args.seed)
+    real = [chsh.bell_expression(chsh.sample_model(rng, phase_choices=(0.0, math.pi)))
+            for _ in range(args.samples)]
+    claims = [
+        ("max_bell_complex_leq_tsirelson", TSIRELSON, max(values), "at_most", BOUND_TOL),
+        ("max_bell_real_leq_classical", CLASSICAL, max(real), "at_most", BOUND_TOL),
+        ("analytic_bound_dominance_gap", 0.0, max(gaps), "at_most", BOUND_TOL),
     ]
-    config = {"samples": args.samples, "seed": args.seed}
-    return config, checks, None
+    return claims, None
 
 
-def _cmd_chsh_optimize(args):
+def _chsh_optimize(args):
     model, value = chsh.maximize_bell(args.grid, rng_seed=args.seed)
-    ok = (value >= TSIRELSON - 1e-6) and (value <= TSIRELSON + 1e-9)
-    checks = [check("optimizer_reaches_tsirelson", TSIRELSON, value,
-                    tolerance=1e-6, passed=ok)]
-    config = {"grid": args.grid, "seed": args.seed}
-    return config, checks, {"model": chsh.model_to_dict(model)}
+    claims = [("optimizer_reaches_tsirelson", TSIRELSON, value, "reaches", OPTIMUM_TOL)]
+    return claims, {"model": chsh.model_to_dict(model)}
 
 
-def _cmd_ghz_enumerate(args):
-    assignments = ghz.enumerate_assignments()
-    checks = [check("assignment_count", 512, len(assignments))]
-    for pattern in ghz.PATTERNS:
-        checks.append(check(f"condition_set_size_{pattern}", 256,
-                            len(ghz.condition_set(pattern))))
-    return {}, checks, None
+def _ghz_enumerate(args):
+    claims = [("assignment_count", 512, len(ghz.enumerate_assignments()), "equal", None)]
+    claims += [(f"condition_set_size_{p}", 256, len(ghz.condition_set(p)), "equal", None)
+               for p in ghz.PATTERNS]
+    return claims, None
 
 
-def _cmd_ghz_verify(args):
+def _ghz_verify(args):
+    def products(assignments):
+        return "/".join(sorted({str(ghz.xxx_product(a)) for a in assignments}))
+
     aligned = ghz.ghz_intersection()
     joint = ghz.full_intersection()
-    aligned_products = {str(ghz.xxx_product(a)) for a in aligned}
-    joint_products = {str(ghz.xxx_product(a)) for a in joint}
     parity = ghz.classical_parity_check()
-    checks = [
-        check("intersection_size", 32, len(aligned)),
-        check("xxx_product_constant", "-i", "/".join(sorted(aligned_products))),
-        check("joint_condition_solutions", 64, len(joint)),
-        check("xxx_constant_on_joint_solutions", "-i", "/".join(sorted(joint_products))),
-        check("classical_parity_constant", 1, parity.constant_product),
+    claims = [
+        ("intersection_size", 32, len(aligned), "equal", None),
+        ("xxx_product_constant", "-i", products(aligned), "equal", None),
+        ("joint_condition_solutions", 64, len(joint), "equal", None),
+        ("xxx_constant_on_joint_solutions", "-i", products(joint), "equal", None),
+        ("classical_parity_constant", 1, parity.constant_product, "equal", None),
     ]
-    result = {
-        "classical_satisfying_count": parity.satisfying_count,
-        "intersection": ghz.export_assignments(aligned),
-    }
-    return {}, checks, result
+    return claims, {"classical_satisfying_count": parity.satisfying_count,
+                    "intersection": ghz.export_assignments(aligned)}
 
 
-def _cmd_qubit_dist(args):
+def _qubit_dist(args):
     dist = qubit.state_distribution(args.bloch)
-    checks = [
-        check("weight_sum", 1.0, float(sum(dist.weights)), tolerance=1e-12),
-        check("retroaction", True, qubit.retroaction_check(dist)),
-        check("min_weight_floor", (1.0 - math.sqrt(3.0)) / 8.0, dist.min_weight(),
-              tolerance=1e-12,
-              passed=dist.min_weight() >= (1.0 - math.sqrt(3.0)) / 8.0 - 1e-12),
+    claims = [
+        ("weight_sum", 1.0, float(sum(dist.weights)), "close", EXACT_TOL),
+        ("retroaction", True, qubit.retroaction_check(dist), "equal", None),
+        ("min_weight_floor", NEGATIVE_WEIGHT_FLOOR, dist.min_weight(), "at_least", EXACT_TOL),
     ]
-    config = {"bloch": list(args.bloch)}
-    return config, checks, {"distribution": list(dist.weights)}
+    return claims, {"distribution": list(dist.weights)}
 
 
-def _cmd_qubit_expect(args):
+def _qubit_expect(args):
     dist = qubit.state_distribution(args.bloch)
-    checks = []
+    claims = []
     for idx, axis in enumerate(qubit.AXES):
         lhv = qubit.axis_expectation(dist, axis)
-        axis_dir = [0.0, 0.0, 0.0]
-        axis_dir[idx] = 1.0
-        quantum = oracle.qubit_expectation(args.bloch, axis_dir)
-        checks.append(check(f"expectation_{axis}", args.bloch[idx], lhv, tolerance=1e-12))
-        checks.append(check(f"oracle_agreement_{axis}", quantum, lhv, tolerance=1e-12))
-    result = None
-    if args.dir is not None:
-        result = {"oracle_direction_expectation": oracle.qubit_expectation(args.bloch, args.dir)}
-    config = {"bloch": list(args.bloch)}
-    if args.dir is not None:
-        config["dir"] = list(args.dir)
-    return config, checks, result
+        quantum = oracle.qubit_expectation(args.bloch, np.eye(3)[idx])
+        claims.append((f"expectation_{axis}", args.bloch[idx], lhv, "close", EXACT_TOL))
+        claims.append((f"oracle_agreement_{axis}", quantum, lhv, "close", EXACT_TOL))
+    if args.dir is None:
+        return claims, None
+    return claims, {"oracle_direction_expectation": oracle.qubit_expectation(args.bloch, args.dir)}
 
 
-def _cmd_qubit_search_sign(args):
+def _qubit_search_sign(args):
     found = qubit.sign_function_search(args.dir)
-    expected_exists = any(
-        abs(abs(args.dir[i]) - 1.0) <= 1e-9
-        and all(abs(args.dir[j]) <= 1e-9 for j in range(3) if j != i)
-        for i in range(3)
-    )
-    checks = [check("sign_function_exists", expected_exists, found is not None)]
+    magnitudes = sorted(abs(c) for c in args.dir)
+    on_axis = all(abs(m - t) <= BOUND_TOL for m, t in zip(magnitudes, (0.0, 0.0, 1.0)))
+    claims = [("sign_function_exists", on_axis, found is not None, "equal", None)]
     result = {"signs": None if found is None else list(found)}
     if found is not None:
         achieved = list(np.array(found, dtype=float) @ qubit.SIGN_TABLE / 8.0)
-        checks.append(
-            check("achieved_direction", list(args.dir), achieved,
-                  passed=all(abs(a - b) <= 1e-9 for a, b in zip(achieved, args.dir)))
-        )
+        claims.append(("achieved_direction", list(args.dir), achieved, "all_close", None))
         result["achieved_direction"] = achieved
-    config = {"dir": list(args.dir)}
-    return config, checks, result
+    return claims, result
 
 
-def _cmd_qubit_evolve(args):
+def _qubit_evolve(args):
     dist = qubit.state_distribution(args.bloch)
     evolved = qubit.evolve_permutation(dist, args.perm, strict=args.strict)
-    checks = [
-        check("mass_preserved", 1.0, float(sum(evolved.weights)), tolerance=1e-12),
-    ]
+    claims = [("mass_preserved", 1.0, float(sum(evolved.weights)), "close", EXACT_TOL)]
     if qubit.commutes_with_antipode(args.perm):
-        checks.append(check("retroaction_preserved", True, qubit.retroaction_check(evolved)))
-    config = {
-        "bloch": list(args.bloch),
-        "perm": list(args.perm),
-        "strict": args.strict,
-    }
-    result = {"before": list(dist.weights), "after": list(evolved.weights)}
-    return config, checks, result
+        retroaction = qubit.retroaction_check(evolved)
+        claims.append(("retroaction_preserved", True, retroaction, "equal", None))
+    return claims, {"before": list(dist.weights), "after": list(evolved.weights)}
 
 
-def _cmd_oracle_check(args):
+def _oracle_check(args):
     state = oracle.ghz_state()
-    checks = [
-        check("eigenrelation_xyy_plus", True,
-              oracle.verify_eigenrelation(oracle.three_party_operator("xyy"), state, 1)),
-        check("eigenrelation_yxy_plus", True,
-              oracle.verify_eigenrelation(oracle.three_party_operator("yxy"), state, 1)),
-        check("eigenrelation_yyx_plus", True,
-              oracle.verify_eigenrelation(oracle.three_party_operator("yyx"), state, 1)),
-        check("eigenrelation_xxx_minus", True,
-              oracle.verify_eigenrelation(oracle.three_party_operator("xxx"), state, -1)),
-    ]
+    claims = [(f"eigenrelation_{axes}_{'plus' if sign > 0 else 'minus'}", True,
+               oracle.verify_eigenrelation(oracle.three_party_operator(axes), state, sign),
+               "equal", None)
+              for axes, sign in (("xyy", 1), ("yxy", 1), ("yyx", 1), ("xxx", -1))]
     s = 1.0 / math.sqrt(2.0)
-    optimal = oracle.chsh_quantum_value(
-        (1, 0, 0), (0, 1, 0), (s, s, 0.0), (s, -s, 0.0)
-    )
-    checks.append(check("tsirelson_optimal_settings", TSIRELSON, optimal, tolerance=1e-6))
-    config = {}
+    optimal = oracle.chsh_quantum_value((1, 0, 0), (0, 1, 0), (s, s, 0.0), (s, -s, 0.0))
+    claims.append(("tsirelson_optimal_settings", TSIRELSON, optimal, "close", OPTIMUM_TOL))
     if args.samples:
         if args.seed is None:
             raise ValueError("--samples requires --seed")
@@ -301,99 +248,88 @@ def _cmd_oracle_check(args):
             dirs = rng.standard_normal((4, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             worst = max(worst, oracle.chsh_quantum_value(*dirs))
-        checks.append(check("random_settings_max_leq_tsirelson", TSIRELSON, worst,
-                            tolerance=1e-9, passed=worst <= TSIRELSON + 1e-9))
-        config = {"samples": args.samples, "seed": args.seed}
-    return config, checks, None
+        claims.append(("random_settings_max_leq_tsirelson", TSIRELSON, worst, "at_most", BOUND_TOL))
+    return claims, None
 
 
-# ---------------------------------------------------------------- plumbing
+# ---------------------------------------------------------------- commands
+
+class Command(NamedTuple):
+    help: str
+    run: Callable
+    # (flag, argparse keywords); a list of them is a mutually exclusive group
+    args: tuple = ()
+
+
+_SEED = ("--seed", {"type": int, "required": True})
+_BLOCH = ("--bloch", {"type": _bloch, "required": True})
+
+COMMANDS = {
+    "chsh-achieve": Command("evaluate the saturating configuration", _chsh_achieve),
+    "chsh-verify": Command("randomized Bell-bound sweep", _chsh_verify, (
+        ("--samples", {"type": _at_least(1), "required": True}), _SEED)),
+    "chsh-optimize": Command("numerical Bell maximizer", _chsh_optimize, (
+        ("--grid", {"type": int, "required": True}), _SEED)),
+    "ghz-enumerate": Command("count assignments and condition sets", _ghz_enumerate),
+    "ghz-verify": Command("intersection, product and parity checks", _ghz_verify),
+    "qubit-dist": Command("hidden-variable distribution of a state", _qubit_dist, (_BLOCH,)),
+    "qubit-expect": Command("axis expectations vs the quantum oracle", _qubit_expect, (
+        _BLOCH, ("--dir", {"type": _vector3}))),
+    "qubit-search-sign": Command("exhaustive sign-assignment search", _qubit_search_sign, (
+        ("--dir", {"type": _vector3, "required": True}),)),
+    "qubit-evolve": Command("permute the hidden-variable weights", _qubit_evolve, (
+        _BLOCH,
+        ("--perm", {"type": parse_permutation, "required": True}),
+        [("--strict", {"dest": "strict", "action": "store_true", "default": True}),
+         ("--permissive", {"dest": "strict", "action": "store_false"})])),
+    "oracle-check": Command("quantum ground-truth checks", _oracle_check, (
+        ("--samples", {"type": _at_least(0)}), ("--seed", {"type": int}))),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qlhv",
-        description="Verification runner for the phase- and quaternion-valued "
-        "hidden-variable toolkit",
-    )
+    parser = argparse.ArgumentParser(prog="qlhv", description="Verification runner for the "
+                                     "phase- and quaternion-valued hidden-variable toolkit")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    add_parser("chsh-achieve", help="evaluate the saturating configuration")
-
-    p = add_parser("chsh-verify", help="randomized Bell-bound sweep")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add_parser("chsh-optimize", help="numerical Bell maximizer")
-    p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    add_parser("ghz-enumerate", help="count assignments and condition sets")
-    add_parser("ghz-verify", help="intersection, product and parity checks")
-
-    p = add_parser("qubit-dist", help="hidden-variable distribution of a state")
-    p.add_argument("--bloch", type=_bloch, required=True)
-
-    p = add_parser("qubit-expect", help="axis expectations vs the quantum oracle")
-    p.add_argument("--bloch", type=_bloch, required=True)
-    p.add_argument("--dir", type=_vector3, default=None)
-
-    p = add_parser("qubit-search-sign", help="exhaustive sign-assignment search")
-    p.add_argument("--dir", type=_vector3, required=True)
-
-    p = add_parser("qubit-evolve", help="permute the hidden-variable weights")
-    p.add_argument("--bloch", type=_bloch, required=True)
-    p.add_argument("--perm", type=_perm_arg, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", dest="strict", action="store_true", default=True)
-    mode.add_argument("--permissive", dest="strict", action="store_false")
-
-    p = add_parser("oracle-check", help="quantum ground-truth checks")
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for spec in command.args:
+            group = p.add_mutually_exclusive_group() if isinstance(spec, list) else p
+            for flag, kwargs in spec if isinstance(spec, list) else [spec]:
+                if "type" in kwargs:
+                    kwargs = {**kwargs, "type": _argument_type(kwargs["type"])}
+                group.add_argument(flag, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "chsh-achieve": _cmd_chsh_achieve,
-    "chsh-verify": _cmd_chsh_verify,
-    "chsh-optimize": _cmd_chsh_optimize,
-    "ghz-enumerate": _cmd_ghz_enumerate,
-    "ghz-verify": _cmd_ghz_verify,
-    "qubit-dist": _cmd_qubit_dist,
-    "qubit-expect": _cmd_qubit_expect,
-    "qubit-search-sign": _cmd_qubit_search_sign,
-    "qubit-evolve": _cmd_qubit_evolve,
-    "oracle-check": _cmd_oracle_check,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
 
     started = time.perf_counter()
     try:
-        config, checks, result = _HANDLERS[args.command](args)
+        claims, result = COMMANDS[args.command].run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    checks = [
+        {"name": name, "expected": expected, "actual": actual, "tolerance": tol,
+         "pass": bool(RULES[rule](expected, actual, tol))}
+        for name, expected, actual, rule, tol in claims
+    ]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
+    common = ("command", "out", "format")
     report = {
         "command": args.command,
         "version": __version__,
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k not in common and v is not None},
         "checks": checks,
         "elapsed_ms": elapsed_ms,
     }

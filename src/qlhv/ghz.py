@@ -146,12 +146,6 @@ def classical_parity_check() -> ParityCheckReport:
     return ParityCheckReport(satisfying_count=count, xxx_sign_products=frozenset(products))
 
 
-def rotate_parties(assignment: GhzAssignment) -> GhzAssignment:
-    """Cyclic shift party 1 -> 2 -> 3 -> 1."""
-    p1, p2, p3 = assignment.parties
-    return GhzAssignment(parties=(p3, p1, p2))
-
-
 def export_assignments(assignments) -> list[list[list[str]]]:
     """Sorted label export, e.g. [["+i", "+j", "-k"], ...] per party."""
     return [a.to_labels() for a in sorted(assignments)]

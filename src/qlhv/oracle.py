@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-TSIRELSON = 2.0 * math.sqrt(2.0)
+from .tolerances import EXACT_TOL, bloch_vector, unit_direction
+from .tolerances import TSIRELSON  # noqa: F401  (re-exported)
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -35,20 +36,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if m.shape[1] != v.shape[0]:
-        raise ValueError("dimension mismatch")
-    return m @ v
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(m.conj().T @ m - identity(m.shape[0]))) <= tol)
-
-
 def ghz_state() -> np.ndarray:
     """(|000> - |111>) / sqrt(2), party 1 as the most significant bit of
     the 3-qubit basis index."""
@@ -68,28 +55,22 @@ def three_party_operator(axes: str) -> np.ndarray:
     return op
 
 
-def verify_eigenrelation(op: np.ndarray, v: np.ndarray, expected: int, tol: float = 1e-12) -> bool:
-    """True iff op @ v = expected * v within tol (Euclidean norm)."""
+def verify_eigenrelation(op: np.ndarray, v: np.ndarray, expected: int) -> bool:
+    """True iff op @ v = expected * v within EXACT_TOL (Euclidean norm)."""
     if op.shape[1] != v.shape[0]:
         raise ValueError("dimension mismatch")
-    return bool(np.linalg.norm(op @ v - expected * v) <= tol)
+    return bool(np.linalg.norm(op @ v - expected * v) <= EXACT_TOL)
 
 
 def direction_operator(n: Sequence[float]) -> np.ndarray:
     """n . sigma for a unit 3-vector n."""
-    vec = np.asarray(n, dtype=float)
-    if vec.shape != (3,) or abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
-        raise ValueError("non-unit direction")
+    vec = unit_direction(n)
     return vec[0] * _PAULI["x"] + vec[1] * _PAULI["y"] + vec[2] * _PAULI["z"]
 
 
 def density_matrix(r: Sequence[float]) -> np.ndarray:
     """(I + r . sigma) / 2 for a Bloch vector r with |r| <= 1."""
-    vec = np.asarray(r, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    if float(vec @ vec) > 1.0 + 1e-12:
-        raise ValueError("outside Bloch ball")
+    vec = bloch_vector(r)
     rho = identity(2) / 2.0
     for component, axis in zip(vec, "xyz"):
         rho = rho + 0.5 * component * _PAULI[axis]

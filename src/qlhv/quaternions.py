@@ -1,9 +1,7 @@
 """Exact arithmetic in the 8-element unit-quaternion group, plus phase helpers.
 
 The group {±1, ±i, ±j, ±k} is represented exactly (no floating point) so
-that identities proved over it hold with no tolerance.  A small floating
-``Quaternion`` type embeds the same algebra over real coefficients for the
-direction-vector mapping.
+that identities proved over it hold with no tolerance.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,26 +25,19 @@ class Basis(IntEnum):
 
 _SYMBOL = {Basis.ONE: "1", Basis.I: "i", Basis.J: "j", Basis.K: "k"}
 
-# Hamilton relations: i^2 = j^2 = k^2 = ijk = -1.
+
+# Hamilton relations i^2 = j^2 = k^2 = ijk = -1: the product of two distinct
+# pure units is the third, with sign +1 along the cycle i -> j -> k -> i.
+def _basis_product(a: Basis, b: Basis) -> tuple[Basis, int]:
+    if Basis.ONE in (a, b):
+        return Basis(a + b), 1
+    if a == b:
+        return Basis.ONE, -1
+    return Basis(6 - a - b), 1 if (b - a) % 3 == 1 else -1
+
+
 # (a, b) -> (basis of a*b, sign factor)
-_MUL_TABLE = {
-    (Basis.ONE, Basis.ONE): (Basis.ONE, 1),
-    (Basis.ONE, Basis.I): (Basis.I, 1),
-    (Basis.ONE, Basis.J): (Basis.J, 1),
-    (Basis.ONE, Basis.K): (Basis.K, 1),
-    (Basis.I, Basis.ONE): (Basis.I, 1),
-    (Basis.J, Basis.ONE): (Basis.J, 1),
-    (Basis.K, Basis.ONE): (Basis.K, 1),
-    (Basis.I, Basis.I): (Basis.ONE, -1),
-    (Basis.J, Basis.J): (Basis.ONE, -1),
-    (Basis.K, Basis.K): (Basis.ONE, -1),
-    (Basis.I, Basis.J): (Basis.K, 1),
-    (Basis.J, Basis.K): (Basis.I, 1),
-    (Basis.K, Basis.I): (Basis.J, 1),
-    (Basis.J, Basis.I): (Basis.K, -1),
-    (Basis.K, Basis.J): (Basis.I, -1),
-    (Basis.I, Basis.K): (Basis.J, -1),
-}
+_MUL_TABLE = {(a, b): _basis_product(a, b) for a in Basis for b in Basis}
 
 
 @dataclass(frozen=True, order=True)
@@ -109,56 +100,6 @@ def q8_product(seq: Iterable[Q8Element]) -> Q8Element:
     if not items:
         raise ValueError("empty product")
     return reduce(q8_mul, items)
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Floating-point quaternion w + x i + y j + z k."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    def is_pure_unit(self, tol: float = 1e-12) -> bool:
-        return abs(self.w) <= tol and abs(self.norm() - 1.0) <= tol
-
-
-_EMBED = {
-    Basis.ONE: Quaternion(1.0, 0.0, 0.0, 0.0),
-    Basis.I: Quaternion(0.0, 1.0, 0.0, 0.0),
-    Basis.J: Quaternion(0.0, 0.0, 1.0, 0.0),
-    Basis.K: Quaternion(0.0, 0.0, 0.0, 1.0),
-}
-
-
-def embed_q8(e: Q8Element) -> Quaternion:
-    """Embed an exact group element as a floating quaternion."""
-    base = _EMBED[e.basis]
-    s = float(e.sign)
-    return Quaternion(s * base.w, s * base.x, s * base.y, s * base.z)
-
-
-def bloch_to_pure_quaternion(r: Sequence[float]) -> Quaternion:
-    """Map a unit 3-vector (rx, ry, rz) to the pure quaternion
-    rx*i + ry*j + rz*k."""
-    rx, ry, rz = r
-    if abs(math.sqrt(rx * rx + ry * ry + rz * rz) - 1.0) > 1e-9:
-        raise ValueError("non-unit direction")
-    return Quaternion(0.0, rx, ry, rz)
 
 
 def canonical_phase(theta: float) -> float:

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .quaternions import Basis, Q8Element
+from .tolerances import BOUND_TOL, EXACT_TOL, bloch_vector, unit_direction
 
 LAMBDAS = tuple(range(1, 9))
 
@@ -25,21 +26,10 @@ AXES = ("x", "y", "z")
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _AXIS_BASIS = {"x": Basis.I, "y": Basis.J, "z": Basis.K}
 
-# Sign table: row m-1 holds (eps_x, eps_y, eps_z) for hidden value m.
-# Antipodal rows m and 9-m are full sign flips of each other.
-SIGN_TABLE = np.array(
-    [
-        [1, 1, 1],
-        [1, 1, -1],
-        [1, -1, 1],
-        [1, -1, -1],
-        [-1, 1, 1],
-        [-1, 1, -1],
-        [-1, -1, 1],
-        [-1, -1, -1],
-    ],
-    dtype=float,
-)
+# Sign table: row m-1 holds (eps_x, eps_y, eps_z) for hidden value m, in
+# lexicographic order over (+1, -1), so antipodal rows m and 9-m are full
+# sign flips of each other.
+SIGN_TABLE = np.array(list(itertools.product((1, -1), repeat=3)), dtype=float)
 
 #: Permutation exchanging m and m+4 for m = 1..4 (flips the x signs).
 X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
@@ -70,9 +60,9 @@ class SignedDistribution:
         if len(self.weights) != 8:
             raise ValueError("need exactly 8 weights")
         w = np.asarray(self.weights, dtype=float)
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= EXACT_TOL:
             raise ValueError("weights must sum to 1")
-        if np.any(np.abs(w) > 1.0 + 1e-12):
+        if not np.all(np.abs(w) <= 1.0 + EXACT_TOL):
             raise ValueError("weights must lie in [-1, 1]")
 
     def as_array(self) -> np.ndarray:
@@ -81,19 +71,11 @@ class SignedDistribution:
     def min_weight(self) -> float:
         return min(self.weights)
 
-    def has_negative_weight(self, tol: float = 0.0) -> bool:
-        return self.min_weight() < -tol
-
 
 def state_distribution(r: Sequence[float]) -> SignedDistribution:
     """Distribution of the state with Bloch vector r:
     p(lam) = (1/8) * (1 + eps(lam) . r)."""
-    vec = np.asarray(r, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    if float(vec @ vec) > 1.0 + 1e-12:
-        raise ValueError("outside Bloch ball")
-    p = (1.0 + SIGN_TABLE @ vec) / 8.0
+    p = (1.0 + SIGN_TABLE @ bloch_vector(r)) / 8.0
     return SignedDistribution(tuple(float(x) for x in p))
 
 
@@ -102,10 +84,11 @@ def axis_expectation(dist: SignedDistribution, axis: str) -> float:
     return float(dist.as_array() @ SIGN_TABLE[:, _AXIS_INDEX[axis]])
 
 
-def retroaction_check(dist: SignedDistribution, tol: float = 1e-12) -> bool:
-    """True iff every antipodal pair (m, 9-m) has weights summing to 1/4."""
+def retroaction_check(dist: SignedDistribution) -> bool:
+    """True iff every antipodal pair (m, 9-m) has weights summing to 1/4
+    within EXACT_TOL."""
     w = dist.weights
-    return all(abs(w[m - 1] + w[8 - m] - 0.25) <= tol for m in (1, 2, 3, 4))
+    return all(abs(w[m - 1] + w[8 - m] - 0.25) <= EXACT_TOL for m in (1, 2, 3, 4))
 
 
 @lru_cache(maxsize=1)
@@ -114,23 +97,21 @@ def _sign_candidates() -> np.ndarray:
     return np.array(list(itertools.product((1, -1), repeat=8)), dtype=float)
 
 
-def sign_function_search(n: Sequence[float], tol: float = 1e-9):
+def sign_function_search(n: Sequence[float]):
     """Search the 2^8 sign assignments g for one with
     sum_lam p_r(lam) * g(lam) = n . r for every Bloch vector r.
 
     The state weights are affine in r, so the requirement reduces to
     sum(g) = 0 and (1/8) * sum_lam g(lam) * eps_i(lam) = n_i per axis.
     The achievable per-axis values are multiples of 1/4, so only the six
-    signed axis directions admit a solution.  Returns the assignment as a
-    tuple of signs in lam order, or None.
+    signed axis directions admit a solution (matched within BOUND_TOL).
+    Returns the assignment as a tuple of signs in lam order, or None.
     """
-    vec = np.asarray(n, dtype=float)
-    if vec.shape != (3,) or abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
-        raise ValueError("non-unit direction")
+    vec = unit_direction(n)
     candidates = _sign_candidates()
     sums = candidates.sum(axis=1)
     achieved = candidates @ SIGN_TABLE / 8.0
-    ok = (sums == 0) & np.all(np.abs(achieved - vec) <= tol, axis=1)
+    ok = (sums == 0) & np.all(np.abs(achieved - vec) <= BOUND_TOL, axis=1)
     hits = np.nonzero(ok)[0]
     if hits.size == 0:
         return None
@@ -187,20 +168,18 @@ class PermutationMix:
         for perm, weight in self.terms:
             if not is_permutation(perm):
                 raise ValueError("not a permutation of 1..8")
-            if weight < 0.0:
+            if not weight >= 0.0:
                 raise ValueError("mixture weights must be nonnegative")
             total += weight
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= EXACT_TOL:
             raise ValueError("mixture weights must sum to 1")
 
 
-def evolve_mixture(
-    dist: SignedDistribution, mix: PermutationMix, strict: bool = True
-) -> SignedDistribution:
-    """Weighted combination of permutation evolutions:
+def evolve_mixture(dist: SignedDistribution, mix: PermutationMix) -> SignedDistribution:
+    """Weighted combination of strict permutation evolutions:
     p'(lam) = sum_t w_t * p(s_t(lam))."""
     out = np.zeros(8)
     for perm, weight in mix.terms:
-        evolved = evolve_permutation(dist, perm, strict=strict)
+        evolved = evolve_permutation(dist, perm)
         out += weight * evolved.as_array()
     return SignedDistribution(tuple(float(x) for x in out))

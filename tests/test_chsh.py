@@ -54,6 +54,8 @@ def test_invalid_distribution_rejected():
         HiddenSpace(("p", "q"), (0.6, 0.6))
     with pytest.raises(ValueError, match="invalid distribution"):
         HiddenSpace(("p", "q"), (1.2, -0.2))
+    with pytest.raises(ValueError, match="invalid distribution"):
+        HiddenSpace(("a", "b"), (math.nan, 1.0))
 
 
 def test_achieving_model_correlations():

@@ -2,13 +2,19 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from qlhv.cli import main, parse_permutation
+from qlhv.cli import RULES, main, parse_permutation
 from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP
+from qlhv.tolerances import OPTIMUM_TOL, TSIRELSON
 
 DIAG = "0.5773502691896258,0.5773502691896258,0.5773502691896258"
+
+# Reports of the README subcommands with fixed arguments, elapsed_ms removed
+# (CSV cases as rows).  A change to any report must be deliberate.
+PINNED = json.loads((Path(__file__).parent / "data" / "pinned_reports.json").read_text())
 
 
 def run(capsys, *argv):
@@ -185,5 +191,73 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_malformed_vector_exits_2(capsys):
-    code, _ = run(capsys, "qubit-dist", "--bloch", "1,0")
-    assert code == 2
+    for argv in (
+        ("qubit-dist", "--bloch", "1,0"),
+        ("qubit-dist", "--bloch", "nan,0,0"),
+        ("qubit-search-sign", "--dir", "nan,0,1"),
+        ("qubit-expect", "--bloch", "0,0,0", "--dir", "inf,0,0"),
+    ):
+        assert run(capsys, *argv) == (2, ""), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chsh-verify", "--samples", "0", "--seed", "1"),
+        ("chsh-verify", "--samples", "-5", "--seed", "1"),
+        ("oracle-check", "--samples", "-3", "--seed", "1"),
+    ],
+)
+def test_non_positive_samples_exit_2(capsys, argv):
+    assert run(capsys, *argv) == (2, "")
+
+
+def test_rules_fail_outside_tolerance_and_on_nan():
+    assert RULES["reaches"](TSIRELSON, TSIRELSON - 0.5 * OPTIMUM_TOL, OPTIMUM_TOL)
+    assert not RULES["reaches"](TSIRELSON, TSIRELSON + 2e-9, OPTIMUM_TOL)
+    assert not RULES["reaches"](TSIRELSON, TSIRELSON - 2.0 * OPTIMUM_TOL, OPTIMUM_TOL)
+    for rule in ("equal", "close", "at_most", "at_least", "reaches"):
+        assert not RULES[rule](1.0, math.nan, 1e-9), rule
+    assert not RULES["all_close"]([1.0, 0.0], [math.nan, 0.0], None)
+
+
+def _assert_same(expected, actual, path, loose=False):
+    """Exact equality, except floats under a check's "actual" or under
+    "result", which must agree to 1e-12."""
+    if loose and isinstance(expected, float) and isinstance(actual, float):
+        assert abs(actual - expected) <= 1e-12, path
+    elif isinstance(expected, dict) and isinstance(actual, dict):
+        assert expected.keys() == actual.keys(), path
+        for key in expected:
+            loose_here = loose or key in ("actual", "result")
+            _assert_same(expected[key], actual[key], f"{path}.{key}", loose_here)
+    elif isinstance(expected, list) and isinstance(actual, list):
+        assert len(expected) == len(actual), path
+        for index, (e, a) in enumerate(zip(expected, actual)):
+            _assert_same(e, a, f"{path}[{index}]", loose)
+    else:
+        assert type(actual) is type(expected) and actual == expected, path
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")   # --permissive warns by design
+@pytest.mark.parametrize("case", PINNED, ids=[" ".join(c["argv"]) for c in PINNED])
+def test_report_matches_pinned(capsys, case):
+    code, out = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    if "csv" in case["argv"]:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == len(case["output"])
+        for expected, actual in zip(case["output"], rows):
+            assert expected[:2] + expected[3:] == actual[:2] + actual[3:]
+            _assert_same(_number(expected[2]), _number(actual[2]), "csv actual", loose=True)
+    else:
+        report = json.loads(out)
+        report.pop("elapsed_ms")
+        _assert_same(case["output"], report, "report")

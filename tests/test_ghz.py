@@ -12,7 +12,6 @@ from qlhv.ghz import (
     export_assignments,
     full_intersection,
     ghz_intersection,
-    rotate_parties,
     satisfies,
     xxx_product,
 )
@@ -25,6 +24,12 @@ def triple(ex, ey, ez):
 
 def assignment(*sign_triples):
     return GhzAssignment(parties=tuple(triple(*s) for s in sign_triples))
+
+
+def rotate_parties(a):
+    """Cyclic shift party 1 -> 2 -> 3 -> 1."""
+    p1, p2, p3 = a.parties
+    return GhzAssignment(parties=(p3, p1, p2))
 
 
 ALL_PLUS = assignment((1, 1, 1), (1, 1, 1), (1, 1, 1))

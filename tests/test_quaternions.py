@@ -12,15 +12,33 @@ from qlhv.quaternions import (
     K,
     Q8Element,
     Q8_ELEMENTS,
-    bloch_to_pure_quaternion,
     canonical_phase,
-    embed_q8,
     phase_pair_magnitudes,
     q8_mul,
     q8_product,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def hamilton(p, q):
+    """Float Hamilton product of (w, x, y, z) quaternions: the reference the
+    exact group table is checked against."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def embed(e):
+    """An exact group element as (w, x, y, z) floats."""
+    coords = [0.0] * 4
+    coords[e.basis] = float(e.sign)
+    return tuple(coords)
 
 
 def test_eight_distinct_elements():
@@ -77,30 +95,7 @@ def test_labels_round_trip():
 
 def test_float_embedding_matches_exact_product():
     for a, b in itertools.product(Q8_ELEMENTS, repeat=2):
-        fa, fb = embed_q8(a), embed_q8(b)
-        prod = fa * fb
-        expected = embed_q8(q8_mul(a, b))
-        assert (prod.w, prod.x, prod.y, prod.z) == (
-            expected.w,
-            expected.x,
-            expected.y,
-            expected.z,
-        )
-
-
-def test_bloch_to_pure_quaternion():
-    assert bloch_to_pure_quaternion((1, 0, 0)) == embed_q8(I)
-    assert bloch_to_pure_quaternion((0, 0, 1)) == embed_q8(K)
-    s = 1.0 / SQRT2
-    q = bloch_to_pure_quaternion((s, s, 0.0))
-    assert q.w == 0.0 and q.x == s and q.y == s and q.z == 0.0
-    assert abs(q.norm() - 1.0) <= 1e-12
-    assert q.is_pure_unit()
-
-
-def test_bloch_to_pure_quaternion_rejects_non_unit():
-    with pytest.raises(ValueError, match="non-unit direction"):
-        bloch_to_pure_quaternion((1.0, 1.0, 0.0))
+        assert hamilton(embed(a), embed(b)) == embed(q8_mul(a, b))
 
 
 def test_canonical_phase():

@@ -66,13 +66,15 @@ def test_state_distribution_diagonal_negative_weight():
     r = (1 / SQRT3, 1 / SQRT3, 1 / SQRT3)
     dist = state_distribution(r)
     assert dist.weights[7] == pytest.approx((1.0 - SQRT3) / 8.0, abs=1e-12)
-    assert dist.has_negative_weight()
+    assert dist.min_weight() < 0.0
     assert retroaction_check(dist)
 
 
 def test_state_distribution_rejects_outside_ball():
     with pytest.raises(ValueError, match="outside Bloch ball"):
         state_distribution((0.9, 0.9, 0.0))
+    with pytest.raises(ValueError, match="outside Bloch ball"):
+        state_distribution((math.nan, 0.0, 0.0))
 
 
 def test_distribution_invariants_rejected():
@@ -80,6 +82,8 @@ def test_distribution_invariants_rejected():
         SignedDistribution((0.5,) * 8)
     with pytest.raises(ValueError):
         SignedDistribution((2.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        SignedDistribution((math.nan,) * 8)
 
 
 def test_axis_expectation_examples():
@@ -108,7 +112,7 @@ def test_negativity_iff_l1_norm_exceeds_one(r):
     if abs(l1 - 1.0) < 1e-9:
         return
     dist = state_distribution(r)
-    assert dist.has_negative_weight(tol=1e-15) == (l1 > 1.0)
+    assert (dist.min_weight() < -1e-15) == (l1 > 1.0)
 
 
 def test_retroaction_check_violation():
@@ -157,6 +161,8 @@ def test_sign_search_achievable_values_are_quarter_multiples():
 def test_sign_search_rejects_non_unit():
     with pytest.raises(ValueError, match="non-unit direction"):
         sign_function_search((1.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="non-unit direction"):
+        sign_function_search((math.nan, 0.0, 1.0))
 
 
 def test_x_flip_negates_x_component():
@@ -212,6 +218,8 @@ def test_mixture_weight_validation():
         PermutationMix(((IDENTITY_PERMUTATION, 0.4), (X_FLIP, 0.4)))
     with pytest.raises(ValueError):
         PermutationMix(((IDENTITY_PERMUTATION, 1.5), (X_FLIP, -0.5)))
+    with pytest.raises(ValueError):
+        PermutationMix(((IDENTITY_PERMUTATION, math.nan), (X_FLIP, 1.0)))
 
 
 def _antipode_commuting_permutations(rng, count):
