@@ -26,8 +26,6 @@ from .chsh import (
     sample_model,
 )
 from .ghz import (
-    GhzAssignment,
-    PartyTriple,
     classical_parity_check,
     condition_set,
     enumerate_assignments,

@@ -22,6 +22,9 @@ from .tolerances import TSIRELSON  # noqa: F401  (re-exported)
 ALICE_SETTINGS = ("a", "a'")
 BOB_SETTINGS = ("b", "b'")
 
+# support size bound of sample_model
+MAX_POINTS = 16
+
 # setting -> slot into the (f1, f2, f3, f4) / (theta1..theta4) layout
 _SLOT = {"a": 0, "b": 1, "a'": 2, "b'": 3}
 
@@ -111,12 +114,8 @@ def _single_point_model(t2: float, t4: float, t1: float = 0.0, t3: float = 0.0) 
     return ChshModel(space=space, thetas=(t1, t2, t3, t4), bits=((0,), (0,), (0,), (0,)))
 
 
-def maximize_bell(
-    grid_steps: int,
-    refine_iters: int = 50,
-    rng_seed: int = 0,
-    phase_grid: Sequence[float] | None = None,
-) -> tuple[ChshModel, float]:
+def maximize_bell(grid_steps: int, refine_iters: int = 50,
+                  rng_seed: int = 0) -> tuple[ChshModel, float]:
     """Grid search over the two Bob phases followed by local refinement.
 
     The support and bit structure are fixed analytically (single point,
@@ -124,16 +123,10 @@ def maximize_bell(
     the phases are searched.  Among equal grid maxima the lowest grid index
     wins.  Returns (best model, its Bell value).
     """
-    if phase_grid is not None:
-        grid = [canonical_phase(t) for t in phase_grid]
-        if len(grid) < 1:
-            raise ValueError("phase grid must be non-empty")
-        spacing = 2.0 * math.pi / len(grid)
-    else:
-        if grid_steps < 4:
-            raise ValueError("grid_steps must be at least 4")
-        grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
-        spacing = 2.0 * math.pi / grid_steps
+    if grid_steps < 4:
+        raise ValueError("grid_steps must be at least 4")
+    grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
+    spacing = 2.0 * math.pi / grid_steps
 
     best_t2, best_t4 = grid[0], grid[0]
     best_val = -math.inf
@@ -166,15 +159,11 @@ def maximize_bell(
     return best_model, bell_expression(best_model)
 
 
-def sample_model(
-    rng: np.random.Generator,
-    max_points: int = 16,
-    phase_choices: Sequence[float] | None = None,
-) -> ChshModel:
-    """Draw a random valid model: up to max_points points with normalized
+def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None = None) -> ChshModel:
+    """Draw a random valid model: up to MAX_POINTS points with normalized
     weights, independent random bits, and phases either uniform on
     [0, 2pi) or drawn from phase_choices."""
-    n = int(rng.integers(1, max_points + 1))
+    n = int(rng.integers(1, MAX_POINTS + 1))
     raw = rng.random(n) + 1e-9
     weights = tuple(raw / raw.sum())
     if phase_choices is None:

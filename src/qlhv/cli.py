@@ -91,7 +91,7 @@ def _argument_type(parse: Callable):
 
 # rule -> pass(expected, actual, tolerance); written so that NaN fails.
 # `reaches` allows the tolerance below the expected value but only
-# BOUND_TOL above it; `all_close` compares each component at BOUND_TOL.
+# BOUND_TOL above it; `all_close` compares each component at the tolerance.
 RULES = {
     "equal": lambda expected, actual, tol: actual == expected,
     "close": lambda expected, actual, tol: abs(actual - expected) <= tol,
@@ -99,7 +99,7 @@ RULES = {
     "at_least": lambda expected, actual, tol: actual >= expected - tol,
     "reaches": lambda expected, actual, tol: expected - tol <= actual <= expected + BOUND_TOL,
     "all_close": lambda expected, actual, tol: len(actual) == len(expected)
-    and all(abs(a - e) <= BOUND_TOL for a, e in zip(actual, expected)),
+    and all(abs(a - e) <= tol for a, e in zip(actual, expected)),
 }
 
 
@@ -215,7 +215,7 @@ def _qubit_search_sign(args):
     result = {"signs": None if found is None else list(found)}
     if found is not None:
         achieved = list(np.array(found, dtype=float) @ qubit.SIGN_TABLE / 8.0)
-        claims.append(("achieved_direction", list(args.dir), achieved, "all_close", None))
+        claims.append(("achieved_direction", list(args.dir), achieved, "all_close", BOUND_TOL))
         result["achieved_direction"] = achieved
     return claims, result
 

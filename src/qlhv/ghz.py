@@ -1,100 +1,73 @@
 """Exhaustive sign algebra for the three-party GHZ constraints.
 
-Each party carries a triple (±i, ±j, ±k).  The three product constraints
-(xyy, yxy, yyx) are evaluated on the signs of the selected components;
-the punchline product over the three x components is evaluated as an
-exact quaternion product.
+Each party carries a triple (±i, ±j, ±k).  An assignment of the nine signs
+is an int in range(512): bit 8 - (3*party + axis) is set when that party's
+unit for that axis (x -> i, y -> j, z -> k) carries -1.  Each of the three
+product constraints (xyy, yxy, yyx) is the parity of the assignment under
+a mask; the punchline product over the three x components is evaluated as
+an exact quaternion product.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .quaternions import Basis, Q8Element, q8_product
 
 PATTERNS = ("xyy", "yxy", "yyx")
 
-_COMPONENT_BASIS = {"x": Basis.I, "y": Basis.J, "z": Basis.K}
+_AXIS_BASIS = {"x": Basis.I, "y": Basis.J, "z": Basis.K}
 
 
-@dataclass(frozen=True, order=True)
-class PartyTriple:
-    """One party's values for the x, y and z components: a signed i, a
-    signed j and a signed k."""
-
-    sx: Q8Element
-    sy: Q8Element
-    sz: Q8Element
-
-    def __post_init__(self):
-        if self.sx.basis is not Basis.I or self.sy.basis is not Basis.J or self.sz.basis is not Basis.K:
-            raise ValueError("party triple must be (signed i, signed j, signed k)")
-
-    def component(self, axis: str) -> Q8Element:
-        return {"x": self.sx, "y": self.sy, "z": self.sz}[axis]
-
-    @classmethod
-    def from_signs(cls, ex: int, ey: int, ez: int) -> "PartyTriple":
-        return cls(Q8Element(Basis.I, ex), Q8Element(Basis.J, ey), Q8Element(Basis.K, ez))
+def _bit(party: int, axis: str) -> int:
+    return 1 << (8 - 3 * party - "xyz".index(axis))
 
 
-@dataclass(frozen=True, order=True)
-class GhzAssignment:
-    """Ordered triple of party triples (party 1, 2, 3)."""
-
-    parties: tuple[PartyTriple, PartyTriple, PartyTriple]
-
-    def to_labels(self) -> list[list[str]]:
-        return [[str(p.sx), str(p.sy), str(p.sz)] for p in self.parties]
+def _mask(axes: str) -> int:
+    """The bits of one axis per party, e.g. "xyy"."""
+    return sum(_bit(party, axis) for party, axis in enumerate(axes))
 
 
-@lru_cache(maxsize=None)
-def enumerate_assignments() -> tuple[GhzAssignment, ...]:
-    """All 8^3 = 512 assignments, in a fixed deterministic order."""
-    triples = [
-        PartyTriple.from_signs(ex, ey, ez)
-        for ex, ey, ez in itertools.product((1, -1), repeat=3)
-    ]
-    return tuple(
-        GhzAssignment(parties=(p1, p2, p3))
-        for p1, p2, p3 in itertools.product(triples, repeat=3)
-    )
+def _unit(assignment: int, party: int, axis: str) -> Q8Element:
+    """The signed unit that one party carries for one axis."""
+    return Q8Element(_AXIS_BASIS[axis], -1 if assignment & _bit(party, axis) else 1)
 
 
-def satisfies(assignment: GhzAssignment, pattern: str) -> bool:
+def enumerate_assignments() -> range:
+    """All 8^3 = 512 assignments, as the ints 0..511."""
+    return range(512)
+
+
+def satisfies(assignment: int, pattern: str) -> bool:
     """True iff the signs of the selected components (one axis letter per
-    party) multiply to +1."""
+    party) multiply to +1, i.e. an even number of them are -1."""
     if pattern not in PATTERNS:
         raise ValueError(f"unknown condition pattern: {pattern!r}")
-    sign = 1
-    for party, axis in zip(assignment.parties, pattern):
-        sign *= party.component(axis).sign
-    return sign == 1
+    return (assignment & _mask(pattern)).bit_count() % 2 == 0
 
 
 @lru_cache(maxsize=None)
-def condition_set(pattern: str) -> frozenset[GhzAssignment]:
+def condition_set(pattern: str) -> frozenset[int]:
     """All assignments satisfying one sign-product condition; a single
     parity constraint, so exactly half the 512-element space."""
     return frozenset(a for a in enumerate_assignments() if satisfies(a, pattern))
 
 
 @lru_cache(maxsize=None)
-def full_intersection() -> frozenset[GhzAssignment]:
+def full_intersection() -> frozenset[int]:
     """Assignments satisfying all three conditions simultaneously.
 
     Three independent parity constraints on nine signs leave 512/8 = 64
     assignments.  The quaternion product of the three x components is -i
     on every one of them.
     """
-    sets = [condition_set(p) for p in PATTERNS]
-    return frozenset(reduce(frozenset.intersection, sets))
+    return frozenset.intersection(*(condition_set(p) for p in PATTERNS))
 
 
 @lru_cache(maxsize=None)
-def ghz_intersection() -> frozenset[GhzAssignment]:
+def ghz_intersection() -> frozenset[int]:
     """The aligned part of the joint solution set: assignments satisfying
     all three conditions in which each party's x and y components carry
     the same sign.
@@ -104,16 +77,14 @@ def ghz_intersection() -> frozenset[GhzAssignment]:
     patterns (+++ / +-- / -+- / --+), which yields four families of 8
     assignments each (the z signs stay free): 32 assignments.
     """
-    return frozenset(
-        a
-        for a in full_intersection()
-        if all(p.sx.sign == p.sy.sign for p in a.parties)
-    )
+    # each party's x bit sits one place above its y bit
+    xs, ys = _mask("xxx"), _mask("yyy")
+    return frozenset(a for a in full_intersection() if (a & xs) >> 1 == a & ys)
 
 
-def xxx_product(assignment: GhzAssignment) -> Q8Element:
+def xxx_product(assignment: int) -> Q8Element:
     """Quaternion product of the three x components, in party order."""
-    return q8_product([p.sx for p in assignment.parties])
+    return q8_product([_unit(assignment, party, "x") for party in range(3)])
 
 
 @dataclass(frozen=True)
@@ -147,5 +118,7 @@ def classical_parity_check() -> ParityCheckReport:
 
 
 def export_assignments(assignments) -> list[list[list[str]]]:
-    """Sorted label export, e.g. [["+i", "+j", "-k"], ...] per party."""
-    return [a.to_labels() for a in sorted(assignments)]
+    """Label export, e.g. [["+i", "+j", "-k"], ...] per party.  Descending
+    ints put -1 before +1, party by party and axis by axis."""
+    return [[[str(_unit(a, party, axis)) for axis in "xyz"] for party in range(3)]
+            for a in sorted(assignments, reverse=True)]

@@ -28,14 +28,6 @@ def pauli(axis: str) -> np.ndarray:
     return _PAULI[axis].copy()
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 def ghz_state() -> np.ndarray:
     """(|000> - |111>) / sqrt(2), party 1 as the most significant bit of
     the 3-qubit basis index."""
@@ -51,7 +43,7 @@ def three_party_operator(axes: str) -> np.ndarray:
         raise ValueError("need one axis per party")
     op = pauli(axes[0])
     for axis in axes[1:]:
-        op = tensor(op, pauli(axis))
+        op = np.kron(op, pauli(axis))
     return op
 
 
@@ -71,7 +63,7 @@ def direction_operator(n: Sequence[float]) -> np.ndarray:
 def density_matrix(r: Sequence[float]) -> np.ndarray:
     """(I + r . sigma) / 2 for a Bloch vector r with |r| <= 1."""
     vec = bloch_vector(r)
-    rho = identity(2) / 2.0
+    rho = np.eye(2, dtype=complex) / 2.0
     for component, axis in zip(vec, "xyz"):
         rho = rho + 0.5 * component * _PAULI[axis]
     return rho
@@ -120,6 +112,6 @@ def chsh_quantum_value(
     op_ap = direction_operator(a_prime)
     op_b = direction_operator(b)
     op_bp = direction_operator(b_prime)
-    bell_op = tensor(op_a, op_b + op_bp) + tensor(op_ap, op_b - op_bp)
+    bell_op = np.kron(op_a, op_b + op_bp) + np.kron(op_ap, op_b - op_bp)
     top = _power_iteration(bell_op.conj().T @ bell_op, residual, max_iters)
     return math.sqrt(max(top, 0.0))

@@ -57,25 +57,6 @@ class Q8Element:
     def __str__(self) -> str:
         return ("+" if self.sign > 0 else "-") + _SYMBOL[self.basis]
 
-    @classmethod
-    def from_label(cls, label: str) -> "Q8Element":
-        """Parse labels like "+i", "-k", "1", "i"."""
-        text = label.strip()
-        sign = 1
-        if text[:1] in "+-":
-            sign = 1 if text[0] == "+" else -1
-            text = text[1:]
-        for basis, symbol in _SYMBOL.items():
-            if text == symbol:
-                return cls(basis, sign)
-        raise ValueError(f"not a unit quaternion label: {label!r}")
-
-    def inverse(self) -> "Q8Element":
-        if self.basis is Basis.ONE:
-            return self
-        # pure units square to -1, so q^-1 = -q
-        return -self
-
 
 ONE = Q8Element(Basis.ONE, 1)
 I = Q8Element(Basis.I, 1)

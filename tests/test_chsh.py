@@ -127,14 +127,9 @@ def test_maximizer_converges():
 
 
 def test_maximizer_grid_containing_optimum_is_exact():
-    grid = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-    _, value = maximize_bell(4, refine_iters=0, rng_seed=0, phase_grid=grid)
+    # the 4-step grid is (0, pi/2, pi, 3pi/2)
+    _, value = maximize_bell(4, refine_iters=0, rng_seed=0)
     assert value == pytest.approx(TSIRELSON, abs=1e-12)
-
-
-def test_maximizer_restricted_real_grid_gives_two():
-    _, value = maximize_bell(4, refine_iters=0, rng_seed=0, phase_grid=(0.0, math.pi))
-    assert value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_maximizer_rejects_small_grid():

@@ -218,7 +218,10 @@ def test_rules_fail_outside_tolerance_and_on_nan():
     assert not RULES["reaches"](TSIRELSON, TSIRELSON - 2.0 * OPTIMUM_TOL, OPTIMUM_TOL)
     for rule in ("equal", "close", "at_most", "at_least", "reaches"):
         assert not RULES[rule](1.0, math.nan, 1e-9), rule
-    assert not RULES["all_close"]([1.0, 0.0], [math.nan, 0.0], None)
+    assert not RULES["all_close"]([1.0, 0.0], [math.nan, 0.0], 1e-9)
+    # all_close compares at the tolerance it is given
+    assert RULES["all_close"]([1.0], [1.0 + 0.5 * OPTIMUM_TOL], OPTIMUM_TOL)
+    assert not RULES["all_close"]([1.0], [1.0 + 2.0 * OPTIMUM_TOL], OPTIMUM_TOL)
 
 
 def _assert_same(expected, actual, path, loose=False):

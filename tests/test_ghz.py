@@ -3,8 +3,6 @@ import itertools
 import pytest
 
 from qlhv.ghz import (
-    GhzAssignment,
-    PartyTriple,
     PATTERNS,
     classical_parity_check,
     condition_set,
@@ -15,21 +13,19 @@ from qlhv.ghz import (
     satisfies,
     xxx_product,
 )
-from qlhv.quaternions import Basis, Q8Element, I
-
-
-def triple(ex, ey, ez):
-    return PartyTriple.from_signs(ex, ey, ez)
+from qlhv.quaternions import I
 
 
 def assignment(*sign_triples):
-    return GhzAssignment(parties=tuple(triple(*s) for s in sign_triples))
+    """The int of three (x, y, z) sign triples, party 1 first: the k-th of
+    the nine signs sets bit 8 - k when it is -1."""
+    signs = [s for triple in sign_triples for s in triple]
+    return sum(1 << (8 - k) for k, s in enumerate(signs) if s < 0)
 
 
 def rotate_parties(a):
     """Cyclic shift party 1 -> 2 -> 3 -> 1."""
-    p1, p2, p3 = a.parties
-    return GhzAssignment(parties=(p3, p1, p2))
+    return ((a & 0b111) << 6) | (a >> 3)
 
 
 ALL_PLUS = assignment((1, 1, 1), (1, 1, 1), (1, 1, 1))
@@ -65,9 +61,14 @@ def test_enumeration_has_512_distinct_assignments():
     assert ALL_MINUS in assignments
 
 
-def test_party_triple_validates_bases():
-    with pytest.raises(ValueError):
-        PartyTriple(Q8Element(Basis.J), Q8Element(Basis.J), Q8Element(Basis.K))
+def test_assignments_decode_each_axis_to_its_unit():
+    # x -> i, y -> j, z -> k, each with the sign the assignment gives it
+    for signs in itertools.product((1, -1), repeat=9):
+        triples = (signs[0:3], signs[3:6], signs[6:9])
+        labels = [[("+" if s > 0 else "-") + unit for s, unit in zip(t, "ijk")] for t in triples]
+        assert export_assignments([assignment(*triples)]) == [labels]
+    exported = export_assignments(enumerate_assignments())
+    assert len({repr(labels) for labels in exported}) == 512
 
 
 def test_satisfies_examples():
@@ -106,17 +107,9 @@ def test_condition_sets_are_cyclic_relabels():
 
 def test_condition_set_closed_under_unselected_sign_flips():
     members = condition_set("xyy")
-    sample = list(members)[:64]
-    for a in sample:
-        p1, p2, p3 = a.parties
-        flipped = GhzAssignment(
-            parties=(
-                PartyTriple(p1.sx, -p1.sy, -p1.sz),
-                PartyTriple(-p2.sx, p2.sy, -p2.sz),
-                PartyTriple(-p3.sx, p3.sy, p3.sz),
-            )
-        )
-        assert flipped in members
+    flip_mask = assignment((1, -1, -1), (-1, 1, -1), (-1, 1, 1))
+    for a in members:
+        assert a ^ flip_mask in members
 
 
 def test_intersection_size_and_membership():

@@ -10,10 +10,8 @@ from qlhv.oracle import (
     density_matrix,
     direction_operator,
     ghz_state,
-    identity,
     pauli,
     qubit_expectation,
-    tensor,
     three_party_operator,
     verify_eigenrelation,
 )
@@ -24,7 +22,7 @@ def is_hermitian(m):
 
 
 def is_unitary(m):
-    return np.max(np.abs(m.conj().T @ m - identity(m.shape[0]))) <= 1e-12
+    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-12
 
 
 OPTIMAL_SETTINGS = (
@@ -37,9 +35,9 @@ OPTIMAL_SETTINGS = (
 
 def test_pauli_algebra():
     x, y, z = pauli("x"), pauli("y"), pauli("z")
-    assert np.allclose(x @ x, identity(2))
-    assert np.allclose(y @ y, identity(2))
-    assert np.allclose(z @ z, identity(2))
+    assert np.allclose(x @ x, np.eye(2))
+    assert np.allclose(y @ y, np.eye(2))
+    assert np.allclose(z @ z, np.eye(2))
     assert np.allclose(x @ y, 1j * z)
     for m in (x, y, z):
         assert is_hermitian(m)
@@ -57,7 +55,7 @@ def test_unknown_axis_rejected():
 
 
 def test_tensor_dimensions():
-    m = tensor(pauli("x"), identity(2))
+    m = np.kron(pauli("x"), np.eye(2))
     assert m.shape == (4, 4)
     assert three_party_operator("xyy").shape == (8, 8)
 
@@ -82,7 +80,7 @@ def test_three_party_operators_commute_and_square_to_identity():
     ops = [three_party_operator(axes) for axes in ("xyy", "yxy", "yyx")]
     for op in ops:
         assert is_hermitian(op)
-        assert np.allclose(op @ op, identity(8), atol=1e-12)
+        assert np.allclose(op @ op, np.eye(8), atol=1e-12)
     for a in ops:
         for b in ops:
             assert np.allclose(a @ b, b @ a, atol=1e-12)
@@ -120,7 +118,7 @@ def test_direction_operator_is_hermitian_unit_involution():
     n = np.array([0.36, 0.48, 0.8])
     op = direction_operator(n)
     assert is_hermitian(op)
-    assert np.allclose(op @ op, identity(2), atol=1e-12)
+    assert np.allclose(op @ op, np.eye(2), atol=1e-12)
 
 
 def test_chsh_optimal_settings_reach_tsirelson():
@@ -140,7 +138,7 @@ def test_chsh_quantum_value_cross_checked_against_eigensolver():
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         a, ap, b, bp = dirs
         value = chsh_quantum_value(a, ap, b, bp)
-        bell_op = tensor(direction_operator(a), direction_operator(b) + direction_operator(bp)) + tensor(
+        bell_op = np.kron(direction_operator(a), direction_operator(b) + direction_operator(bp)) + np.kron(
             direction_operator(ap), direction_operator(b) - direction_operator(bp)
         )
         reference = float(np.max(np.abs(np.linalg.eigvalsh(bell_op))))
