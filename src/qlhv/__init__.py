@@ -18,12 +18,14 @@ from .chsh import (
     TSIRELSON,
     analytic_bound,
     bell_expression,
+    bell_values,
     correlation,
     make_achieving_model,
     maximize_bell,
     model_from_dict,
     model_to_dict,
     sample_model,
+    sample_models,
 )
 from .ghz import (
     classical_parity_check,

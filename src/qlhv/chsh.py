@@ -5,6 +5,11 @@ phase angles; the observable value at a setting is (-1)^bit * e^{i theta}.
 The module evaluates the two-party correlation functional, the Bell
 combination |E(a,b)-E(a,b')| + |E(a',b)+E(a',b')|, its analytic phase
 bound, the explicit saturating configuration, and a numerical maximizer.
+
+A population of models is three padded arrays: weights (N, MAX_POINTS)
+with zeros past each model's support, thetas (N, 4) and bits
+(N, 4, MAX_POINTS).  sample_models draws one and bell_values evaluates it;
+ChshModel is the one-model view used by the per-model API and serialization.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ MAX_POINTS = 16
 
 # setting -> slot into the (f1, f2, f3, f4) / (theta1..theta4) layout
 _SLOT = {"a": 0, "b": 1, "a'": 2, "b'": 3}
+# Alice's and Bob's slots of E(a,b), E(a,b'), E(a',b), E(a',b')
+_ALICE, _BOB = np.array([(_SLOT[a], _SLOT[b]) for a in ALICE_SETTINGS for b in BOB_SETTINGS]).T
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,8 @@ class ChshModel:
                 raise ValueError("bit vector length must match the space")
             if any(b not in (0, 1) for b in vec):
                 raise ValueError("bits must be 0 or 1")
+        if not all(map(math.isfinite, self.thetas)):
+            raise ValueError("phases must be finite")
 
 
 def correlation(model: ChshModel, alice: str, bob: str) -> complex:
@@ -82,17 +91,47 @@ def correlation(model: ChshModel, alice: str, bob: str) -> complex:
     return complex(np.dot(w, parity)) * phase
 
 
-def bell_expression(model: ChshModel) -> float:
-    e_ab = correlation(model, "a", "b")
-    e_abp = correlation(model, "a", "b'")
-    e_apb = correlation(model, "a'", "b")
-    e_apbp = correlation(model, "a'", "b'")
+def _bell_combination(e_ab, e_abp, e_apb, e_apbp):
+    # complex scalars, or arrays of them element by element
     return abs(e_ab - e_abp) + abs(e_apb + e_apbp)
 
 
-def analytic_bound(t2: float, t4: float) -> float:
+def bell_expression(model: ChshModel) -> float:
+    return _bell_combination(
+        correlation(model, "a", "b"),
+        correlation(model, "a", "b'"),
+        correlation(model, "a'", "b"),
+        correlation(model, "a'", "b'"),
+    )
+
+
+def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """bell_expression of each model of a padded population: weights
+    (N, P), thetas (N, 4), bits (N, 4, P); returns shape (N,).  Each row
+    must be a valid model: weights nonnegative summing to 1 within
+    EXACT_TOL, finite phases, bits 0 or 1.  Zero-weight columns do not
+    change a row's value, whatever their bits."""
+    weights = np.asarray(weights, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    bits = np.asarray(bits)
+    if (weights.ndim != 2 or thetas.shape != (len(weights), 4)
+            or bits.shape != (len(weights), 4, weights.shape[1])):
+        raise ValueError("need weights (N, P), thetas (N, 4) and bits (N, 4, P)")
+    if not (np.all(weights >= 0.0) and np.all(np.abs(weights.sum(axis=1) - 1.0) <= EXACT_TOL)):
+        raise ValueError("invalid distribution")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("bits must be 0 or 1")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("phases must be finite")
+    parity = np.where(bits[:, _ALICE] == bits[:, _BOB], 1.0, -1.0)
+    e = np.einsum("np,nkp->nk", weights, parity) * np.exp(1j * (thetas[:, _ALICE] + thetas[:, _BOB]))
+    return _bell_combination(e[:, 0], e[:, 1], e[:, 2], e[:, 3])
+
+
+def analytic_bound(t2, t4):
     """|e^{i t2}+e^{i t4}| + |e^{i t2}-e^{i t4}|, an upper bound on
-    bell_expression for every model carrying these two Bob phases."""
+    bell_expression for every model carrying these two Bob phases.  Takes
+    floats or arrays of equal shape."""
     plus, minus = phase_pair_magnitudes(t2, t4)
     return plus + minus
 
@@ -159,20 +198,46 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     return best_model, bell_expression(best_model)
 
 
+def _draw(rng: np.random.Generator, phase_choices: Sequence[float] | None):
+    # One model as (weights (n,), thetas (4,), bits (4, n)).  These four
+    # generator calls must consume the stream exactly as the per-field
+    # draws (one integers, one random, one uniform or four rng.choice, four
+    # integers(size=n)) do, so that a seed keeps its models; the tests pin it.
+    n = int(rng.integers(1, MAX_POINTS + 1))
+    raw = rng.random(n) + 1e-9
+    if phase_choices is None:
+        thetas = rng.uniform(0.0, 2.0 * math.pi, size=4)
+    else:
+        choices = np.asarray(phase_choices, dtype=float)
+        thetas = choices[rng.integers(0, len(choices), size=4)]
+    return raw / raw.sum(), thetas, rng.integers(0, 2, size=(4, n))
+
+
 def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None = None) -> ChshModel:
     """Draw a random valid model: up to MAX_POINTS points with normalized
     weights, independent random bits, and phases either uniform on
     [0, 2pi) or drawn from phase_choices."""
-    n = int(rng.integers(1, MAX_POINTS + 1))
-    raw = rng.random(n) + 1e-9
-    weights = tuple(raw / raw.sum())
-    if phase_choices is None:
-        thetas = tuple(rng.uniform(0.0, 2.0 * math.pi, size=4))
-    else:
-        thetas = tuple(float(rng.choice(phase_choices)) for _ in range(4))
-    bits = tuple(tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(4))
-    points = tuple(f"l{k}" for k in range(n))
-    return ChshModel(space=HiddenSpace(points, weights), thetas=thetas, bits=bits)
+    weights, thetas, bits = _draw(rng, phase_choices)
+    points = tuple(f"l{k}" for k in range(weights.size))
+    return ChshModel(space=HiddenSpace(points, tuple(weights.tolist())),
+                     thetas=tuple(thetas.tolist()),
+                     bits=tuple(tuple(vec) for vec in bits.tolist()))
+
+
+def sample_models(rng: np.random.Generator, count: int,
+                  phase_choices: Sequence[float] | None = None):
+    """Draw count models as padded arrays (weights (count, MAX_POINTS),
+    thetas (count, 4), bits (count, 4, MAX_POINTS)), zero past each
+    model's support.  Row i is the model that the i-th of count
+    sample_model calls on the same generator would return."""
+    weights = np.zeros((count, MAX_POINTS))
+    thetas = np.empty((count, 4))
+    bits = np.zeros((count, 4, MAX_POINTS), dtype=np.int64)
+    for row in range(count):
+        w, thetas[row], b = _draw(rng, phase_choices)
+        weights[row, :w.size] = w
+        bits[row, :, :w.size] = b
+    return weights, thetas, bits
 
 
 def model_to_dict(model: ChshModel) -> dict:

@@ -6,12 +6,13 @@ that identities proved over it hold with no tolerance.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
 from typing import Iterable
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,13 +92,14 @@ def canonical_phase(theta: float) -> float:
     return reduced
 
 
-def phase_pair_magnitudes(t2: float, t4: float) -> tuple[float, float]:
-    """Return (|e^{i t2} + e^{i t4}|, |e^{i t2} - e^{i t4}|).
+def phase_pair_magnitudes(t2, t4):
+    """Return (|e^{i t2} + e^{i t4}|, |e^{i t2} - e^{i t4}|), elementwise
+    when t2 and t4 are arrays.
 
     The sum of the squares of the two magnitudes is always 4, so the sum
     of the magnitudes is at most 2*sqrt(2), with equality exactly when the
     two phases differ by an odd multiple of pi/2.
     """
-    z2 = cmath.exp(1j * t2)
-    z4 = cmath.exp(1j * t4)
+    z2 = np.exp(1j * t2)
+    z4 = np.exp(1j * t4)
     return abs(z2 + z4), abs(z2 - z4)

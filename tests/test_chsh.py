@@ -3,19 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qlhv.chsh import (
+    MAX_POINTS,
     ChshModel,
     HiddenSpace,
     TSIRELSON,
     analytic_bound,
     bell_expression,
+    bell_values,
     correlation,
     make_achieving_model,
     maximize_bell,
     model_from_dict,
     model_to_dict,
     sample_model,
+    sample_models,
 )
 
 
@@ -150,3 +154,138 @@ def test_serialization_round_trip():
         model = sample_model(rng)
         restored = model_from_dict(model_to_dict(model))
         assert restored == model
+
+
+def test_non_finite_phases_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            single_point_model((bad, 0.0, 0.0, 0.0))
+        record = model_to_dict(make_achieving_model())
+        record["theta"] = [0.0, 0.0, bad, 0.0]
+        with pytest.raises(ValueError, match="finite"):
+            model_from_dict(record)
+
+
+# ---------------------------------------------------------------- batches
+
+def reference_draw(rng, phase_choices):
+    """The original per-field generator calls of sample_model, kept as the
+    independent reference for the random stream: (weights, thetas, bits)."""
+    n = int(rng.integers(1, 17))
+    raw = rng.random(n) + 1e-9
+    if phase_choices is None:
+        thetas = list(rng.uniform(0.0, 2.0 * math.pi, size=4))
+    else:
+        thetas = [float(rng.choice(phase_choices)) for _ in range(4)]
+    bits = [list(rng.integers(0, 2, size=n)) for _ in range(4)]
+    return list(raw / raw.sum()), thetas, bits
+
+
+@pytest.mark.parametrize("phase_choices", [None, (0.0, math.pi)])
+def test_sampling_keeps_the_random_stream(phase_choices):
+    for seed in (0, 1, 2024):
+        reference = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            weights, thetas, bits = reference_draw(reference, phase_choices)
+            model = sample_model(rng, phase_choices)
+            assert list(model.space.weights) == weights
+            assert list(model.thetas) == thetas
+            assert [list(vec) for vec in model.bits] == bits
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+        # two consecutive batches, as a chunked sweep draws them
+        first, second = sample_models(rng, 1030, phase_choices), sample_models(rng, 70, phase_choices)
+        batch = [np.concatenate(parts) for parts in zip(first, second)]
+        assert [part.shape for part in batch] == [(1100, MAX_POINTS), (1100, 4), (1100, 4, MAX_POINTS)]
+        for row in range(1100):
+            weights, thetas, bits = reference_draw(reference, phase_choices)
+            n = len(weights)
+            assert batch[0][row, :n].tolist() == weights
+            assert batch[1][row].tolist() == thetas
+            assert batch[2][row, :, :n].tolist() == bits
+            assert not batch[0][row, n:].any() and not batch[2][row, :, n:].any()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def as_batch(models):
+    """Padded (weights, thetas, bits) of ChshModels."""
+    weights = np.zeros((len(models), MAX_POINTS))
+    bits = np.zeros((len(models), 4, MAX_POINTS), dtype=int)
+    for row, model in enumerate(models):
+        n = len(model.space.weights)
+        weights[row, :n] = model.space.weights
+        bits[row, :, :n] = model.bits
+    return weights, np.array([model.thetas for model in models], dtype=float), bits
+
+
+@st.composite
+def chsh_models(draw):
+    n = draw(st.integers(1, MAX_POINTS))
+    raw = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+    weights = tuple(w / sum(raw) for w in raw)
+    thetas = tuple(draw(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4)))
+    bits = tuple(tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))) for _ in range(4))
+    return ChshModel(HiddenSpace(tuple(f"l{k}" for k in range(n)), weights), thetas, bits)
+
+
+@given(st.lists(chsh_models(), min_size=1, max_size=8), st.integers(1, 5), st.randoms())
+def test_bell_values_match_bell_expression(models, extra, random):
+    models = models + [make_achieving_model()]
+    weights, thetas, bits = as_batch(models)
+    values = bell_values(weights, thetas, bits)
+    assert values.shape == (len(models),)
+    for value, model in zip(values, models):
+        assert abs(value - bell_expression(model)) <= 1e-14
+    assert abs(values[-1] - TSIRELSON) <= 1e-14
+
+    # zero-weight columns change no value, whatever their bits
+    padded_bits = np.array([[[random.randint(0, 1) for _ in range(extra)] for _ in range(4)]
+                            for _ in models])
+    padded = bell_values(np.pad(weights, ((0, 0), (0, extra))), thetas,
+                         np.concatenate([bits, padded_bits], axis=2))
+    assert np.all(np.abs(padded - values) <= 1e-14)
+
+
+def _valid_batch():
+    return [part.copy() for part in sample_models(np.random.default_rng(3), 5)]
+
+
+def _set(part, index, value):
+    def mutate(batch):
+        batch[part][index] = value
+        return batch
+    return mutate
+
+
+def _negative_weight(batch):
+    batch[0][0] = 0.0
+    batch[0][0, :2] = (1.5, -0.5)
+    return batch
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    pytest.param(lambda b: [b[0], b[1][:, :3], b[2]], "need", id="theta-shape"),
+    pytest.param(lambda b: [b[0], b[1], b[2][:, :, :-1]], "need", id="bits-shape"),
+    pytest.param(lambda b: [b[0][0], b[1], b[2]], "need", id="weights-shape"),
+    pytest.param(lambda b: [np.vstack([b[0], b[0][:1]]), b[1], b[2]], "need", id="row-count"),
+    pytest.param(_negative_weight, "distribution", id="negative-weight"),
+    pytest.param(_set(0, (1, 0), math.nan), "distribution", id="nan-weight"),
+    pytest.param(lambda b: [b[0] * (1.0 + 1e-11), b[1], b[2]], "distribution", id="row-sum"),
+    pytest.param(_set(2, (2, 1, 0), 2), "bits", id="bit-outside-0-1"),
+    pytest.param(_set(1, (3, 2), math.nan), "finite", id="nan-theta"),
+    pytest.param(_set(1, (4, 0), math.inf), "finite", id="inf-theta"),
+])
+def test_bell_values_rejects_invalid_batches(mutate, reason):
+    assert bell_values(*_valid_batch()).shape == (5,)
+    batch = mutate(_valid_batch())
+    with pytest.raises(ValueError, match=reason):
+        bell_values(*batch)
+
+
+def test_analytic_bound_is_elementwise():
+    t2, t4 = np.random.default_rng(8).uniform(-10.0, 10.0, size=(2, 200))
+    bounds = analytic_bound(t2, t4)
+    assert bounds.shape == (200,)
+    for bound, a, b in zip(bounds, t2, t4):
+        assert abs(bound - analytic_bound(float(a), float(b))) <= 1e-15

@@ -4,8 +4,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qlhv import chsh
 from qlhv.cli import RULES, main, parse_permutation
 from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP
 from qlhv.tolerances import OPTIMUM_TOL, TSIRELSON
@@ -79,6 +81,31 @@ def test_chsh_verify_reproducible(capsys):
     report1.pop("elapsed_ms")
     report2.pop("elapsed_ms")
     assert report1 == report2
+
+
+def test_chsh_verify_matches_a_model_by_model_sweep(capsys):
+    # 1,100 samples take more than one batch, and with seed 108 the complex
+    # maximum is model 1,097, so a second batch off the stream shows.  The
+    # reference is the per-model loop that chsh-verify ran before batches.
+    samples, seed = 1_100, 108
+    rng = np.random.default_rng(seed)
+    values, gaps = [], []
+    for _ in range(samples):
+        model = chsh.sample_model(rng)
+        values.append(chsh.bell_expression(model))
+        gaps.append(values[-1] - chsh.analytic_bound(model.thetas[1], model.thetas[3]))
+    rng = np.random.default_rng(seed)
+    real = [chsh.bell_expression(chsh.sample_model(rng, phase_choices=(0.0, math.pi)))
+            for _ in range(samples)]
+    expected = {"max_bell_complex_leq_tsirelson": max(values),
+                "max_bell_real_leq_classical": max(real),
+                "analytic_bound_dominance_gap": max(gaps)}
+
+    code, report = run_json(capsys, "chsh-verify", "--samples", str(samples), "--seed", str(seed))
+    assert code == 0
+    assert {c["name"] for c in report["checks"]} == set(expected)
+    for check in report["checks"]:
+        assert abs(check["actual"] - expected[check["name"]]) <= 1e-14
 
 
 def test_chsh_verify_requires_seed(capsys):
