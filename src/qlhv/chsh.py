@@ -22,7 +22,6 @@ import numpy as np
 
 from .quaternions import canonical_phase, phase_pair_magnitudes
 from .tolerances import EXACT_TOL
-from .tolerances import TSIRELSON  # noqa: F401  (re-exported)
 
 ALICE_SETTINGS = ("a", "a'")
 BOB_SETTINGS = ("b", "b'")
@@ -140,10 +139,7 @@ def make_achieving_model() -> ChshModel:
     """The explicit configuration that saturates the 2*sqrt(2) bound:
     theta = (7pi/4, 0, pi/4, pi/2) on a single support point with all four
     bits zero."""
-    space = HiddenSpace(points=("l0",), weights=(1.0,))
-    thetas = (7.0 * math.pi / 4.0, 0.0, math.pi / 4.0, math.pi / 2.0)
-    bits = ((0,), (0,), (0,), (0,))
-    return ChshModel(space=space, thetas=thetas, bits=bits)
+    return _single_point_model(0.0, math.pi / 2, 7 * math.pi / 4, math.pi / 4)
 
 
 def _single_point_model(t2: float, t4: float, t1: float = 0.0, t3: float = 0.0) -> ChshModel:
@@ -159,8 +155,9 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
 
     The support and bit structure are fixed analytically (single point,
     equal bits): any maximizing model can be brought to that form, so only
-    the phases are searched.  Among equal grid maxima the lowest grid index
-    wins.  Returns (best model, its Bell value).
+    the phases are searched, each candidate scored by analytic_bound, which
+    is its Bell value.  Among equal grid maxima the lowest grid index wins.
+    Returns (best model, its Bell value through the correlations).
     """
     if grid_steps < 4:
         raise ValueError("grid_steps must be at least 4")
@@ -171,7 +168,7 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     best_val = -math.inf
     for t2 in grid:
         for t4 in grid:
-            val = bell_expression(_single_point_model(t2, t4))
+            val = analytic_bound(t2, t4)
             if val > best_val:
                 best_val, best_t2, best_t4 = val, t2, t4
 
@@ -187,7 +184,7 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
             (best_t2 + step * rng.uniform(-1, 1), best_t4 + step * rng.uniform(-1, 1)),
         ]
         for t2, t4 in candidates:
-            val = bell_expression(_single_point_model(t2, t4))
+            val = analytic_bound(t2, t4)
             if val > best_val:
                 best_val, best_t2, best_t4 = val, t2, t4
                 improved = True

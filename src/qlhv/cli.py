@@ -268,8 +268,7 @@ def _oracle_check(args):
 class Command(NamedTuple):
     help: str
     run: Callable
-    # (flag, argparse keywords); a list of them is a mutually exclusive group
-    args: tuple = ()
+    args: tuple = ()    # (flag, argparse keywords) pairs
 
 
 _SEED = ("--seed", {"type": int, "required": True})
@@ -291,8 +290,7 @@ COMMANDS = {
     "qubit-evolve": Command("permute the hidden-variable weights", _qubit_evolve, (
         _BLOCH,
         ("--perm", {"type": parse_permutation, "required": True}),
-        [("--strict", {"dest": "strict", "action": "store_true", "default": True}),
-         ("--permissive", {"dest": "strict", "action": "store_false"})])),
+        ("--permissive", {"dest": "strict", "action": "store_false"}))),
     "oracle-check": Command("quantum ground-truth checks", _oracle_check, (
         ("--samples", {"type": _at_least(0)}), ("--seed", {"type": int}))),
 }
@@ -307,12 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help)
-        for spec in command.args:
-            group = p.add_mutually_exclusive_group() if isinstance(spec, list) else p
-            for flag, kwargs in spec if isinstance(spec, list) else [spec]:
-                if "type" in kwargs:
-                    kwargs = {**kwargs, "type": _argument_type(kwargs["type"])}
-                group.add_argument(flag, **kwargs)
+        for flag, kwargs in command.args:
+            if "type" in kwargs:
+                kwargs = {**kwargs, "type": _argument_type(kwargs["type"])}
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -349,8 +345,12 @@ def main(argv=None) -> int:
 
     text = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
 

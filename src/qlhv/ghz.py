@@ -14,11 +14,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quaternions import Basis, Q8Element, q8_product
+from .quaternions import AXIS_BASIS, Q8Element, q8_product
 
 PATTERNS = ("xyy", "yxy", "yyx")
-
-_AXIS_BASIS = {"x": Basis.I, "y": Basis.J, "z": Basis.K}
 
 
 def _bit(party: int, axis: str) -> int:
@@ -32,7 +30,7 @@ def _mask(axes: str) -> int:
 
 def _unit(assignment: int, party: int, axis: str) -> Q8Element:
     """The signed unit that one party carries for one axis."""
-    return Q8Element(_AXIS_BASIS[axis], -1 if assignment & _bit(party, axis) else 1)
+    return Q8Element(AXIS_BASIS[axis], -1 if assignment & _bit(party, axis) else 1)
 
 
 def enumerate_assignments() -> range:

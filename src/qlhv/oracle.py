@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from .tolerances import EXACT_TOL, bloch_vector, unit_direction
-from .tolerances import TSIRELSON  # noqa: F401  (re-exported)
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),

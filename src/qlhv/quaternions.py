@@ -26,6 +26,9 @@ class Basis(IntEnum):
 
 _SYMBOL = {Basis.ONE: "1", Basis.I: "i", Basis.J: "j", Basis.K: "k"}
 
+# the unit carried by each spatial axis
+AXIS_BASIS = {"x": Basis.I, "y": Basis.J, "z": Basis.K}
+
 
 # Hamilton relations i^2 = j^2 = k^2 = ijk = -1: the product of two distinct
 # pure units is the third, with sign +1 along the cycle i -> j -> k -> i.

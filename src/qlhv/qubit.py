@@ -17,14 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .quaternions import Basis, Q8Element
+from .quaternions import AXIS_BASIS, Q8Element
 from .tolerances import BOUND_TOL, EXACT_TOL, bloch_vector, unit_direction
 
 LAMBDAS = tuple(range(1, 9))
 
 AXES = ("x", "y", "z")
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-_AXIS_BASIS = {"x": Basis.I, "y": Basis.J, "z": Basis.K}
 
 # Sign table: row m-1 holds (eps_x, eps_y, eps_z) for hidden value m, in
 # lexicographic order over (+1, -1), so antipodal rows m and 9-m are full
@@ -34,7 +33,7 @@ SIGN_TABLE = np.array(list(itertools.product((1, -1), repeat=3)), dtype=float)
 #: Permutation exchanging m and m+4 for m = 1..4 (flips the x signs).
 X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
 
-IDENTITY_PERMUTATION = tuple(range(1, 9))
+IDENTITY_PERMUTATION = LAMBDAS
 
 
 def epsilon(axis: str, lam: int) -> int:
@@ -45,7 +44,7 @@ def epsilon(axis: str, lam: int) -> int:
 def quaternion_value(axis: str, lam: int) -> Q8Element:
     """The quaternion-valued outcome at (axis, lam): the axis unit (i, j
     or k) carrying the table sign."""
-    return Q8Element(_AXIS_BASIS[axis], epsilon(axis, lam))
+    return Q8Element(AXIS_BASIS[axis], epsilon(axis, lam))
 
 
 @dataclass(frozen=True)

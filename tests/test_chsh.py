@@ -9,7 +9,6 @@ from qlhv.chsh import (
     MAX_POINTS,
     ChshModel,
     HiddenSpace,
-    TSIRELSON,
     analytic_bound,
     bell_expression,
     bell_values,
@@ -21,6 +20,8 @@ from qlhv.chsh import (
     sample_model,
     sample_models,
 )
+from qlhv.quaternions import canonical_phase
+from qlhv.tolerances import TSIRELSON
 
 
 def single_point_model(thetas, bits=(0, 0, 0, 0)):
@@ -146,6 +147,45 @@ def test_maximizer_deterministic():
     b = maximize_bell(12, 50, 5)
     assert a[1] == b[1]
     assert a[0].thetas == b[0].thetas
+
+
+def reference_maximize(grid_steps, refine_iters, rng_seed):
+    # the search scored by bell_expression of a one-point model per candidate
+    def score(t2, t4):
+        return bell_expression(single_point_model((0.0, t2, 0.0, t4)))
+
+    grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
+    best_val, best_t2, best_t4 = -math.inf, grid[0], grid[0]
+    for t2 in grid:
+        for t4 in grid:
+            val = score(t2, t4)
+            if val > best_val:
+                best_val, best_t2, best_t4 = val, t2, t4
+    rng = np.random.default_rng(rng_seed)
+    step = 2.0 * math.pi / grid_steps
+    for _ in range(refine_iters):
+        improved = False
+        for t2, t4 in [(best_t2 + step, best_t4), (best_t2 - step, best_t4),
+                       (best_t2, best_t4 + step), (best_t2, best_t4 - step),
+                       (best_t2 + step * rng.uniform(-1, 1), best_t4 + step * rng.uniform(-1, 1))]:
+            val = score(t2, t4)
+            if val > best_val:
+                best_val, best_t2, best_t4 = val, t2, t4
+                improved = True
+        if not improved:
+            step *= 0.5
+    model = single_point_model((0.0, canonical_phase(best_t2), 0.0, canonical_phase(best_t4)))
+    return model, bell_expression(model)
+
+
+@pytest.mark.parametrize("grid_steps", [4, 5, 8, 12, 16, 24, 32])
+def test_maximizer_matches_the_per_model_search(grid_steps):
+    # ties between grid maxima must resolve as in the per-model search
+    for seed in range(3):
+        model, value = maximize_bell(grid_steps, 50, seed)
+        ref_model, ref_value = reference_maximize(grid_steps, 50, seed)
+        assert value == ref_value
+        assert model.thetas == ref_model.thetas
 
 
 def test_serialization_round_trip():

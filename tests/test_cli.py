@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +75,38 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(path.read_text())
     assert report["command"] == "ghz-enumerate"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    code = main(["chsh-achieve", "--out", str(tmp_path / "missing" / "report.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number in report: {name}")
+
+
+def _fresh_python(*args):
+    # a new interpreter, which imports qlhv from nothing, unlike main() here
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_fresh_process_runs_a_command():
+    proc = _fresh_python("-m", "qlhv.cli", "ghz-verify")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert report["command"] == "ghz-verify"
+
+
+def test_package_binds_no_public_name():
+    proc = _fresh_python("-c", "import qlhv; print([n for n in vars(qlhv) if not n.startswith('_')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_chsh_verify_reproducible(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from qlhv import oracle
 from qlhv.oracle import (
-    TSIRELSON,
     chsh_quantum_value,
     density_matrix,
     direction_operator,
@@ -15,6 +14,7 @@ from qlhv.oracle import (
     three_party_operator,
     verify_eigenrelation,
 )
+from qlhv.tolerances import TSIRELSON
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def is_hermitian(m):
