@@ -9,7 +9,7 @@ bound, the explicit saturating configuration, and a numerical maximizer.
 A population of models is three padded arrays: weights (N, MAX_POINTS)
 with zeros past each model's support, thetas (N, 4) and bits
 (N, 4, MAX_POINTS).  sample_models draws one and bell_values evaluates it;
-ChshModel is the one-model view used by the per-model API and serialization.
+ChshModel is one unpadded row, used by the per-model API and serialization.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ BOB_SETTINGS = ("b", "b'")
 # support size bound of sample_model
 MAX_POINTS = 16
 
+_BIT_KEYS = ("f1", "f2", "f3", "f4")
 # setting -> slot into the (f1, f2, f3, f4) / (theta1..theta4) layout
 _SLOT = {"a": 0, "b": 1, "a'": 2, "b'": 3}
 # Alice's and Bob's slots of E(a,b), E(a,b'), E(a',b), E(a',b')
@@ -36,38 +37,24 @@ _ALICE, _BOB = np.array([(_SLOT[a], _SLOT[b]) for a in ALICE_SETTINGS for b in B
 
 
 @dataclass(frozen=True)
-class HiddenSpace:
-    """Finite labelled hidden-variable space with a probability weight per
-    point.  Weights here are a genuine distribution (nonnegative, sum 1);
-    signed weights belong to the single-qubit model, not this module."""
-
-    points: tuple[str, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.points) != len(self.weights):
-            raise ValueError("invalid distribution")
-        w = np.asarray(self.weights, dtype=float)
-        if w.size == 0 or not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= EXACT_TOL):
-            raise ValueError("invalid distribution")
-
-
-@dataclass(frozen=True)
 class ChshModel:
-    """Hidden space plus four phases (theta1..theta4) and four per-point bit
-    vectors (f1..f4), one bit function per measurement setting."""
+    """One model, an unpadded row of a population: a probability weight per
+    hidden point (nonnegative, sum 1; signed weights belong to the qubit
+    model), four phases theta1..theta4 and four per-point bit vectors
+    f1..f4, one per setting.  Checks what bell_values checks, without numpy."""
 
-    space: HiddenSpace
+    weights: tuple[float, ...]
     thetas: tuple[float, float, float, float]
     bits: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self):
+        if not (all(w >= 0.0 for w in self.weights) and abs(sum(self.weights) - 1.0) <= EXACT_TOL):
+            raise ValueError("invalid distribution")
         if len(self.thetas) != 4 or len(self.bits) != 4:
             raise ValueError("need exactly four phases and four bit vectors")
-        n = len(self.space.points)
         for vec in self.bits:
-            if len(vec) != n:
-                raise ValueError("bit vector length must match the space")
+            if len(vec) != len(self.weights):
+                raise ValueError("bits need one entry per point")
             if any(b not in (0, 1) for b in vec):
                 raise ValueError("bits must be 0 or 1")
         if not all(map(math.isfinite, self.thetas)):
@@ -82,7 +69,7 @@ def correlation(model: ChshModel, alice: str, bob: str) -> complex:
     if bob not in BOB_SETTINGS:
         raise ValueError(f"unknown Bob setting: {bob!r}")
     ia, ib = _SLOT[alice], _SLOT[bob]
-    w = np.asarray(model.space.weights, dtype=float)
+    w = np.asarray(model.weights, dtype=float)
     fa = np.asarray(model.bits[ia], dtype=int)
     fb = np.asarray(model.bits[ib], dtype=int)
     parity = 1.0 - 2.0 * ((fa + fb) % 2)
@@ -145,8 +132,7 @@ def make_achieving_model() -> ChshModel:
 def _single_point_model(t2: float, t4: float, t1: float = 0.0, t3: float = 0.0) -> ChshModel:
     # On a one-point space with equal bits the Bell value reduces to
     # analytic_bound(t2, t4); t1 and t3 only rotate the two absolute values.
-    space = HiddenSpace(points=("l0",), weights=(1.0,))
-    return ChshModel(space=space, thetas=(t1, t2, t3, t4), bits=((0,), (0,), (0,), (0,)))
+    return ChshModel((1.0,), (t1, t2, t3, t4), ((0,), (0,), (0,), (0,)))
 
 
 def maximize_bell(grid_steps: int, refine_iters: int = 50,
@@ -215,10 +201,8 @@ def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None
     weights, independent random bits, and phases either uniform on
     [0, 2pi) or drawn from phase_choices."""
     weights, thetas, bits = _draw(rng, phase_choices)
-    points = tuple(f"l{k}" for k in range(weights.size))
-    return ChshModel(space=HiddenSpace(points, tuple(weights.tolist())),
-                     thetas=tuple(thetas.tolist()),
-                     bits=tuple(tuple(vec) for vec in bits.tolist()))
+    return ChshModel(tuple(weights.tolist()), tuple(thetas.tolist()),
+                     tuple(tuple(vec) for vec in bits.tolist()))
 
 
 def sample_models(rng: np.random.Generator, count: int,
@@ -238,19 +222,20 @@ def sample_models(rng: np.random.Generator, count: int,
 
 
 def model_to_dict(model: ChshModel) -> dict:
-    """Flat serialization: {points, weights, theta, f1..f4}."""
-    record = {
-        "points": list(model.space.points),
-        "weights": list(model.space.weights),
-        "theta": list(model.thetas),
-    }
-    for idx, key in enumerate(("f1", "f2", "f3", "f4")):
-        record[key] = list(model.bits[idx])
+    """Flat serialization {points, weights, theta, f1..f4}; points are l0, l1, ..."""
+    record = {"points": [f"l{k}" for k in range(len(model.weights))],
+              "weights": list(model.weights), "theta": list(model.thetas)}
+    record.update(zip(_BIT_KEYS, map(list, model.bits)))
     return record
 
 
 def model_from_dict(record: Mapping) -> ChshModel:
-    space = HiddenSpace(tuple(record["points"]), tuple(float(w) for w in record["weights"]))
+    """Inverse of model_to_dict.  Labels are only counted: there must be
+    one per weight."""
+    weights = tuple(float(w) for w in record["weights"])
+    if len(record["points"]) != len(weights):
+        raise ValueError("invalid distribution: one label per weight")
     thetas = tuple(float(t) for t in record["theta"])
-    bits = tuple(tuple(int(b) for b in record[key]) for key in ("f1", "f2", "f3", "f4"))
-    return ChshModel(space=space, thetas=thetas, bits=bits)
+    # a bit that is not 0 or 1 stays as it is, for ChshModel to reject
+    bits = tuple(tuple(int(b) if b in (0, 1) else b for b in record[key]) for key in _BIT_KEYS)
+    return ChshModel(weights, thetas, bits)

@@ -74,18 +74,23 @@ def qubit_expectation(r: Sequence[float], n: Sequence[float]) -> float:
     return float(np.trace(rho @ direction_operator(n)).real)
 
 
-def _power_iteration(m: np.ndarray, tol: float, max_iters: int) -> float:
+# stopping rule of _power_iteration
+_RESIDUAL = 1e-10
+_MAX_ITERS = 10_000
+
+
+def _power_iteration(m: np.ndarray) -> float:
     """Dominant eigenvalue of a positive semidefinite hermitian matrix by
-    power iteration, run to the requested residual."""
+    power iteration, run to a residual of _RESIDUAL."""
     dim = m.shape[0]
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         w = m @ v
         lam = float((v.conj() @ w).real)
-        if np.linalg.norm(w - lam * v) <= tol:
+        if np.linalg.norm(w - lam * v) <= _RESIDUAL:
             return lam
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
@@ -96,14 +101,8 @@ def _power_iteration(m: np.ndarray, tol: float, max_iters: int) -> float:
     return lam
 
 
-def chsh_quantum_value(
-    a: Sequence[float],
-    a_prime: Sequence[float],
-    b: Sequence[float],
-    b_prime: Sequence[float],
-    residual: float = 1e-10,
-    max_iters: int = 10_000,
-) -> float:
+def chsh_quantum_value(a: Sequence[float], a_prime: Sequence[float],
+                       b: Sequence[float], b_prime: Sequence[float]) -> float:
     """Largest-magnitude eigenvalue of the CHSH operator
     a.sigma (x) (b+b').sigma + a'.sigma (x) (b-b').sigma,
     obtained by power iteration on its square."""
@@ -112,5 +111,5 @@ def chsh_quantum_value(
     op_b = direction_operator(b)
     op_bp = direction_operator(b_prime)
     bell_op = np.kron(op_a, op_b + op_bp) + np.kron(op_ap, op_b - op_bp)
-    top = _power_iteration(bell_op.conj().T @ bell_op, residual, max_iters)
+    top = _power_iteration(bell_op.conj().T @ bell_op)
     return math.sqrt(max(top, 0.0))

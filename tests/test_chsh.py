@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from qlhv.chsh import (
     MAX_POINTS,
     ChshModel,
-    HiddenSpace,
     analytic_bound,
     bell_expression,
     bell_values,
@@ -25,8 +24,7 @@ from qlhv.tolerances import TSIRELSON
 
 
 def single_point_model(thetas, bits=(0, 0, 0, 0)):
-    space = HiddenSpace(("l0",), (1.0,))
-    return ChshModel(space, tuple(thetas), tuple((b,) for b in bits))
+    return ChshModel((1.0,), tuple(thetas), tuple((b,) for b in bits))
 
 
 def test_correlation_single_point():
@@ -36,15 +34,13 @@ def test_correlation_single_point():
 
 
 def test_correlation_perfectly_correlated_real_model():
-    space = HiddenSpace(("p", "q"), (0.3, 0.7))
-    model = ChshModel(space, (0.0, 0.0, 0.0, 0.0), ((1, 0), (1, 0), (0, 1), (0, 1)))
+    model = ChshModel((0.3, 0.7), (0.0, 0.0, 0.0, 0.0), ((1, 0), (1, 0), (0, 1), (0, 1)))
     assert correlation(model, "a", "b") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_correlation_cancellation():
-    space = HiddenSpace(("p", "q"), (0.5, 0.5))
-    # parities even at p, odd at q
-    model = ChshModel(space, (0.0, 0.0, 0.0, 0.0), ((0, 0), (0, 1), (0, 0), (0, 0)))
+    # parities even at the first point, odd at the second
+    model = ChshModel((0.5, 0.5), (0.0, 0.0, 0.0, 0.0), ((0, 0), (0, 1), (0, 0), (0, 0)))
     assert correlation(model, "a", "b") == pytest.approx(0.0, abs=1e-12)
 
 
@@ -56,11 +52,11 @@ def test_correlation_rejects_unknown_settings():
 
 def test_invalid_distribution_rejected():
     with pytest.raises(ValueError, match="invalid distribution"):
-        HiddenSpace(("p", "q"), (0.6, 0.6))
+        ChshModel((0.6, 0.6), (0.0,) * 4, ((0, 0),) * 4)
     with pytest.raises(ValueError, match="invalid distribution"):
-        HiddenSpace(("p", "q"), (1.2, -0.2))
+        ChshModel((1.2, -0.2), (0.0,) * 4, ((0, 0),) * 4)
     with pytest.raises(ValueError, match="invalid distribution"):
-        HiddenSpace(("a", "b"), (math.nan, 1.0))
+        ChshModel((math.nan, 1.0), (0.0,) * 4, ((0, 0),) * 4)
 
 
 def test_achieving_model_correlations():
@@ -78,8 +74,7 @@ def test_achieving_model_saturates():
 
 
 def test_constant_real_model_reaches_two():
-    space = HiddenSpace(("p", "q"), (0.5, 0.5))
-    model = ChshModel(space, (0.0,) * 4, ((0, 0),) * 4)
+    model = ChshModel((0.5, 0.5), (0.0,) * 4, ((0, 0),) * 4)
     assert bell_expression(model) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -112,14 +107,9 @@ def test_relabeling_invariance():
     rng = np.random.default_rng(44)
     for _ in range(50):
         model = sample_model(rng)
-        n = len(model.space.points)
-        perm = rng.permutation(n)
-        space = HiddenSpace(
-            tuple(model.space.points[i] for i in perm),
-            tuple(model.space.weights[i] for i in perm),
-        )
+        perm = rng.permutation(len(model.weights))
         shuffled = ChshModel(
-            space,
+            tuple(model.weights[i] for i in perm),
             model.thetas,
             tuple(tuple(vec[i] for i in perm) for vec in model.bits),
         )
@@ -206,6 +196,50 @@ def test_non_finite_phases_rejected():
             model_from_dict(record)
 
 
+@pytest.mark.parametrize("bit", [0.7, "1"])
+def test_model_from_dict_rejects_bits_that_are_not_0_or_1(bit):
+    record = model_to_dict(make_achieving_model())
+    record["f1"] = [bit]
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        model_from_dict(record)
+
+
+def test_model_from_dict_reads_booleans_and_counts_labels():
+    record = model_to_dict(make_achieving_model())
+    record["f1"], record["f3"], record["points"] = [False], [True], ["any label"]
+    model = model_from_dict(record)
+    assert model.bits == ((0,), (0,), (1,), (0,))
+    assert all(type(b) is int for vec in model.bits for b in vec)
+    record["points"] = ["l0", "l1"]
+    with pytest.raises(ValueError, match="distribution"):
+        model_from_dict(record)
+
+
+@pytest.mark.parametrize("weights, thetas, bits, reason", [
+    pytest.param((0.6, 0.6), (0.0,) * 4, ((0, 0),) * 4, "distribution", id="sum-above-1"),
+    pytest.param((1.2, -0.2), (0.0,) * 4, ((0, 0),) * 4, "distribution", id="negative-weight"),
+    pytest.param((math.nan, 1.0), (0.0,) * 4, ((0, 0),) * 4, "distribution", id="nan-weight"),
+    pytest.param((), (0.0,) * 4, ((),) * 4, "distribution", id="no-points"),
+    pytest.param((1.0,), (0.0,) * 3, ((0,),) * 4, "need", id="three-phases"),
+    pytest.param((1.0,), (0.0,) * 4, ((0,),) * 3, "need", id="three-bit-vectors"),
+    pytest.param((0.5, 0.5), (0.0,) * 4, ((0, 0), (0,), (0, 0), (0, 0)), "bits", id="short-bit-vector"),
+    pytest.param((1.0,), (0.0,) * 4, ((0,), (2,), (0,), (0,)), "bits", id="bit-2"),
+    pytest.param((1.0,), (0.0,) * 4, ((0,), (0,), (0.5,), (0,)), "bits", id="bit-0.5"),
+    pytest.param((1.0,), (0.0, math.nan, 0.0, 0.0), ((0,),) * 4, "finite", id="nan-theta"),
+    pytest.param((1.0,), (0.0, 0.0, 0.0, math.inf), ((0,),) * 4, "finite", id="inf-theta"),
+])
+def test_model_and_batch_validators_agree(weights, thetas, bits, reason):
+    with pytest.raises(ValueError, match=reason):
+        ChshModel(weights, thetas, bits)
+    if any(len(vec) != len(weights) for vec in bits):
+        return  # a ragged model has no padded row
+    pad = MAX_POINTS - len(weights)
+    row_weights = np.pad(np.array([weights], dtype=float), ((0, 0), (0, pad)))
+    row_bits = np.pad(np.array([bits]), ((0, 0), (0, 0), (0, pad)))
+    with pytest.raises(ValueError, match=reason):
+        bell_values(row_weights, np.array([thetas]), row_bits)
+
+
 # ---------------------------------------------------------------- batches
 
 def reference_draw(rng, phase_choices):
@@ -229,7 +263,7 @@ def test_sampling_keeps_the_random_stream(phase_choices):
         for _ in range(100):
             weights, thetas, bits = reference_draw(reference, phase_choices)
             model = sample_model(rng, phase_choices)
-            assert list(model.space.weights) == weights
+            assert list(model.weights) == weights
             assert list(model.thetas) == thetas
             assert [list(vec) for vec in model.bits] == bits
         assert rng.bit_generator.state == reference.bit_generator.state
@@ -253,8 +287,8 @@ def as_batch(models):
     weights = np.zeros((len(models), MAX_POINTS))
     bits = np.zeros((len(models), 4, MAX_POINTS), dtype=int)
     for row, model in enumerate(models):
-        n = len(model.space.weights)
-        weights[row, :n] = model.space.weights
+        n = len(model.weights)
+        weights[row, :n] = model.weights
         bits[row, :, :n] = model.bits
     return weights, np.array([model.thetas for model in models], dtype=float), bits
 
@@ -266,7 +300,7 @@ def chsh_models(draw):
     weights = tuple(w / sum(raw) for w in raw)
     thetas = tuple(draw(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4)))
     bits = tuple(tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))) for _ in range(4))
-    return ChshModel(HiddenSpace(tuple(f"l{k}" for k in range(n)), weights), thetas, bits)
+    return ChshModel(weights, thetas, bits)
 
 
 @given(st.lists(chsh_models(), min_size=1, max_size=8), st.integers(1, 5), st.randoms())
