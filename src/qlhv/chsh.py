@@ -7,13 +7,16 @@ combination |E(a,b)-E(a,b')| + |E(a',b)+E(a',b')|, its analytic phase
 bound, the explicit saturating configuration, and a numerical maximizer.
 
 A population of models is three padded arrays: weights (N, MAX_POINTS)
-with zeros past each model's support, thetas (N, 4) and bits
-(N, 4, MAX_POINTS).  sample_models draws one and bell_values evaluates it;
-ChshModel is one unpadded row, used by the per-model API and serialization.
+with zeros past each model's support, thetas (N, 4) and int8 bits
+(N, 4, MAX_POINTS).  sample_models draws one from a single (N, 85) block
+of uniforms and bell_values evaluates it; ChshModel is one unpadded row,
+used by the per-model API and serialization, and sample_model is the
+ChshModel view of a population of one.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -26,7 +29,7 @@ from .tolerances import EXACT_TOL
 ALICE_SETTINGS = ("a", "a'")
 BOB_SETTINGS = ("b", "b'")
 
-# support size bound of sample_model
+# support size bound of sample_models
 MAX_POINTS = 16
 
 _BIT_KEYS = ("f1", "f2", "f3", "f4")
@@ -69,12 +72,8 @@ def correlation(model: ChshModel, alice: str, bob: str) -> complex:
     if bob not in BOB_SETTINGS:
         raise ValueError(f"unknown Bob setting: {bob!r}")
     ia, ib = _SLOT[alice], _SLOT[bob]
-    w = np.asarray(model.weights, dtype=float)
-    fa = np.asarray(model.bits[ia], dtype=int)
-    fb = np.asarray(model.bits[ib], dtype=int)
-    parity = 1.0 - 2.0 * ((fa + fb) % 2)
-    phase = complex(np.exp(1j * (model.thetas[ia] + model.thetas[ib])))
-    return complex(np.dot(w, parity)) * phase
+    total = sum(w if x == y else -w for w, x, y in zip(model.weights, model.bits[ia], model.bits[ib]))
+    return total * cmath.exp(1j * (model.thetas[ia] + model.thetas[ib]))
 
 
 def _bell_combination(e_ab, e_abp, e_apb, e_apbp):
@@ -181,61 +180,58 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     return best_model, bell_expression(best_model)
 
 
-def _draw(rng: np.random.Generator, phase_choices: Sequence[float] | None):
-    # One model as (weights (n,), thetas (4,), bits (4, n)).  These four
-    # generator calls must consume the stream exactly as the per-field
-    # draws (one integers, one random, one uniform or four rng.choice, four
-    # integers(size=n)) do, so that a seed keeps its models; the tests pin it.
-    n = int(rng.integers(1, MAX_POINTS + 1))
-    raw = rng.random(n) + 1e-9
-    if phase_choices is None:
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=4)
-    else:
-        choices = np.asarray(phase_choices, dtype=float)
-        thetas = choices[rng.integers(0, len(choices), size=4)]
-    return raw / raw.sum(), thetas, rng.integers(0, 2, size=(4, n))
-
-
 def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None = None) -> ChshModel:
     """Draw a random valid model: up to MAX_POINTS points with normalized
     weights, independent random bits, and phases either uniform on
-    [0, 2pi) or drawn from phase_choices."""
-    weights, thetas, bits = _draw(rng, phase_choices)
-    return ChshModel(tuple(weights.tolist()), tuple(thetas.tolist()),
-                     tuple(tuple(vec) for vec in bits.tolist()))
+    [0, 2pi) or drawn from phase_choices.  The ChshModel view of
+    sample_models(rng, 1, phase_choices)."""
+    weights, thetas, bits = sample_models(rng, 1, phase_choices)
+    n = np.count_nonzero(weights[0])
+    return ChshModel(tuple(weights[0, :n].tolist()), tuple(thetas[0].tolist()),
+                     tuple(map(tuple, bits[0, :, :n].tolist())))
 
 
 def sample_models(rng: np.random.Generator, count: int,
                   phase_choices: Sequence[float] | None = None):
     """Draw count models as padded arrays (weights (count, MAX_POINTS),
-    thetas (count, 4), bits (count, 4, MAX_POINTS)), zero past each
-    model's support.  Row i is the model that the i-th of count
-    sample_model calls on the same generator would return."""
-    weights = np.zeros((count, MAX_POINTS))
-    thetas = np.empty((count, 4))
-    bits = np.zeros((count, 4, MAX_POINTS), dtype=np.int64)
-    for row in range(count):
-        w, thetas[row], b = _draw(rng, phase_choices)
-        weights[row, :w.size] = w
-        bits[row, :, :w.size] = b
-    return weights, thetas, bits
+    thetas (count, 4), bits int8 (count, 4, MAX_POINTS)), zero past each
+    model's support, in one rng.random((count, 85)) call.  A row-major draw
+    consumes the stream as count draws of one row do, so row i is the model
+    that the i-th of count sample_model calls on the same generator would
+    return, and splitting a sweep into chunks does not change its models."""
+    # a row: the support size, MAX_POINTS raw weights, four phases, 4 * MAX_POINTS bits
+    u = rng.random((count, 5 + 5 * MAX_POINTS))
+    size_u, weight_u = u[:, :1], u[:, 1:1 + MAX_POINTS]
+    theta_u, bit_u = u[:, 1 + MAX_POINTS:5 + MAX_POINTS], u[:, 5 + MAX_POINTS:]
+    # column k is in a support of floor(16 u) + 1 points iff k <= 16 u
+    support = np.arange(MAX_POINTS) <= size_u * MAX_POINTS
+    raw = np.where(support, weight_u + 1e-9, 0.0)
+    if phase_choices is None:
+        thetas = 2.0 * math.pi * theta_u
+    else:
+        choices = np.asarray(phase_choices, dtype=float)
+        thetas = choices[(theta_u * len(choices)).astype(np.intp)]
+    bits = (bit_u.reshape(count, 4, MAX_POINTS) < 0.5) & support[:, None, :]
+    return raw / raw.sum(axis=1, keepdims=True), thetas, bits.astype(np.int8)
 
 
 def model_to_dict(model: ChshModel) -> dict:
     """Flat serialization {points, weights, theta, f1..f4}; points are l0, l1, ..."""
     record = {"points": [f"l{k}" for k in range(len(model.weights))],
-              "weights": list(model.weights), "theta": list(model.thetas)}
-    record.update(zip(_BIT_KEYS, map(list, model.bits)))
+              "weights": list(map(float, model.weights)), "theta": list(map(float, model.thetas))}
+    record.update((key, list(map(int, vec))) for key, vec in zip(_BIT_KEYS, model.bits))
     return record
 
 
 def model_from_dict(record: Mapping) -> ChshModel:
     """Inverse of model_to_dict.  Labels are only counted: there must be
     one per weight."""
-    weights = tuple(float(w) for w in record["weights"])
+    weights, thetas = tuple(record["weights"]), tuple(record["theta"])
+    # ints and floats, as JSON gives them; a string or a bool is corrupt
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in weights + thetas):
+        raise ValueError("weights and phases must be numbers")
     if len(record["points"]) != len(weights):
         raise ValueError("invalid distribution: one label per weight")
-    thetas = tuple(float(t) for t in record["theta"])
     # a bit that is not 0 or 1 stays as it is, for ChshModel to reject
     bits = tuple(tuple(int(b) if b in (0, 1) else b for b in record[key]) for key in _BIT_KEYS)
-    return ChshModel(weights, thetas, bits)
+    return ChshModel(tuple(map(float, weights)), tuple(map(float, thetas)), bits)

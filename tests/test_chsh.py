@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -215,6 +216,26 @@ def test_model_from_dict_reads_booleans_and_counts_labels():
         model_from_dict(record)
 
 
+@pytest.mark.parametrize("key, values", [
+    ("weights", ["1.0"]),
+    ("weights", [True]),
+    ("theta", ["0", "1e0", "0.5", "2"]),
+    ("theta", [0.0, 0.0, None, 0.0]),
+])
+def test_model_from_dict_rejects_weights_and_phases_that_are_not_numbers(key, values):
+    record = model_to_dict(make_achieving_model())
+    record[key] = values
+    with pytest.raises(ValueError, match="numbers"):
+        model_from_dict(record)
+
+
+def test_model_to_dict_is_canonical_for_a_directly_built_model():
+    record = model_to_dict(ChshModel((1,), (0.0,) * 4, ((True,), (1.0,), (0,), (0,))))
+    # json tells 1 from 1.0 and True, where == does not
+    assert json.dumps(record) == json.dumps(model_to_dict(model_from_dict(record)))
+    assert json.dumps(record["weights"]) == "[1.0]" and record["f1"] == record["f2"] == [1]
+
+
 @pytest.mark.parametrize("weights, thetas, bits, reason", [
     pytest.param((0.6, 0.6), (0.0,) * 4, ((0, 0),) * 4, "distribution", id="sum-above-1"),
     pytest.param((1.2, -0.2), (0.0,) * 4, ((0, 0),) * 4, "distribution", id="negative-weight"),
@@ -242,44 +263,76 @@ def test_model_and_batch_validators_agree(weights, thetas, bits, reason):
 
 # ---------------------------------------------------------------- batches
 
-def reference_draw(rng, phase_choices):
-    """The original per-field generator calls of sample_model, kept as the
-    independent reference for the random stream: (weights, thetas, bits)."""
-    n = int(rng.integers(1, 17))
-    raw = rng.random(n) + 1e-9
-    if phase_choices is None:
-        thetas = list(rng.uniform(0.0, 2.0 * math.pi, size=4))
-    else:
-        thetas = [float(rng.choice(phase_choices)) for _ in range(4)]
-    bits = [list(rng.integers(0, 2, size=n)) for _ in range(4)]
-    return list(raw / raw.sum()), thetas, bits
-
-
 @pytest.mark.parametrize("phase_choices", [None, (0.0, math.pi)])
-def test_sampling_keeps_the_random_stream(phase_choices):
+def test_sample_models_rows_are_sample_model_calls(phase_choices):
     for seed in (0, 1, 2024):
-        reference = np.random.default_rng(seed)
         rng = np.random.default_rng(seed)
-        for _ in range(100):
-            weights, thetas, bits = reference_draw(reference, phase_choices)
-            model = sample_model(rng, phase_choices)
-            assert list(model.weights) == weights
-            assert list(model.thetas) == thetas
-            assert [list(vec) for vec in model.bits] == bits
-        assert rng.bit_generator.state == reference.bit_generator.state
+        models = [sample_model(rng, phase_choices) for _ in range(1100)]
+        batch_rng = np.random.default_rng(seed)
+        weights, thetas, bits = sample_models(batch_rng, 1100, phase_choices)
+        assert weights.shape == (1100, MAX_POINTS) and thetas.shape == (1100, 4)
+        assert bits.shape == (1100, 4, MAX_POINTS)
+        assert bits.dtype == np.int8 and np.all((bits == 0) | (bits == 1))
+        for row, model in enumerate(models):
+            n = len(model.weights)
+            assert weights[row, :n].tolist() == list(model.weights)
+            assert thetas[row].tolist() == list(model.thetas)
+            assert bits[row, :, :n].tolist() == [list(vec) for vec in model.bits]
+            assert not weights[row, n:].any() and not bits[row, :, n:].any()
+        assert {len(model.weights) for model in models} == set(range(1, MAX_POINTS + 1))
+        if phase_choices is not None:
+            assert set(thetas.flat) == {0.0, math.pi}
 
         # two consecutive batches, as a chunked sweep draws them
-        first, second = sample_models(rng, 1030, phase_choices), sample_models(rng, 70, phase_choices)
-        batch = [np.concatenate(parts) for parts in zip(first, second)]
-        assert [part.shape for part in batch] == [(1100, MAX_POINTS), (1100, 4), (1100, 4, MAX_POINTS)]
-        for row in range(1100):
-            weights, thetas, bits = reference_draw(reference, phase_choices)
-            n = len(weights)
-            assert batch[0][row, :n].tolist() == weights
-            assert batch[1][row].tolist() == thetas
-            assert batch[2][row, :, :n].tolist() == bits
-            assert not batch[0][row, n:].any() and not batch[2][row, :, n:].any()
-        assert rng.bit_generator.state == reference.bit_generator.state
+        chunk_rng = np.random.default_rng(seed)
+        first = sample_models(chunk_rng, 1030, phase_choices)
+        second = sample_models(chunk_rng, 70, phase_choices)
+        for whole, part, rest in zip((weights, thetas, bits), first, second):
+            assert np.array_equal(np.concatenate([part, rest]), whole)
+        assert rng.bit_generator.state == batch_rng.bit_generator.state == chunk_rng.bit_generator.state
+
+
+def reference_row(u, phase_choices):
+    """One model from a row of 85 uniforms by the documented layout, in plain
+    Python: (weights, thetas, bits) over the support."""
+    n = math.floor(u[0] * 16) + 1
+    raw = [x + 1e-9 for x in u[1:1 + n]]
+    if phase_choices is None:
+        thetas = [2.0 * math.pi * x for x in u[17:21]]
+    else:
+        thetas = [phase_choices[math.floor(x * len(phase_choices))] for x in u[17:21]]
+    bits = [[int(x < 0.5) for x in u[21 + 16 * k:21 + 16 * k + n]] for k in range(4)]
+    return [x / sum(raw) for x in raw], thetas, bits
+
+
+class FixedUniforms:
+    """Stands in for a Generator: random(shape) returns the given rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+@pytest.mark.parametrize("phase_choices", [None, (0.0, math.pi), (0.0, 1.0, 2.0)])
+def test_sample_models_follow_the_documented_row_layout(phase_choices):
+    uniforms = np.random.default_rng(5).random((300, 85))
+    # the edges of each field: support sizes 1, 9, 16 and 16, the first and
+    # last phase choice, and a bit uniform of exactly 0.5
+    top = 1.0 - 2.0 ** -53
+    uniforms[:4, 0] = (0.0, 0.5, 15 / 16, top)
+    uniforms[:2, 17:21] = ((0.0,) * 4, (top,) * 4)
+    uniforms[:4, 21] = 0.5
+    weights, thetas, bits = sample_models(FixedUniforms(uniforms), 300, phase_choices)
+    for row, u in enumerate(uniforms.tolist()):
+        ref_weights, ref_thetas, ref_bits = reference_row(u, phase_choices)
+        n = len(ref_weights)
+        assert weights[row, :n].tolist() == pytest.approx(ref_weights, rel=1e-15, abs=0.0)
+        assert not weights[row, n:].any() and not bits[row, :, n:].any()
+        assert thetas[row].tolist() == ref_thetas
+        assert bits[row, :, :n].tolist() == ref_bits
 
 
 def as_batch(models):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlhv import chsh
+from qlhv import chsh, cli
 from qlhv.cli import RULES, main, parse_permutation
 from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP
 from qlhv.tolerances import OPTIMUM_TOL, TSIRELSON
@@ -119,10 +119,10 @@ def test_chsh_verify_reproducible(capsys):
 
 
 def test_chsh_verify_matches_a_model_by_model_sweep(capsys):
-    # 1,100 samples take more than one batch, and with seed 108 the complex
+    # 1,100 samples take more than one batch, and with seed 107 the complex
     # maximum is model 1,097, so a second batch off the stream shows.  The
-    # reference is the per-model loop that chsh-verify ran before batches.
-    samples, seed = 1_100, 108
+    # reference is one sample_model and bell_expression call per model.
+    samples, seed = 1_100, 107
     rng = np.random.default_rng(seed)
     values, gaps = [], []
     for _ in range(samples):
@@ -141,6 +141,15 @@ def test_chsh_verify_matches_a_model_by_model_sweep(capsys):
     assert {c["name"] for c in report["checks"]} == set(expected)
     for check in report["checks"]:
         assert abs(check["actual"] - expected[check["name"]]) <= 1e-14
+
+
+@pytest.mark.parametrize("phase_choices", [None, (0.0, math.pi)])
+def test_bell_sweep_does_not_depend_on_the_chunk_size(monkeypatch, phase_choices):
+    maxima = []
+    for chunk in (7, 1024):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        maxima.append(cli._bell_sweep(107, 1_100, phase_choices))
+    assert maxima[0] == maxima[1]
 
 
 def test_chsh_verify_requires_seed(capsys):
