@@ -12,6 +12,9 @@ with zeros past each model's support, thetas (N, 4) and int8 bits
 of uniforms and bell_values evaluates it; ChshModel is one unpadded row,
 used by the per-model API and serialization, and sample_model is the
 ChshModel view of a population of one.
+
+numpy is imported, when called, by the population functions and by
+maximize_bell for its generator; the ChshModel record path is plain Python.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
-from .quaternions import canonical_phase, phase_pair_magnitudes
+from .quaternions import canonical_phase
 from .tolerances import EXACT_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ALICE_SETTINGS = ("a", "a'")
 BOB_SETTINGS = ("b", "b'")
@@ -36,7 +40,7 @@ _BIT_KEYS = ("f1", "f2", "f3", "f4")
 # setting -> slot into the (f1, f2, f3, f4) / (theta1..theta4) layout
 _SLOT = {"a": 0, "b": 1, "a'": 2, "b'": 3}
 # Alice's and Bob's slots of E(a,b), E(a,b'), E(a',b), E(a',b')
-_ALICE, _BOB = np.array([(_SLOT[a], _SLOT[b]) for a in ALICE_SETTINGS for b in BOB_SETTINGS]).T
+_ALICE, _BOB = zip(*((_SLOT[a], _SLOT[b]) for a in ALICE_SETTINGS for b in BOB_SETTINGS))
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,13 @@ class ChshModel:
     bits: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self):
-        if not (all(w >= 0.0 for w in self.weights) and abs(sum(self.weights) - 1.0) <= EXACT_TOL):
+        try:
+            valid = all(w >= 0.0 for w in self.weights) and abs(sum(self.weights) - 1.0) <= EXACT_TOL
+            finite = all(map(math.isfinite, self.thetas))
+        except TypeError:
+            # a string, None or a complex number fails >= or isfinite
+            raise ValueError("weights and phases must be numbers") from None
+        if not valid:
             raise ValueError("invalid distribution")
         if len(self.thetas) != 4 or len(self.bits) != 4:
             raise ValueError("need exactly four phases and four bit vectors")
@@ -60,7 +70,7 @@ class ChshModel:
                 raise ValueError("bits need one entry per point")
             if any(b not in (0, 1) for b in vec):
                 raise ValueError("bits must be 0 or 1")
-        if not all(map(math.isfinite, self.thetas)):
+        if not finite:
             raise ValueError("phases must be finite")
 
 
@@ -96,6 +106,7 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
     must be a valid model: weights nonnegative summing to 1 within
     EXACT_TOL, finite phases, bits 0 or 1.  Zero-weight columns do not
     change a row's value, whatever their bits."""
+    import numpy as np
     weights = np.asarray(weights, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     bits = np.asarray(bits)
@@ -111,6 +122,20 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
     parity = np.where(bits[:, _ALICE] == bits[:, _BOB], 1.0, -1.0)
     e = np.einsum("np,nkp->nk", weights, parity) * np.exp(1j * (thetas[:, _ALICE] + thetas[:, _BOB]))
     return _bell_combination(e[:, 0], e[:, 1], e[:, 2], e[:, 3])
+
+
+def phase_pair_magnitudes(t2, t4):
+    """Return (|e^{i t2} + e^{i t4}|, |e^{i t2} - e^{i t4}|), elementwise
+    when t2 and t4 are arrays.
+
+    The sum of the squares of the two magnitudes is always 4, so the sum
+    of the magnitudes is at most 2*sqrt(2), with equality exactly when the
+    two phases differ by an odd multiple of pi/2.
+    """
+    import numpy as np
+    z2 = np.exp(1j * t2)
+    z4 = np.exp(1j * t4)
+    return abs(z2 + z4), abs(z2 - z4)
 
 
 def analytic_bound(t2, t4):
@@ -146,6 +171,7 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     """
     if grid_steps < 4:
         raise ValueError("grid_steps must be at least 4")
+    import numpy as np
     grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
     spacing = 2.0 * math.pi / grid_steps
 
@@ -185,6 +211,7 @@ def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None
     weights, independent random bits, and phases either uniform on
     [0, 2pi) or drawn from phase_choices.  The ChshModel view of
     sample_models(rng, 1, phase_choices)."""
+    import numpy as np
     weights, thetas, bits = sample_models(rng, 1, phase_choices)
     n = np.count_nonzero(weights[0])
     return ChshModel(tuple(weights[0, :n].tolist()), tuple(thetas[0].tolist()),
@@ -199,6 +226,7 @@ def sample_models(rng: np.random.Generator, count: int,
     consumes the stream as count draws of one row do, so row i is the model
     that the i-th of count sample_model calls on the same generator would
     return, and splitting a sweep into chunks does not change its models."""
+    import numpy as np
     # a row: the support size, MAX_POINTS raw weights, four phases, 4 * MAX_POINTS bits
     u = rng.random((count, 5 + 5 * MAX_POINTS))
     size_u, weight_u = u[:, :1], u[:, 1:1 + MAX_POINTS]

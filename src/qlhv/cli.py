@@ -9,6 +9,9 @@ A command is one record of COMMANDS: help text, argument specs and a
 handler.  A handler returns its claims (name, expected, actual, rule,
 tolerance) and an optional result payload; RULES decides each claim's
 pass, and the report's config is the parsed arguments.
+
+numpy and the oracle are imported only by the handlers that use them, so
+the exact commands start without loading numpy.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
-from . import chsh, ghz, oracle, qubit
+from . import chsh, ghz, qubit
 from .tolerances import (
     BOUND_TOL,
     CLASSICAL,
@@ -65,7 +66,7 @@ def _vector3(text: str) -> tuple[float, float, float]:
 
 
 def _bloch(text: str) -> tuple[float, float, float]:
-    return tuple(bloch_vector(_vector3(text)).tolist())
+    return bloch_vector(_vector3(text))
 
 
 def _at_least(minimum: int) -> Callable[[str], int]:
@@ -104,8 +105,6 @@ RULES = {
 
 
 def _jsonable(value):
-    if isinstance(value, np.generic):
-        return value.item()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -143,6 +142,7 @@ _CHUNK = 1024
 def _bell_sweep(seed: int, samples: int, phase_choices=None) -> tuple[float, float]:
     """Maxima, over `samples` models drawn from one generator, of the Bell
     value and of its excess over analytic_bound."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     top = gap = -math.inf
     for start in range(0, samples, _CHUNK):
@@ -206,6 +206,8 @@ def _qubit_dist(args):
 
 
 def _qubit_expect(args):
+    import numpy as np
+    from . import oracle
     dist = qubit.state_distribution(args.bloch)
     claims = []
     for idx, axis in enumerate(qubit.AXES):
@@ -225,7 +227,8 @@ def _qubit_search_sign(args):
     claims = [("sign_function_exists", on_axis, found is not None, "equal", None)]
     result = {"signs": None if found is None else list(found)}
     if found is not None:
-        achieved = list(np.array(found, dtype=float) @ qubit.SIGN_TABLE / 8.0)
+        achieved = [sum(g * signs[axis] for g, signs in zip(found, qubit.SIGN_TABLE)) / 8.0
+                    for axis in range(3)]
         claims.append(("achieved_direction", list(args.dir), achieved, "all_close", BOUND_TOL))
         result["achieved_direction"] = achieved
     return claims, result
@@ -242,6 +245,8 @@ def _qubit_evolve(args):
 
 
 def _oracle_check(args):
+    import numpy as np
+    from . import oracle
     state = oracle.ghz_state()
     claims = [(f"eigenrelation_{axes}_{'plus' if sign > 0 else 'minus'}", True,
                oracle.verify_eigenrelation(oracle.three_party_operator(axes), state, sign),

@@ -1,4 +1,5 @@
-"""Exact arithmetic in the 8-element unit-quaternion group, plus phase helpers.
+"""Exact arithmetic in the 8-element unit-quaternion group, plus the reduction
+of a phase angle into [0, 2*pi).
 
 The group {±1, ±i, ±j, ±k} is represented exactly (no floating point) so
 that identities proved over it hold with no tolerance.
@@ -11,8 +12,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
 from typing import Iterable
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,15 +93,3 @@ def canonical_phase(theta: float) -> float:
         reduced += TWO_PI
     return reduced
 
-
-def phase_pair_magnitudes(t2, t4):
-    """Return (|e^{i t2} + e^{i t4}|, |e^{i t2} - e^{i t4}|), elementwise
-    when t2 and t4 are arrays.
-
-    The sum of the squares of the two magnitudes is always 4, so the sum
-    of the magnitudes is at most 2*sqrt(2), with equality exactly when the
-    two phases differ by an odd multiple of pi/2.
-    """
-    z2 = np.exp(1j * t2)
-    z4 = np.exp(1j * t4)
-    return abs(z2 + z4), abs(z2 - z4)

@@ -5,6 +5,9 @@ x, y and z components.  States are weight assignments on the eight
 points derived from a Bloch vector; weights may be negative but antipodal
 pairs (m, 9-m) always sum to 1/4.  Evolution acts by permuting the eight
 points and by convex mixtures of such permutations.
+
+Plain Python throughout (no numpy): the model is exact combinatorics over
+eight points.
 """
 
 from __future__ import annotations
@@ -12,10 +15,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .quaternions import AXIS_BASIS, Q8Element
 from .tolerances import BOUND_TOL, EXACT_TOL, bloch_vector, unit_direction
@@ -28,7 +28,9 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 # Sign table: row m-1 holds (eps_x, eps_y, eps_z) for hidden value m, in
 # lexicographic order over (+1, -1), so antipodal rows m and 9-m are full
 # sign flips of each other.
-SIGN_TABLE = np.array(list(itertools.product((1, -1), repeat=3)), dtype=float)
+SIGN_TABLE = tuple(itertools.product((1, -1), repeat=3))
+# column i of SIGN_TABLE: the signs of axis i over lam = 1..8
+_AXIS_SIGNS = tuple(zip(*SIGN_TABLE))
 
 #: Permutation exchanging m and m+4 for m = 1..4 (flips the x signs).
 X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
@@ -38,7 +40,7 @@ IDENTITY_PERMUTATION = LAMBDAS
 
 def epsilon(axis: str, lam: int) -> int:
     """Sign of the given axis component at hidden value lam."""
-    return int(SIGN_TABLE[lam - 1, _AXIS_INDEX[axis]])
+    return SIGN_TABLE[lam - 1][_AXIS_INDEX[axis]]
 
 
 def quaternion_value(axis: str, lam: int) -> Q8Element:
@@ -49,23 +51,25 @@ def quaternion_value(axis: str, lam: int) -> Q8Element:
 
 @dataclass(frozen=True)
 class SignedDistribution:
-    """Eight real weights summing to 1.  Negative weights are allowed;
-    whether the antipodal pair sums equal 1/4 is checked separately by
-    retroaction_check."""
+    """Eight real weights summing to 1, kept as a tuple of floats.  Negative
+    weights are allowed; whether the antipodal pair sums equal 1/4 is
+    checked separately by retroaction_check."""
 
     weights: tuple[float, float, float, float, float, float, float, float]
 
     def __post_init__(self):
-        if len(self.weights) != 8:
+        if isinstance(self.weights, str) or len(self.weights) != 8:
             raise ValueError("need exactly 8 weights")
-        w = np.asarray(self.weights, dtype=float)
-        if not abs(w.sum() - 1.0) <= EXACT_TOL:
+        try:
+            w = tuple(map(float, self.weights))
+        except TypeError:
+            # None or a nested sequence: like NaN, it has no sum
+            raise ValueError("weights must sum to 1") from None
+        if not abs(sum(w) - 1.0) <= EXACT_TOL:
             raise ValueError("weights must sum to 1")
-        if not np.all(np.abs(w) <= 1.0 + EXACT_TOL):
+        if not all(abs(x) <= 1.0 + EXACT_TOL for x in w):
             raise ValueError("weights must lie in [-1, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", w)
 
     def min_weight(self) -> float:
         return min(self.weights)
@@ -74,13 +78,14 @@ class SignedDistribution:
 def state_distribution(r: Sequence[float]) -> SignedDistribution:
     """Distribution of the state with Bloch vector r:
     p(lam) = (1/8) * (1 + eps(lam) . r)."""
-    p = (1.0 + SIGN_TABLE @ bloch_vector(r)) / 8.0
-    return SignedDistribution(tuple(float(x) for x in p))
+    x, y, z = bloch_vector(r)
+    return SignedDistribution(tuple((1.0 + (ex * x + ey * y + ez * z)) / 8.0
+                                    for ex, ey, ez in SIGN_TABLE))
 
 
 def axis_expectation(dist: SignedDistribution, axis: str) -> float:
     """Sum over hidden values of weight times the axis sign."""
-    return float(dist.as_array() @ SIGN_TABLE[:, _AXIS_INDEX[axis]])
+    return sum(w * s for w, s in zip(dist.weights, _AXIS_SIGNS[_AXIS_INDEX[axis]]))
 
 
 def retroaction_check(dist: SignedDistribution) -> bool:
@@ -88,12 +93,6 @@ def retroaction_check(dist: SignedDistribution) -> bool:
     within EXACT_TOL."""
     w = dist.weights
     return all(abs(w[m - 1] + w[8 - m] - 0.25) <= EXACT_TOL for m in (1, 2, 3, 4))
-
-
-@lru_cache(maxsize=1)
-def _sign_candidates() -> np.ndarray:
-    # all 2^8 assignments of +-1 to the eight points, lexicographic
-    return np.array(list(itertools.product((1, -1), repeat=8)), dtype=float)
 
 
 def sign_function_search(n: Sequence[float]):
@@ -104,17 +103,17 @@ def sign_function_search(n: Sequence[float]):
     sum(g) = 0 and (1/8) * sum_lam g(lam) * eps_i(lam) = n_i per axis.
     The achievable per-axis values are multiples of 1/4, so only the six
     signed axis directions admit a solution (matched within BOUND_TOL).
-    Returns the assignment as a tuple of signs in lam order, or None.
+    Returns the first solution, in lexicographic order over (+1, -1), as a
+    tuple of signs in lam order, or None.
     """
     vec = unit_direction(n)
-    candidates = _sign_candidates()
-    sums = candidates.sum(axis=1)
-    achieved = candidates @ SIGN_TABLE / 8.0
-    ok = (sums == 0) & np.all(np.abs(achieved - vec) <= BOUND_TOL, axis=1)
-    hits = np.nonzero(ok)[0]
-    if hits.size == 0:
-        return None
-    return tuple(int(s) for s in candidates[hits[0]])
+    for g in itertools.product((1, -1), repeat=8):
+        if sum(g) == 0 and all(
+            abs(sum(a * b for a, b in zip(g, signs)) / 8.0 - target) <= BOUND_TOL
+            for signs, target in zip(_AXIS_SIGNS, vec)
+        ):
+            return g
+    return None
 
 
 def is_permutation(s: Sequence[int]) -> bool:
@@ -177,8 +176,8 @@ class PermutationMix:
 def evolve_mixture(dist: SignedDistribution, mix: PermutationMix) -> SignedDistribution:
     """Weighted combination of strict permutation evolutions:
     p'(lam) = sum_t w_t * p(s_t(lam))."""
-    out = np.zeros(8)
+    out = (0.0,) * 8
     for perm, weight in mix.terms:
         evolved = evolve_permutation(dist, perm)
-        out += weight * evolved.as_array()
-    return SignedDistribution(tuple(float(x) for x in out))
+        out = tuple(o + weight * w for o, w in zip(out, evolved.weights))
+    return SignedDistribution(out)

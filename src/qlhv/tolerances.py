@@ -1,13 +1,12 @@
 """Every proved bound and every tolerance of the package, and the two input
 rules built on them: the closed Bloch ball and the unit sphere.  Checks are
-written so that NaN fails them (`not x <= tol`, never `x > tol`)."""
+written so that NaN fails them (`not x <= tol`, never `x > tol`).  The input
+rules return 3-tuples of Python floats and need no numpy."""
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
-
-import numpy as np
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 CLASSICAL = 2.0
@@ -23,19 +22,29 @@ BOUND_TOL = 1e-9
 OPTIMUM_TOL = 1e-6
 
 
-def bloch_vector(r: Sequence[float]) -> np.ndarray:
-    """r as a float array, if it is a 3-vector with |r|^2 <= 1 + EXACT_TOL."""
-    vec = np.asarray(r, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    if not float(vec @ vec) <= 1.0 + EXACT_TOL:
+def _three_floats(v: Sequence[float], message: str) -> tuple[float, float, float]:
+    # A string, a nested sequence or a component that is not a real number
+    # fails with the caller's message, as a vector of the wrong length does.
+    if isinstance(v, str):
+        raise ValueError(message)
+    try:
+        x, y, z = v
+        return float(x), float(y), float(z)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+
+
+def bloch_vector(r: Sequence[float]) -> tuple[float, float, float]:
+    """r as three floats, if it is a 3-vector with |r|^2 <= 1 + EXACT_TOL."""
+    x, y, z = vec = _three_floats(r, "Bloch vector must have three components")
+    if not x * x + y * y + z * z <= 1.0 + EXACT_TOL:
         raise ValueError("outside Bloch ball")
     return vec
 
 
-def unit_direction(n: Sequence[float]) -> np.ndarray:
-    """n as a float array, if it is a 3-vector with | |n| - 1 | <= BOUND_TOL."""
-    vec = np.asarray(n, dtype=float)
-    if vec.shape != (3,) or not abs(float(np.linalg.norm(vec)) - 1.0) <= BOUND_TOL:
+def unit_direction(n: Sequence[float]) -> tuple[float, float, float]:
+    """n as three floats, if it is a 3-vector with | |n| - 1 | <= BOUND_TOL."""
+    vec = _three_floats(n, "non-unit direction")
+    if not abs(math.hypot(*vec) - 1.0) <= BOUND_TOL:
         raise ValueError("non-unit direction")
     return vec

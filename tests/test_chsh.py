@@ -17,11 +17,14 @@ from qlhv.chsh import (
     maximize_bell,
     model_from_dict,
     model_to_dict,
+    phase_pair_magnitudes,
     sample_model,
     sample_models,
 )
 from qlhv.quaternions import canonical_phase
 from qlhv.tolerances import TSIRELSON
+
+SQRT2 = math.sqrt(2.0)
 
 
 def single_point_model(thetas, bits=(0, 0, 0, 0)):
@@ -83,6 +86,38 @@ def test_analytic_bound_examples():
     assert analytic_bound(0.0, math.pi / 2) == pytest.approx(TSIRELSON, abs=1e-12)
     assert analytic_bound(0.0, 0.0) == pytest.approx(2.0, abs=1e-12)
     assert analytic_bound(0.0, math.pi / 3) == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-12)
+
+
+def test_phase_pair_magnitude_examples():
+    plus, minus = phase_pair_magnitudes(0.0, math.pi / 2)
+    assert plus == pytest.approx(SQRT2, abs=1e-12)
+    assert minus == pytest.approx(SQRT2, abs=1e-12)
+    assert phase_pair_magnitudes(0.0, 0.0) == pytest.approx((2.0, 0.0), abs=1e-12)
+    plus, minus = phase_pair_magnitudes(0.0, math.pi / 3)
+    assert plus == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert minus == pytest.approx(1.0, abs=1e-12)
+    assert plus + minus == pytest.approx(2.7320508, abs=1e-6)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False),
+)
+def test_phase_pair_properties(t2, t4):
+    plus, minus = phase_pair_magnitudes(t2, t4)
+    assert plus * plus + minus * minus == pytest.approx(4.0, abs=1e-12)
+    assert plus + minus <= 2.0 * SQRT2 + 1e-12
+    # saturation happens only when the phases differ by pi/2 mod pi; the
+    # value degrades quadratically, so near-saturation pins the difference
+    if plus + minus >= 2.0 * SQRT2 - 1e-9:
+        diff = abs(t2 - t4) % math.pi
+        assert abs(diff - math.pi / 2) < 1e-4
+
+
+def test_saturation_at_exact_quarter_turn():
+    for base in (0.0, 1.0, 2.5):
+        plus, minus = phase_pair_magnitudes(base, base + math.pi / 2)
+        assert plus + minus == pytest.approx(2.0 * SQRT2, abs=1e-12)
 
 
 def test_random_models_respect_bounds():
@@ -235,6 +270,16 @@ def test_model_to_dict_is_canonical_for_a_directly_built_model():
     assert json.dumps(record) == json.dumps(model_to_dict(model_from_dict(record)))
     assert json.dumps(record["weights"]) == "[1.0]" and record["f1"] == record["f2"] == [1]
 
+
+@pytest.mark.parametrize("weights, thetas", [
+    pytest.param(("1.0",), (0.0,) * 4, id="string-weight"),
+    pytest.param((None,), (0.0,) * 4, id="none-weight"),
+    pytest.param((1.0,), ("0", 0.0, 0.0, 0.0), id="string-phase"),
+    pytest.param((1.0,), (0.0, 0.0, None, 0.0), id="none-phase"),
+])
+def test_model_rejects_weights_and_phases_that_are_not_numbers(weights, thetas):
+    with pytest.raises(ValueError, match="weights and phases must be numbers"):
+        ChshModel(weights, thetas, ((0,),) * 4)
 
 @pytest.mark.parametrize("weights, thetas, bits, reason", [
     pytest.param((0.6, 0.6), (0.0,) * 4, ((0, 0),) * 4, "distribution", id="sum-above-1"),

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,30 @@ def test_fresh_process_runs_a_command():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert report["command"] == "ghz-verify"
+
+
+# The README's ten subcommand lines.  Only these four import numpy; the
+# exact commands run in plain Python.
+README_COMMANDS = [shlex.split(line, comments=True)[1:] for line in
+                   (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+                   if line.startswith("qlhv ")]
+NUMPY_COMMANDS = {"chsh-verify", "chsh-optimize", "qubit-expect", "oracle-check"}
+
+# runs the CLI, then reports on stderr whether numpy was loaded
+_MAIN_THEN_NUMPY_LOADED = ("import sys\nfrom qlhv.cli import main\ncode = main(sys.argv[1:])\n"
+                           "print('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)\n")
+
+
+def test_readme_lists_every_command():
+    assert sorted(argv[0] for argv in README_COMMANDS) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_command_loads_numpy_only_if_it_needs_it(argv):
+    proc = _fresh_python("-W", "error", "-c", _MAIN_THEN_NUMPY_LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout, parse_constant=_reject_constant)["command"] == argv[0]
+    assert proc.stderr.splitlines()[-1] == str(argv[0] in NUMPY_COMMANDS)
 
 
 def test_package_binds_no_public_name():

@@ -2,7 +2,6 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from qlhv.quaternions import (
     Basis,
@@ -13,12 +12,9 @@ from qlhv.quaternions import (
     Q8Element,
     Q8_ELEMENTS,
     canonical_phase,
-    phase_pair_magnitudes,
     q8_mul,
     q8_product,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 def hamilton(p, q):
@@ -96,34 +92,3 @@ def test_canonical_phase():
     assert canonical_phase(-math.pi / 2) == pytest.approx(3 * math.pi / 2)
     assert 0.0 <= canonical_phase(123.456) < 2.0 * math.pi
 
-
-def test_phase_pair_magnitude_examples():
-    plus, minus = phase_pair_magnitudes(0.0, math.pi / 2)
-    assert plus == pytest.approx(SQRT2, abs=1e-12)
-    assert minus == pytest.approx(SQRT2, abs=1e-12)
-    assert phase_pair_magnitudes(0.0, 0.0) == pytest.approx((2.0, 0.0), abs=1e-12)
-    plus, minus = phase_pair_magnitudes(0.0, math.pi / 3)
-    assert plus == pytest.approx(math.sqrt(3.0), abs=1e-12)
-    assert minus == pytest.approx(1.0, abs=1e-12)
-    assert plus + minus == pytest.approx(2.7320508, abs=1e-6)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False),
-    st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False),
-)
-def test_phase_pair_properties(t2, t4):
-    plus, minus = phase_pair_magnitudes(t2, t4)
-    assert plus * plus + minus * minus == pytest.approx(4.0, abs=1e-12)
-    assert plus + minus <= 2.0 * SQRT2 + 1e-12
-    # saturation happens only when the phases differ by pi/2 mod pi; the
-    # value degrades quadratically, so near-saturation pins the difference
-    if plus + minus >= 2.0 * SQRT2 - 1e-9:
-        diff = abs(t2 - t4) % math.pi
-        assert abs(diff - math.pi / 2) < 1e-4
-
-
-def test_saturation_at_exact_quarter_turn():
-    for base in (0.0, 1.0, 2.5):
-        plus, minus = phase_pair_magnitudes(base, base + math.pi / 2)
-        assert plus + minus == pytest.approx(2.0 * SQRT2, abs=1e-12)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlhv.qubit import (
+    AXES,
     IDENTITY_PERMUTATION,
     LAMBDAS,
     PermutationMix,
@@ -42,7 +44,7 @@ def test_sign_table_rows():
 
 def test_sign_table_antipodal_flip():
     for m in LAMBDAS:
-        assert np.array_equal(SIGN_TABLE[m - 1], -SIGN_TABLE[8 - m])
+        assert SIGN_TABLE[m - 1] == tuple(-s for s in SIGN_TABLE[8 - m])
 
 
 def test_quaternion_value_examples():
@@ -86,6 +88,29 @@ def test_distribution_invariants_rejected():
         SignedDistribution((math.nan,) * 8)
 
 
+@pytest.mark.parametrize("weights, message", [
+    pytest.param("abcdefgh", "need exactly 8 weights", id="string"),
+    pytest.param((0.25,) * 4, "need exactly 8 weights", id="four-weights"),
+    pytest.param((0.1,) * 10, "need exactly 8 weights", id="ten-weights"),
+    pytest.param(((0.125,),) + (0.125,) * 7, "weights must sum to 1", id="nested"),
+    pytest.param((None,) + (0.125,) * 7, "weights must sum to 1", id="none-weight"),
+    pytest.param(("x",) + (0.125,) * 7, "could not convert string to float", id="string-weight"),
+    pytest.param((math.nan,) + (0.125,) * 7, "weights must sum to 1", id="nan"),
+    pytest.param((math.inf,) + (0.125,) * 7, "weights must sum to 1", id="inf"),
+    pytest.param((-math.inf,) + (0.125,) * 7, "weights must sum to 1", id="-inf"),
+])
+def test_distribution_rejects_malformed_weights(weights, message):
+    with pytest.raises(ValueError, match=message):
+        SignedDistribution(weights)
+
+
+def test_distribution_keeps_its_weights_as_floats():
+    for given in ((0.125,) * 8, [0.125] * 8, np.full(8, 0.125), (1, 0, 0, 0, 0, 0, 0, 0)):
+        dist = SignedDistribution(given)
+        assert type(dist.weights) is tuple and all(type(w) is float for w in dist.weights)
+        assert dist.weights == tuple(float(w) for w in given)
+
+
 def test_axis_expectation_examples():
     dist = state_distribution((0.6, 0.0, 0.8))
     assert axis_expectation(dist, "x") == pytest.approx(0.6, abs=1e-12)
@@ -127,7 +152,7 @@ def test_sign_search_axis_directions():
         n[idx] = float(axis_sign)
         g = sign_function_search(n)
         assert g is not None
-        assert g == tuple(int(axis_sign * s) for s in SIGN_TABLE[:, idx])
+        assert g == tuple(int(axis_sign * row[idx]) for row in SIGN_TABLE)
 
 
 def test_sign_search_reproduces_inner_product():
@@ -138,7 +163,7 @@ def test_sign_search_reproduces_inner_product():
         if r @ r > 1.0:
             continue
         dist = state_distribution(r)
-        assert float(dist.as_array() @ g) == pytest.approx(-r[2], abs=1e-12)
+        assert float(np.array(dist.weights) @ g) == pytest.approx(-r[2], abs=1e-12)
 
 
 def test_sign_search_fails_off_axis():
@@ -156,6 +181,30 @@ def test_sign_search_achievable_values_are_quarter_multiples():
             continue
         achieved = g @ SIGN_TABLE / 8.0
         assert np.allclose(achieved * 4.0, np.round(achieved * 4.0), atol=1e-12)
+
+
+def test_plain_python_model_matches_the_matrix_forms():
+    # the sign table as a matrix: weights (1 + S r) / 8, expectations w . S,
+    # and the first of the 2^8 lexicographic sign vectors g with sum(g) = 0
+    # and g . S / 8 = n
+    table = np.array(SIGN_TABLE, dtype=float)
+    candidates = np.array(list(itertools.product((1, -1), repeat=8)), dtype=float)
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        r = rng.uniform(-1, 1, 3)
+        if r @ r > 1.0:
+            continue
+        dist = state_distribution(r)
+        assert np.abs(np.array(dist.weights) - (1.0 + table @ r) / 8.0).max() <= 1e-15
+        for idx, axis in enumerate(AXES):
+            assert abs(axis_expectation(dist, axis) - dist.weights @ table[:, idx]) <= 1e-15
+    directions = [row for row in np.vstack([np.eye(3), -np.eye(3)])]
+    directions += [v / np.linalg.norm(v) for v in rng.standard_normal((20, 3))]
+    for n in directions:
+        ok = (candidates.sum(axis=1) == 0) & np.all(np.abs(candidates @ table / 8.0 - n) <= 1e-9, axis=1)
+        hits = np.nonzero(ok)[0]
+        expected = tuple(int(s) for s in candidates[hits[0]]) if hits.size else None
+        assert sign_function_search(n) == expected
 
 
 def test_sign_search_rejects_non_unit():
@@ -269,4 +318,4 @@ def test_commuting_permutations_form_subgroup():
 def test_epsilon_matches_table():
     for lam in LAMBDAS:
         for idx, axis in enumerate("xyz"):
-            assert epsilon(axis, lam) == int(SIGN_TABLE[lam - 1, idx])
+            assert epsilon(axis, lam) == int(SIGN_TABLE[lam - 1][idx])
