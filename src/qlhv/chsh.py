@@ -63,13 +63,16 @@ class ChshModel:
             raise ValueError("weights and phases must be numbers") from None
         if not valid:
             raise ValueError("invalid distribution")
-        if len(self.thetas) != 4 or len(self.bits) != 4:
-            raise ValueError("need exactly four phases and four bit vectors")
-        for vec in self.bits:
-            if len(vec) != len(self.weights):
-                raise ValueError("bits need one entry per point")
-            if any(b not in (0, 1) for b in vec):
-                raise ValueError("bits must be 0 or 1")
+        try:
+            if len(self.thetas) != 4 or len(self.bits) != 4:
+                raise ValueError("need exactly four phases and four bit vectors")
+            for vec in self.bits:
+                if len(vec) != len(self.weights):
+                    raise ValueError("bits need one entry per point")
+                if any(b not in (0, 1) for b in vec):
+                    raise ValueError("bits must be 0 or 1")
+        except TypeError:   # a number in place of the bit vectors or of one of them
+            raise ValueError("bits need one entry per point") from None
         if not finite:
             raise ValueError("phases must be finite")
 

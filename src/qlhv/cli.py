@@ -236,11 +236,9 @@ def _qubit_search_sign(args):
 
 def _qubit_evolve(args):
     dist = qubit.state_distribution(args.bloch)
-    evolved = qubit.evolve_permutation(dist, args.perm, strict=args.strict)
-    claims = [("mass_preserved", 1.0, float(sum(evolved.weights)), "close", EXACT_TOL)]
-    if qubit.commutes_with_antipode(args.perm):
-        retroaction = qubit.retroaction_check(evolved)
-        claims.append(("retroaction_preserved", True, retroaction, "equal", None))
+    evolved = qubit.evolve_permutation(dist, args.perm)
+    claims = [("mass_preserved", 1.0, float(sum(evolved.weights)), "close", EXACT_TOL),
+              ("retroaction_preserved", True, qubit.retroaction_check(evolved), "equal", None)]
     return claims, {"before": list(dist.weights), "after": list(evolved.weights)}
 
 
@@ -294,8 +292,7 @@ COMMANDS = {
         ("--dir", {"type": _vector3, "required": True}),)),
     "qubit-evolve": Command("permute the hidden-variable weights", _qubit_evolve, (
         _BLOCH,
-        ("--perm", {"type": parse_permutation, "required": True}),
-        ("--permissive", {"dest": "strict", "action": "store_false"}))),
+        ("--perm", {"type": parse_permutation, "required": True}))),
     "oracle-check": Command("quantum ground-truth checks", _oracle_check, (
         ("--samples", {"type": _at_least(0)}), ("--seed", {"type": int}))),
 }

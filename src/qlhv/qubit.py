@@ -4,7 +4,9 @@ The hidden variable takes values 1..8; each value fixes a sign for the
 x, y and z components.  States are weight assignments on the eight
 points derived from a Bloch vector; weights may be negative but antipodal
 pairs (m, 9-m) always sum to 1/4.  Evolution acts by permuting the eight
-points and by convex mixtures of such permutations.
+points and by convex mixtures of such permutations.  Only permutations
+that commute with m -> 9-m (384 of the 40,320, the hyperoctahedral group
+B4) keep every pair sum for every state, so evolution accepts no other.
 
 Plain Python throughout (no numpy): the model is exact combinatorics over
 eight points.
@@ -13,7 +15,7 @@ eight points.
 from __future__ import annotations
 
 import itertools
-import warnings
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,12 +60,12 @@ class SignedDistribution:
     weights: tuple[float, float, float, float, float, float, float, float]
 
     def __post_init__(self):
-        if isinstance(self.weights, str) or len(self.weights) != 8:
-            raise ValueError("need exactly 8 weights")
         try:
+            if isinstance(self.weights, str) or len(self.weights) != 8:
+                raise ValueError("need exactly 8 weights")
             w = tuple(map(float, self.weights))
         except TypeError:
-            # None or a nested sequence: like NaN, it has no sum
+            # a number, None or a nested sequence: like NaN, it has no sum
             raise ValueError("weights must sum to 1") from None
         if not abs(sum(w) - 1.0) <= EXACT_TOL:
             raise ValueError("weights must sum to 1")
@@ -116,40 +118,29 @@ def sign_function_search(n: Sequence[float]):
     return None
 
 
-def is_permutation(s: Sequence[int]) -> bool:
-    return len(s) == 8 and sorted(s) == list(LAMBDAS)
-
-
 def commutes_with_antipode(s: Sequence[int]) -> bool:
     """True iff s commutes with the involution m -> 9-m."""
     return all(s[8 - m] == 9 - s[m - 1] for m in LAMBDAS)
 
 
-def _check_permutation(s: Sequence[int], strict: bool) -> tuple[int, ...]:
-    perm = tuple(int(v) for v in s)
-    if not is_permutation(perm):
+def _check_permutation(s: Sequence[int]) -> tuple[int, ...]:
+    try:
+        # int entries only; a bool is an int but no hidden value, so -1
+        perm = tuple(-1 if isinstance(v, bool) else operator.index(v) for v in s)
+    except TypeError:   # a float or string entry, or no sequence at all
+        perm = ()
+    if sorted(perm) != list(LAMBDAS):
         raise ValueError("not a permutation of 1..8")
     if not commutes_with_antipode(perm):
-        if strict:
-            raise ValueError("breaks antipodal constraint")
-        warnings.warn(
-            "permutation does not commute with the antipodal involution; "
-            "the pair-sum constraint may be broken",
-            stacklevel=3,
-        )
+        raise ValueError("breaks antipodal constraint")
     return perm
 
 
-def evolve_permutation(
-    dist: SignedDistribution, s: Sequence[int], strict: bool = True
-) -> SignedDistribution:
-    """Pull the weights back along s: p'(lam) = p(s(lam)).
-
-    Permutations commuting with the involution m -> 9-m preserve the
-    antipodal pair sums; in strict mode (default) any other permutation is
-    rejected, in permissive mode it only warns.
-    """
-    perm = _check_permutation(s, strict)
+def evolve_permutation(dist: SignedDistribution, s: Sequence[int]) -> SignedDistribution:
+    """Pull the weights back along s: p'(lam) = p(s(lam)).  s must be a
+    permutation of 1..8 commuting with m -> 9-m, which keeps every antipodal
+    pair sum at 1/4 (384 of the 40,320); any other s raises ValueError."""
+    perm = _check_permutation(s)
     return SignedDistribution(tuple(dist.weights[perm[m - 1] - 1] for m in LAMBDAS))
 
 
@@ -164,8 +155,7 @@ class PermutationMix:
             raise ValueError("mixture needs at least one term")
         total = 0.0
         for perm, weight in self.terms:
-            if not is_permutation(perm):
-                raise ValueError("not a permutation of 1..8")
+            _check_permutation(perm)
             if not weight >= 0.0:
                 raise ValueError("mixture weights must be nonnegative")
             total += weight
@@ -174,7 +164,7 @@ class PermutationMix:
 
 
 def evolve_mixture(dist: SignedDistribution, mix: PermutationMix) -> SignedDistribution:
-    """Weighted combination of strict permutation evolutions:
+    """Weighted combination of permutation evolutions:
     p'(lam) = sum_t w_t * p(s_t(lam))."""
     out = (0.0,) * 8
     for perm, weight in mix.terms:

@@ -281,6 +281,16 @@ def test_model_rejects_weights_and_phases_that_are_not_numbers(weights, thetas):
     with pytest.raises(ValueError, match="weights and phases must be numbers"):
         ChshModel(weights, thetas, ((0,),) * 4)
 
+
+@pytest.mark.parametrize("bits", [
+    pytest.param((0, 0, 0, 0), id="numbers-for-bit-vectors"),
+    pytest.param(5, id="number-for-bits"),
+])
+def test_model_rejects_bits_that_are_not_vectors(bits):
+    with pytest.raises(ValueError, match="bits need one entry per point"):
+        ChshModel((1.0,), (0.0,) * 4, bits)
+
+
 @pytest.mark.parametrize("weights, thetas, bits, reason", [
     pytest.param((0.6, 0.6), (0.0,) * 4, ((0, 0),) * 4, "distribution", id="sum-above-1"),
     pytest.param((1.2, -0.2), (0.0,) * 4, ((0, 0),) * 4, "distribution", id="negative-weight"),

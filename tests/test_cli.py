@@ -1,8 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -104,10 +106,10 @@ def test_fresh_process_runs_a_command():
     assert report["command"] == "ghz-verify"
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 # The README's ten subcommand lines.  Only these four import numpy; the
 # exact commands run in plain Python.
-README_COMMANDS = [shlex.split(line, comments=True)[1:] for line in
-                   (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+README_COMMANDS = [shlex.split(line, comments=True)[1:] for line in README.splitlines()
                    if line.startswith("qlhv ")]
 NUMPY_COMMANDS = {"chsh-verify", "chsh-optimize", "qubit-expect", "oracle-check"}
 
@@ -118,6 +120,16 @@ _MAIN_THEN_NUMPY_LOADED = ("import sys\nfrom qlhv.cli import main\ncode = main(s
 
 def test_readme_lists_every_command():
     assert sorted(argv[0] for argv in README_COMMANDS) == sorted(cli.COMMANDS)
+
+
+def test_readme_cli_flags_match_the_parser():
+    section = README.split("\n## CLI\n")[1].split("\n## ")[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    defined = {flag for parser in subcommands.values() for action in parser._actions
+               if not isinstance(action, argparse._HelpAction) for flag in action.option_strings}
+    assert documented == defined
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
@@ -254,18 +266,11 @@ def test_qubit_evolve_x_flip(capsys):
 
 
 def test_qubit_evolve_strict_rejects_bad_permutation(capsys):
-    code, _ = run(capsys, "qubit-evolve", "--bloch", "1,0,0", "--perm", "(1 2)")
-    assert code == 2
-
-
-def test_qubit_evolve_permissive_allows_bad_permutation(capsys):
-    with pytest.warns(UserWarning):
-        code, report = run_json(
-            capsys, "qubit-evolve", "--bloch", "1,0,0", "--perm", "(1 2)", "--permissive"
-        )
-    assert code == 0
-    checks = {c["name"]: c for c in report["checks"]}
-    assert "retroaction_preserved" not in checks
+    assert run(capsys, "qubit-evolve", "--bloch", "1,0,0", "--perm", "(1 2)") == (2, "")
+    # there is no flag that lets such a permutation through
+    assert main(["qubit-evolve", "--bloch", "1,0,0", "--perm", "(1 5)(2 6)(3 7)(4 8)",
+                 "--permissive"]) == 2
+    assert "unrecognized arguments: --permissive" in capsys.readouterr().err
 
 
 def test_oracle_check(capsys):
@@ -345,7 +350,6 @@ def _number(cell):
         return cell
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")   # --permissive warns by design
 @pytest.mark.parametrize("case", PINNED, ids=[" ".join(c["argv"]) for c in PINNED])
 def test_report_matches_pinned(capsys, case):
     code, out = run(capsys, *case["argv"])

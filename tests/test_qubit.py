@@ -92,6 +92,7 @@ def test_distribution_invariants_rejected():
     pytest.param("abcdefgh", "need exactly 8 weights", id="string"),
     pytest.param((0.25,) * 4, "need exactly 8 weights", id="four-weights"),
     pytest.param((0.1,) * 10, "need exactly 8 weights", id="ten-weights"),
+    pytest.param(5, "weights must sum to 1", id="number"),
     pytest.param(((0.125,),) + (0.125,) * 7, "weights must sum to 1", id="nested"),
     pytest.param((None,) + (0.125,) * 7, "weights must sum to 1", id="none-weight"),
     pytest.param(("x",) + (0.125,) * 7, "could not convert string to float", id="string-weight"),
@@ -236,18 +237,46 @@ def test_strict_mode_rejects_antipode_breaking_permutation():
     assert not commutes_with_antipode(swap_12)
     with pytest.raises(ValueError, match="breaks antipodal constraint"):
         evolve_permutation(UNIFORM, swap_12)
-
-
-def test_permissive_mode_warns_instead():
-    swap_12 = (2, 1, 3, 4, 5, 6, 7, 8)
-    with pytest.warns(UserWarning):
-        evolved = evolve_permutation(UNIFORM, swap_12, strict=False)
-    assert sum(evolved.weights) == pytest.approx(1.0, abs=1e-15)
+    # a mixture holds each term to the same rule, at construction
+    with pytest.raises(ValueError, match="breaks antipodal constraint"):
+        PermutationMix(((IDENTITY_PERMUTATION, 0.5), (swap_12, 0.5)))
 
 
 def test_evolution_rejects_non_permutation():
     with pytest.raises(ValueError):
         evolve_permutation(UNIFORM, (1, 1, 3, 4, 5, 6, 7, 8))
+
+
+@pytest.mark.parametrize("perm", [
+    pytest.param((5.7, 6, 7, 8, 1, 2, 3, 4), id="float-entry"),
+    pytest.param((5.0, 6, 7, 8, 1, 2, 3, 4), id="integral-float-entry"),
+    pytest.param("56781234", id="string"),
+    pytest.param((True, 2, 3, 4, 5, 6, 7, 8), id="bool-entry"),
+    pytest.param((None, 6, 7, 8, 1, 2, 3, 4), id="none-entry"),
+    pytest.param(5, id="number"),
+])
+def test_permutation_entries_must_be_ints(perm):
+    with pytest.raises(ValueError, match="not a permutation of 1..8"):
+        evolve_permutation(UNIFORM, perm)
+    with pytest.raises(ValueError, match="not a permutation of 1..8"):
+        PermutationMix(((perm, 1.0),))
+
+
+def test_evolution_accepts_exactly_the_pair_sum_preserving_permutations():
+    # nonzero components of distinct magnitudes: a pulled-back pair sum is
+    # 1/4 only if the pair maps onto a pair, never by accident
+    dist = state_distribution((0.5, 0.3, 0.1))
+    accepted = 0
+    for perm in itertools.permutations(LAMBDAS):
+        try:
+            evolve_permutation(dist, perm)
+            ok = True
+        except ValueError:
+            ok = False
+        pulled = SignedDistribution(tuple(dist.weights[s - 1] for s in perm))
+        assert ok == retroaction_check(pulled), perm
+        accepted += ok
+    assert accepted == 2**4 * math.factorial(4) == 384
 
 
 def test_single_term_mixture_reduces_to_permutation():
