@@ -25,14 +25,13 @@ from .tolerances import BOUND_TOL, EXACT_TOL, bloch_vector, unit_direction
 LAMBDAS = tuple(range(1, 9))
 
 AXES = ("x", "y", "z")
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 # Sign table: row m-1 holds (eps_x, eps_y, eps_z) for hidden value m, in
 # lexicographic order over (+1, -1), so antipodal rows m and 9-m are full
 # sign flips of each other.
 SIGN_TABLE = tuple(itertools.product((1, -1), repeat=3))
-# column i of SIGN_TABLE: the signs of axis i over lam = 1..8
-_AXIS_SIGNS = tuple(zip(*SIGN_TABLE))
+# axis -> its column of SIGN_TABLE: the signs of that axis over lam = 1..8
+_AXIS_SIGNS = dict(zip(AXES, zip(*SIGN_TABLE)))
 
 #: Permutation exchanging m and m+4 for m = 1..4 (flips the x signs).
 X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
@@ -42,13 +41,19 @@ IDENTITY_PERMUTATION = LAMBDAS
 
 def epsilon(axis: str, lam: int) -> int:
     """Sign of the given axis component at hidden value lam."""
-    return SIGN_TABLE[lam - 1][_AXIS_INDEX[axis]]
+    if lam not in LAMBDAS:
+        raise ValueError(f"hidden value outside 1..8: {lam!r}")
+    try:
+        return _AXIS_SIGNS[axis][lam - 1]
+    except KeyError:
+        raise ValueError(f"unknown axis: {axis!r}") from None
 
 
 def quaternion_value(axis: str, lam: int) -> Q8Element:
     """The quaternion-valued outcome at (axis, lam): the axis unit (i, j
     or k) carrying the table sign."""
-    return Q8Element(AXIS_BASIS[axis], epsilon(axis, lam))
+    sign = epsilon(axis, lam)   # first, so a bad axis raises its ValueError
+    return Q8Element(AXIS_BASIS[axis], sign)
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,11 @@ def state_distribution(r: Sequence[float]) -> SignedDistribution:
 
 def axis_expectation(dist: SignedDistribution, axis: str) -> float:
     """Sum over hidden values of weight times the axis sign."""
-    return sum(w * s for w, s in zip(dist.weights, _AXIS_SIGNS[_AXIS_INDEX[axis]]))
+    try:
+        signs = _AXIS_SIGNS[axis]
+    except KeyError:
+        raise ValueError(f"unknown axis: {axis!r}") from None
+    return sum(w * s for w, s in zip(dist.weights, signs))
 
 
 def retroaction_check(dist: SignedDistribution) -> bool:
@@ -112,7 +121,7 @@ def sign_function_search(n: Sequence[float]):
     for g in itertools.product((1, -1), repeat=8):
         if sum(g) == 0 and all(
             abs(sum(a * b for a, b in zip(g, signs)) / 8.0 - target) <= BOUND_TOL
-            for signs, target in zip(_AXIS_SIGNS, vec)
+            for signs, target in zip(_AXIS_SIGNS.values(), vec)
         ):
             return g
     return None
@@ -154,11 +163,14 @@ class PermutationMix:
         if not self.terms:
             raise ValueError("mixture needs at least one term")
         total = 0.0
-        for perm, weight in self.terms:
-            _check_permutation(perm)
-            if not weight >= 0.0:
-                raise ValueError("mixture weights must be nonnegative")
-            total += weight
+        try:
+            for perm, weight in self.terms:
+                _check_permutation(perm)
+                if not weight >= 0.0:
+                    raise ValueError("mixture weights must be nonnegative")
+                total += weight
+        except TypeError:   # terms that are no sequence, or a weight that is no number
+            raise ValueError("mixture terms must be (permutation, number) pairs") from None
         if not abs(total - 1.0) <= EXACT_TOL:
             raise ValueError("mixture weights must sum to 1")
 

@@ -300,6 +300,16 @@ def test_mixture_weight_validation():
         PermutationMix(((IDENTITY_PERMUTATION, math.nan), (X_FLIP, 1.0)))
 
 
+@pytest.mark.parametrize("terms", [
+    pytest.param(((X_FLIP, "1"),), id="string-weight"),
+    pytest.param(((X_FLIP, None),), id="none-weight"),
+    pytest.param(5, id="terms-not-a-sequence"),
+])
+def test_mixture_rejects_terms_that_are_not_permutation_number_pairs(terms):
+    with pytest.raises(ValueError, match=r"mixture terms must be \(permutation, number\) pairs"):
+        PermutationMix(terms)
+
+
 def _antipode_commuting_permutations(rng, count):
     # build by permuting the four antipodal pairs and flipping some pairs
     perms = []
@@ -348,3 +358,22 @@ def test_epsilon_matches_table():
     for lam in LAMBDAS:
         for idx, axis in enumerate("xyz"):
             assert epsilon(axis, lam) == int(SIGN_TABLE[lam - 1][idx])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: axis_expectation(UNIFORM, "w"), id="axis_expectation"),
+    pytest.param(lambda: epsilon("w", 1), id="epsilon"),
+    pytest.param(lambda: quaternion_value("w", 1), id="quaternion_value"),
+])
+def test_unknown_axis_is_rejected(call):
+    with pytest.raises(ValueError, match="unknown axis: 'w'"):
+        call()
+
+
+@pytest.mark.parametrize("lam", [0, 9, -1])
+def test_hidden_value_outside_1_to_8_is_rejected(lam):
+    # 0 and -1 would index the table from its end, 9 past it
+    with pytest.raises(ValueError, match="hidden value outside 1..8"):
+        epsilon("x", lam)
+    with pytest.raises(ValueError, match="hidden value outside 1..8"):
+        quaternion_value("x", lam)
