@@ -122,7 +122,9 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
         raise ValueError("bits must be 0 or 1")
     if not np.all(np.isfinite(thetas)):
         raise ValueError("phases must be finite")
-    parity = np.where(bits[:, _ALICE] == bits[:, _BOB], 1.0, -1.0)
+    # int8 takes bits of any 0/1 dtype and keeps the parity out of float
+    b = bits.astype(np.int8, copy=False)
+    parity = 1 - 2 * (b[:, _ALICE] ^ b[:, _BOB])
     e = np.einsum("np,nkp->nk", weights, parity) * np.exp(1j * (thetas[:, _ALICE] + thetas[:, _BOB]))
     return _bell_combination(e[:, 0], e[:, 1], e[:, 2], e[:, 3])
 

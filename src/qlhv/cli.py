@@ -12,12 +12,16 @@ pass, and the report's config is the parsed arguments.
 
 numpy and the oracle are imported only by the handlers that use them, so
 the exact commands start without loading numpy.
+
+main(argv) may be called repeatedly in one process: the parser is built on
+the first call and reused, and each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -277,6 +281,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qlhv", description="Verification runner for the "
                                      "phase- and quaternion-valued hidden-variable toolkit")

@@ -41,10 +41,15 @@ IDENTITY_PERMUTATION = LAMBDAS
 
 def epsilon(axis: str, lam: int) -> int:
     """Sign of the given axis component at hidden value lam."""
-    if lam not in LAMBDAS:
+    try:
+        # an int only, as in _check_permutation: a bool is an int but no hidden value
+        index = -1 if isinstance(lam, bool) else operator.index(lam) - 1
+    except TypeError:   # a float or a string
+        index = -1
+    if not 0 <= index < 8:
         raise ValueError(f"hidden value outside 1..8: {lam!r}")
     try:
-        return _AXIS_SIGNS[axis][lam - 1]
+        return _AXIS_SIGNS[axis][index]
     except KeyError:
         raise ValueError(f"unknown axis: {axis!r}") from None
 

@@ -465,6 +465,18 @@ def test_bell_values_rejects_invalid_batches(mutate, reason):
         bell_values(*batch)
 
 
+def test_bell_values_take_bits_of_any_0_1_dtype():
+    weights, thetas, bits = sample_models(np.random.default_rng(5), 200)
+    values = [bell_values(weights, thetas, bits.astype(dtype))
+              for dtype in (np.int8, bool, np.int64, float)]
+    for other in values[1:]:
+        assert np.array_equal(values[0], other)
+    half = bits.astype(float)
+    half[7, 1, 0] = 0.5
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        bell_values(weights, thetas, half)
+
+
 def test_analytic_bound_is_elementwise():
     t2, t4 = np.random.default_rng(8).uniform(-10.0, 10.0, size=(2, 200))
     bounds = analytic_bound(t2, t4)

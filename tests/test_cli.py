@@ -195,6 +195,16 @@ def test_bell_sweep_does_not_depend_on_the_chunk_size(monkeypatch, phase_choices
     assert maxima[0] == maxima[1]
 
 
+def test_reused_parser_keeps_nothing_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, "chsh-verify", "--samples", "5", "--seed", "1")[0] == 0
+    assert run(capsys, "chsh-verify")[0] == 2
+    assert run(capsys, "oracle-check", "--help")[0] == 0
+    code, report = run_json(capsys, "oracle-check")
+    assert code == 0
+    assert report["config"] == {}
+
+
 def test_chsh_verify_requires_seed(capsys):
     code, _ = run(capsys, "chsh-verify", "--samples", "10")
     assert code == 2

@@ -370,9 +370,10 @@ def test_unknown_axis_is_rejected(call):
         call()
 
 
-@pytest.mark.parametrize("lam", [0, 9, -1])
+@pytest.mark.parametrize("lam", [0, 9, -1, 1.0, True, "1"])
 def test_hidden_value_outside_1_to_8_is_rejected(lam):
-    # 0 and -1 would index the table from its end, 9 past it
+    # 0 and -1 would index the table from its end, 9 past it; a hidden
+    # value is an int, so a float, a bool or a string is none
     with pytest.raises(ValueError, match="hidden value outside 1..8"):
         epsilon("x", lam)
     with pytest.raises(ValueError, match="hidden value outside 1..8"):
