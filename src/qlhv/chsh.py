@@ -9,9 +9,12 @@ bound, the explicit saturating configuration, and a numerical maximizer.
 A population of models is three padded arrays: weights (N, MAX_POINTS)
 with zeros past each model's support, thetas (N, 4) and int8 bits
 (N, 4, MAX_POINTS).  sample_models draws one from a single (N, 85) block
-of uniforms and bell_values evaluates it; ChshModel is one unpadded row,
-used by the per-model API and serialization, and sample_model is the
-ChshModel view of a population of one.
+of uniforms and bell_values evaluates it, under one set of phases or
+under S stacked as (S, N, 4); ChshModel is one unpadded row, used by the
+per-model API and serialization, and sample_model is the ChshModel view
+of a population of one.  bell_sweep draws each block of a sweep once and
+evaluates it under complex and real phases, the two regimes the paper
+compares, returning a witness row for each maximum.
 
 numpy is imported, when called, by the population functions and by
 maximize_bell for its generator; the ChshModel record path is plain Python.
@@ -22,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .quaternions import canonical_phase
 from .tolerances import EXACT_TOL
@@ -35,6 +38,9 @@ BOB_SETTINGS = ("b", "b'")
 
 # support size bound of sample_models
 MAX_POINTS = 16
+# uniforms per model of sample_models: the support size, MAX_POINTS raw
+# weights, four phases and 4 * MAX_POINTS bits, in this order
+_ROW = 5 + 5 * MAX_POINTS
 
 _BIT_KEYS = ("f1", "f2", "f3", "f4")
 # setting -> slot into the (f1, f2, f3, f4) / (theta1..theta4) layout
@@ -105,17 +111,19 @@ def bell_expression(model: ChshModel) -> float:
 
 def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """bell_expression of each model of a padded population: weights
-    (N, P), thetas (N, 4), bits (N, 4, P); returns shape (N,).  Each row
-    must be a valid model: weights nonnegative summing to 1 within
-    EXACT_TOL, finite phases, bits 0 or 1.  Zero-weight columns do not
-    change a row's value, whatever their bits."""
+    (N, P), thetas (N, 4), bits (N, 4, P); returns shape (N,).  thetas may
+    also stack S phase regimes of the same weights and bits as (S, N, 4),
+    which returns (S, N): the parity sums are computed once and only the
+    phase factors once per regime.  Each row must be a valid model: weights
+    nonnegative summing to 1 within EXACT_TOL, finite phases, bits 0 or 1.
+    Zero-weight columns do not change a row's value, whatever their bits."""
     import numpy as np
     weights = np.asarray(weights, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     bits = np.asarray(bits)
-    if (weights.ndim != 2 or thetas.shape != (len(weights), 4)
+    if (weights.ndim != 2 or thetas.ndim not in (2, 3) or thetas.shape[-2:] != (len(weights), 4)
             or bits.shape != (len(weights), 4, weights.shape[1])):
-        raise ValueError("need weights (N, P), thetas (N, 4) and bits (N, 4, P)")
+        raise ValueError("need weights (N, P), thetas (N, 4) or (S, N, 4) and bits (N, 4, P)")
     if not (np.all(weights >= 0.0) and np.all(np.abs(weights.sum(axis=1) - 1.0) <= EXACT_TOL)):
         raise ValueError("invalid distribution")
     if not np.all((bits == 0) | (bits == 1)):
@@ -125,8 +133,8 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
     # int8 takes bits of any 0/1 dtype and keeps the parity out of float
     b = bits.astype(np.int8, copy=False)
     parity = 1 - 2 * (b[:, _ALICE] ^ b[:, _BOB])
-    e = np.einsum("np,nkp->nk", weights, parity) * np.exp(1j * (thetas[:, _ALICE] + thetas[:, _BOB]))
-    return _bell_combination(e[:, 0], e[:, 1], e[:, 2], e[:, 3])
+    e = np.einsum("np,nkp->nk", weights, parity) * np.exp(1j * (thetas[..., _ALICE] + thetas[..., _BOB]))
+    return _bell_combination(e[..., 0], e[..., 1], e[..., 2], e[..., 3])
 
 
 def phase_pair_magnitudes(t2, t4):
@@ -216,11 +224,8 @@ def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None
     weights, independent random bits, and phases either uniform on
     [0, 2pi) or drawn from phase_choices.  The ChshModel view of
     sample_models(rng, 1, phase_choices)."""
-    import numpy as np
     weights, thetas, bits = sample_models(rng, 1, phase_choices)
-    n = np.count_nonzero(weights[0])
-    return ChshModel(tuple(weights[0, :n].tolist()), tuple(thetas[0].tolist()),
-                     tuple(map(tuple, bits[0, :, :n].tolist())))
+    return _row_model(weights, thetas, bits, 0)
 
 
 def sample_models(rng: np.random.Generator, count: int,
@@ -231,21 +236,81 @@ def sample_models(rng: np.random.Generator, count: int,
     consumes the stream as count draws of one row do, so row i is the model
     that the i-th of count sample_model calls on the same generator would
     return, and splitting a sweep into chunks does not change its models."""
+    weights, (thetas,), bits = _decode_rows(rng.random((count, _ROW)), (phase_choices,))
+    return weights, thetas, bits
+
+
+def _decode_rows(u, phase_regimes):
+    """The models of the rows of u (N, _ROW): weights, one thetas (N, 4)
+    per phase_choices of phase_regimes, all from the same phase uniforms,
+    and bits.  The one home of the row layout."""
     import numpy as np
-    # a row: the support size, MAX_POINTS raw weights, four phases, 4 * MAX_POINTS bits
-    u = rng.random((count, 5 + 5 * MAX_POINTS))
     size_u, weight_u = u[:, :1], u[:, 1:1 + MAX_POINTS]
     theta_u, bit_u = u[:, 1 + MAX_POINTS:5 + MAX_POINTS], u[:, 5 + MAX_POINTS:]
     # column k is in a support of floor(16 u) + 1 points iff k <= 16 u
     support = np.arange(MAX_POINTS) <= size_u * MAX_POINTS
-    raw = np.where(support, weight_u + 1e-9, 0.0)
-    if phase_choices is None:
-        thetas = 2.0 * math.pi * theta_u
-    else:
-        choices = np.asarray(phase_choices, dtype=float)
-        thetas = choices[(theta_u * len(choices)).astype(np.intp)]
-    bits = (bit_u.reshape(count, 4, MAX_POINTS) < 0.5) & support[:, None, :]
-    return raw / raw.sum(axis=1, keepdims=True), thetas, bits.astype(np.int8)
+    raw = (weight_u + 1e-9) * support
+    thetas = []
+    for choices in phase_regimes:
+        if choices is None:
+            thetas.append(2.0 * math.pi * theta_u)
+        else:
+            thetas.append(np.asarray(choices, dtype=float)[(theta_u * len(choices)).astype(np.intp)])
+    bits = (bit_u.reshape(len(u), 4, MAX_POINTS) < 0.5) & support[:, None, :]
+    # a fresh bool array: its bytes are already the int8 bits 0 and 1
+    return raw / raw.sum(axis=1, keepdims=True), thetas, bits.view(np.int8)
+
+
+def _row_model(weights, thetas, bits, row: int) -> ChshModel:
+    # a row of a drawn population as a ChshModel: its support is its nonzero
+    # weights, which come first
+    w = weights[row].tolist()
+    n = len(w) - w.count(0.0)
+    return ChshModel(tuple(w[:n]), tuple(thetas[row].tolist()),
+                     tuple(map(tuple, bits[row, :, :n].tolist())))
+
+
+# models per block of bell_sweep: bounds its memory for any sample count
+# without changing the stream
+_BLOCK = 1024
+# the phase regimes of bell_sweep: uniform on [0, 2pi), and real (0 or pi)
+_SWEEP_REGIMES = (None, (0.0, math.pi))
+
+
+class Witness(NamedTuple):
+    """The lowest-indexed model of a sweep that reaches its maximum."""
+
+    index: int      # row of the sweep, counted from 0 across blocks
+    value: float    # its Bell value through bell_values
+    model: ChshModel
+
+
+def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness, float]:
+    """Draw samples models from rng, as sample_models draws them, and
+    evaluate each under complex phases (uniform on [0, 2pi)) and under real
+    phases (0 or pi) mapped from the same phase uniforms: the real models
+    are those that sample_models(rng, samples, (0.0, math.pi)) would draw
+    from a generator in the same state.  Works in blocks of up to _BLOCK
+    models, one rng.random call and one bell_values call each.  Returns
+    the witnesses of the complex and of the real maximum, and the largest
+    excess of a complex value over its analytic_bound."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    best: list[Witness | None] = [None] * len(_SWEEP_REGIMES)
+    gap = -math.inf
+    for start in range(0, samples, _BLOCK):
+        # no name holds the uniforms, so they are freed before evaluation: a
+        # block held through bell_values made malloc return and re-fault
+        # about 360 heap pages per call
+        weights, thetas, bits = _decode_rows(rng.random((min(_BLOCK, samples - start), _ROW)), _SWEEP_REGIMES)
+        values = bell_values(weights, thetas, bits)
+        gap = max(gap, float((values[0] - analytic_bound(thetas[0][:, 1], thetas[0][:, 3])).max()))
+        for regime, row in enumerate(values.argmax(axis=1).tolist()):
+            value = float(values[regime, row])
+            # a tie keeps the earlier witness, as argmax does within a block
+            if best[regime] is None or value > best[regime].value:
+                best[regime] = Witness(start + row, value, _row_model(weights, thetas[regime], bits, row))
+    return best[0], best[1], gap
 
 
 def model_to_dict(model: ChshModel) -> dict:

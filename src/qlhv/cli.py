@@ -8,7 +8,9 @@ seed, so reports are reproducible by construction.
 A command is one record of COMMANDS: help text, argument specs and a
 handler.  A handler returns its claims (name, expected, actual, rule,
 tolerance) and an optional result payload; RULES decides each claim's
-pass, and the report's config is the parsed arguments.
+pass, and the report's config is the parsed arguments.  A result that
+names a witness (chsh-verify's maximal models) carries what replays it,
+and a claim replays it by another route.
 
 numpy and the oracle are imported only by the handlers that use them, so
 the exact commands start without loading numpy.
@@ -126,34 +128,21 @@ def _chsh_achieve(args):
     return claims, {"model": chsh.model_to_dict(model), "correlations": correlations}
 
 
-# models per sample_models call of chsh-verify: bounds its memory for any
-# --samples without changing the stream
-_CHUNK = 1024
-
-
-def _bell_sweep(seed: int, samples: int, phase_choices=None) -> tuple[float, float]:
-    """Maxima, over `samples` models drawn from one generator, of the Bell
-    value and of its excess over analytic_bound."""
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    top = gap = -math.inf
-    for start in range(0, samples, _CHUNK):
-        weights, thetas, bits = chsh.sample_models(rng, min(_CHUNK, samples - start), phase_choices)
-        values = chsh.bell_values(weights, thetas, bits)
-        top = max(top, float(values.max()))
-        gap = max(gap, float((values - chsh.analytic_bound(thetas[:, 1], thetas[:, 3])).max()))
-    return top, gap
-
-
 def _chsh_verify(args):
-    top, gap = _bell_sweep(args.seed, args.samples)
-    real, _ = _bell_sweep(args.seed, args.samples, phase_choices=(0.0, math.pi))
+    import numpy as np
+    complex_max, real_max, gap = chsh.bell_sweep(np.random.default_rng(args.seed), args.samples)
+    witnesses = {name: {"index": w.index, "value": w.value, "model": chsh.model_to_dict(w.model)}
+                 for name, w in (("complex_witness", complex_max), ("real_witness", real_max))}
+    # the scalar route replays each witness from its printed record
+    replay = max(abs(chsh.bell_expression(chsh.model_from_dict(w["model"])) - w["value"])
+                 for w in witnesses.values())
     claims = [
-        ("max_bell_complex_leq_tsirelson", TSIRELSON, top, "at_most", BOUND_TOL),
-        ("max_bell_real_leq_classical", CLASSICAL, real, "at_most", BOUND_TOL),
+        ("max_bell_complex_leq_tsirelson", TSIRELSON, complex_max.value, "at_most", BOUND_TOL),
+        ("max_bell_real_leq_classical", CLASSICAL, real_max.value, "at_most", BOUND_TOL),
         ("analytic_bound_dominance_gap", 0.0, gap, "at_most", BOUND_TOL),
+        ("witness_replays", 0.0, replay, "close", EXACT_TOL),
     ]
-    return claims, None
+    return claims, witnesses
 
 
 def _chsh_optimize(args):
@@ -221,8 +210,15 @@ def _qubit_search_sign(args):
 def _qubit_evolve(args):
     dist = qubit.state_distribution(args.bloch)
     evolved = qubit.evolve_permutation(dist, args.perm)
-    claims = [("retroaction_preserved", True, qubit.retroaction_check(evolved), "equal", None)]
-    return claims, {"before": list(dist.weights), "after": list(evolved.weights)}
+    # the evolved weights are a state iff they are the distribution of their
+    # own axis expectations r', which lie in the Bloch ball for every accepted s
+    bloch_after = [qubit.axis_expectation(evolved, axis) for axis in qubit.AXES]
+    state = qubit.state_distribution(bloch_after)
+    off = max(abs(a - b) for a, b in zip(evolved.weights, state.weights))
+    claims = [("retroaction_preserved", True, qubit.retroaction_check(evolved), "equal", None),
+              ("state_preserved", 0.0, off, "close", EXACT_TOL)]
+    return claims, {"before": list(dist.weights), "after": list(evolved.weights),
+                    "bloch_after": bloch_after}
 
 
 def _oracle_check(args):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qlhv import chsh
 from qlhv.chsh import (
     MAX_POINTS,
     ChshModel,
     analytic_bound,
     bell_expression,
+    bell_sweep,
     bell_values,
     correlation,
     make_achieving_model,
@@ -446,6 +448,12 @@ def _negative_weight(batch):
     return batch
 
 
+def _nan_in_second_regime(batch):
+    second = batch[1].copy()
+    second[2, 3] = math.nan
+    return [batch[0], np.stack([batch[1], second]), batch[2]]
+
+
 @pytest.mark.parametrize("mutate, reason", [
     pytest.param(lambda b: [b[0], b[1][:, :3], b[2]], "need", id="theta-shape"),
     pytest.param(lambda b: [b[0], b[1], b[2][:, :, :-1]], "need", id="bits-shape"),
@@ -457,6 +465,8 @@ def _negative_weight(batch):
     pytest.param(_set(2, (2, 1, 0), 2), "bits", id="bit-outside-0-1"),
     pytest.param(_set(1, (3, 2), math.nan), "finite", id="nan-theta"),
     pytest.param(_set(1, (4, 0), math.inf), "finite", id="inf-theta"),
+    pytest.param(lambda b: [b[0], np.stack([b[1][:4]] * 2), b[2]], "need", id="stacked-theta-rows"),
+    pytest.param(_nan_in_second_regime, "finite", id="nan-theta-second-regime"),
 ])
 def test_bell_values_rejects_invalid_batches(mutate, reason):
     assert bell_values(*_valid_batch()).shape == (5,)
@@ -483,3 +493,21 @@ def test_analytic_bound_is_elementwise():
     assert bounds.shape == (200,)
     for bound, a, b in zip(bounds, t2, t4):
         assert abs(bound - analytic_bound(float(a), float(b))) <= 1e-15
+
+
+def test_bell_values_on_stacked_phases_equal_one_call_per_regime():
+    weights, thetas, bits = sample_models(np.random.default_rng(11), 500)
+    real = np.where(thetas < math.pi, 0.0, math.pi)
+    stacked = bell_values(weights, np.stack([thetas, real]), bits)
+    assert stacked.shape == (2, 500)
+    assert np.array_equal(stacked[0], bell_values(weights, thetas, bits))
+    assert np.array_equal(stacked[1], bell_values(weights, real, bits))
+
+
+def test_bell_sweep_does_not_depend_on_the_block_size(monkeypatch):
+    # 1,100 samples in 158, two or one blocks; witnesses compare index, value and model
+    sweeps = []
+    for block in (7, 1024, 1100):
+        monkeypatch.setattr(chsh, "_BLOCK", block)
+        sweeps.append(bell_sweep(np.random.default_rng(107), 1_100))
+    assert sweeps[0] == sweeps[1] == sweeps[2]

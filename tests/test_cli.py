@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlhv import chsh, cli
+from qlhv import chsh, cli, qubit
 from qlhv.cli import RULES, main, parse_permutation
 from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP
 from qlhv.tolerances import OPTIMUM_TOL, TSIRELSON
@@ -177,22 +178,70 @@ def test_chsh_verify_matches_a_model_by_model_sweep(capsys):
             for _ in range(samples)]
     expected = {"max_bell_complex_leq_tsirelson": max(values),
                 "max_bell_real_leq_classical": max(real),
-                "analytic_bound_dominance_gap": max(gaps)}
+                "analytic_bound_dominance_gap": max(gaps),
+                "witness_replays": 0.0}
 
     code, report = run_json(capsys, "chsh-verify", "--samples", str(samples), "--seed", str(seed))
     assert code == 0
     assert {c["name"] for c in report["checks"]} == set(expected)
     for check in report["checks"]:
         assert abs(check["actual"] - expected[check["name"]]) <= 1e-14
+    assert report["result"]["complex_witness"]["index"] == values.index(max(values)) == 1_097
 
 
-@pytest.mark.parametrize("phase_choices", [None, (0.0, math.pi)])
-def test_bell_sweep_does_not_depend_on_the_chunk_size(monkeypatch, phase_choices):
-    maxima = []
-    for chunk in (7, 1024):
-        monkeypatch.setattr(cli, "_CHUNK", chunk)
-        maxima.append(cli._bell_sweep(107, 1_100, phase_choices))
-    assert maxima[0] == maxima[1]
+def two_generator_sweep(seed, samples, phase_choices):
+    """chsh-verify's sweep of one phase regime as it was before one draw served
+    both: a generator of its own, blocks of 1,024 models.  Returns every Bell
+    value and the largest excess over analytic_bound."""
+    rng = np.random.default_rng(seed)
+    values, gap = [], -math.inf
+    for start in range(0, samples, 1024):
+        weights, thetas, bits = chsh.sample_models(rng, min(1024, samples - start), phase_choices)
+        values.append(chsh.bell_values(weights, thetas, bits))
+        gap = max(gap, float((values[-1] - chsh.analytic_bound(thetas[:, 1], thetas[:, 3])).max()))
+    return np.concatenate(values), gap
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7919])
+def test_chsh_verify_matches_the_two_generator_sweeps(capsys, seed):
+    for samples in (1, 1024, 1025, 2500):
+        code, report = run_json(capsys, "chsh-verify", "--samples", str(samples), "--seed", str(seed))
+        assert code == 0
+        actual = {c["name"]: c["actual"] for c in report["checks"]}
+        complex_values, gap = two_generator_sweep(seed, samples, None)
+        real_values, _ = two_generator_sweep(seed, samples, (0.0, math.pi))
+        assert actual["max_bell_complex_leq_tsirelson"] == complex_values.max()
+        assert actual["max_bell_real_leq_classical"] == real_values.max()
+        assert actual["analytic_bound_dominance_gap"] == gap
+        for name, values, phase_choices in (("complex_witness", complex_values, None),
+                                            ("real_witness", real_values, (0.0, math.pi))):
+            witness = report["result"][name]
+            # the first row that reaches the maximum, replayable from the seed
+            assert witness["index"] == np.argmax(values) and witness["value"] == values.max()
+            rng = np.random.default_rng(seed)
+            chsh.sample_models(rng, witness["index"], phase_choices)
+            assert chsh.model_from_dict(witness["model"]) == chsh.sample_model(rng, phase_choices)
+
+
+def test_chsh_verify_draws_each_block_once(monkeypatch, capsys):
+    default_rng, generators = np.random.default_rng, []
+
+    class CountingGenerator:
+        """Stands in for a Generator: counts its random calls."""
+
+        def __init__(self, seed):
+            self.rng, self.draws = default_rng(seed), 0
+            generators.append(self)
+
+        def random(self, shape):
+            self.draws += 1
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    for samples, blocks in ((1, 1), (1024, 1), (1025, 2), (2500, 3)):
+        generators.clear()
+        assert run(capsys, "chsh-verify", "--samples", str(samples), "--seed", "5")[0] == 0
+        assert sum(g.draws for g in generators) == blocks
 
 
 def test_reused_parser_keeps_nothing_between_calls(capsys):
@@ -279,6 +328,46 @@ def test_qubit_evolve_x_flip(capsys):
     assert report["result"]["after"] == pytest.approx([0, 0, 0, 0, 0.25, 0.25, 0.25, 0.25])
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["retroaction_preserved"]["pass"] is True
+
+
+def _cycle_notation(perm):
+    cycles, seen = [], set()
+    for start in range(1, 9):
+        if start not in seen and perm[start - 1] != start:
+            cycle = [start]
+            while perm[cycle[-1] - 1] != start:
+                cycle.append(perm[cycle[-1] - 1])
+            seen.update(cycle)
+            cycles.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(cycles)
+
+
+def test_qubit_evolve_claims_a_state_for_48_of_the_384_permutations(capsys):
+    # every accepted permutation keeps the pair sums; only 48 map the
+    # distribution of r = (0.5, 0.3, 0.1) to a state distribution
+    exits, off = [], {}
+    for perm in filter(qubit.commutes_with_antipode, itertools.permutations(range(1, 9))):
+        text = _cycle_notation(perm)
+        assert parse_permutation(text) == perm
+        code, report = run_json(capsys, "qubit-evolve", "--bloch", "0.5,0.3,0.1", "--perm", text)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["retroaction_preserved"]["pass"] is True
+        assert code == (0 if checks["state_preserved"]["pass"] else 1)
+        exits.append(code)
+        off[perm] = checks["state_preserved"]["actual"]
+    assert len(exits) == 384 and exits.count(0) == 48
+    assert off[parse_permutation("(1 2)(7 8)")] == pytest.approx(0.0125, abs=1e-15)
+
+
+@pytest.mark.parametrize("perm, axis", [("(1 5)(2 6)(3 7)(4 8)", 0), ("(1 3)(2 4)(5 7)(6 8)", 1),
+                                         ("(1 2)(3 4)(5 6)(7 8)", 2)])
+def test_qubit_evolve_sign_flips_preserve_the_state(capsys, perm, axis):
+    # each flips the sign of one axis of r
+    for r in ((1.0, 0.0, 0.0), (0.5, 0.3, 0.1), (-0.2, 0.6, -0.7)):
+        code, report = run_json(capsys, "qubit-evolve", "--bloch=" + ",".join(map(str, r)), "--perm", perm)
+        assert code == 0
+        flipped = [-c if k == axis else c for k, c in enumerate(r)]
+        assert report["result"]["bloch_after"] == pytest.approx(flipped, abs=1e-15)
 
 
 def test_qubit_evolve_strict_rejects_bad_permutation(capsys):
