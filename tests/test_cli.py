@@ -202,6 +202,22 @@ def two_generator_sweep(seed, samples, phase_choices):
     return np.concatenate(values), gap
 
 
+@pytest.mark.parametrize("phase_choices", [None, (0.0, math.pi)])
+def test_bell_sweep_does_not_depend_on_the_chunk_size(monkeypatch, capsys, phase_choices):
+    # chsh-verify's maximum and witness of one phase regime, with 1,100
+    # samples in 158 blocks or in two
+    check, witness = (("max_bell_complex_leq_tsirelson", "complex_witness") if phase_choices is None
+                      else ("max_bell_real_leq_classical", "real_witness"))
+    outcomes = []
+    for block in (7, 1024):
+        monkeypatch.setattr(chsh, "_BLOCK", block)
+        code, report = run_json(capsys, "chsh-verify", "--samples", "1100", "--seed", "107")
+        assert code == 0
+        actual = {c["name"]: c["actual"] for c in report["checks"]}
+        outcomes.append((actual[check], report["result"][witness]))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("seed", [0, 3, 7919])
 def test_chsh_verify_matches_the_two_generator_sweeps(capsys, seed):
     for samples in (1, 1024, 1025, 2500):
