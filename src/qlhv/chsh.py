@@ -14,7 +14,7 @@ under S stacked as (S, N, 4); ChshModel is one unpadded row, used by the
 per-model API and serialization, and sample_model is the ChshModel view
 of a population of one.  bell_sweep draws each block of a sweep once and
 evaluates it under complex and real phases, the two regimes the paper
-compares, returning a witness row for each maximum.
+compares, returning a witness row for each maximum and two fixed spot rows.
 
 numpy is imported, when called, by the population functions and by
 maximize_bell for its generator; the ChshModel record path is plain Python.
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .quaternions import canonical_phase
 from .tolerances import EXACT_TOL
 
 if TYPE_CHECKING:
@@ -137,38 +136,29 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
     return _bell_combination(e[..., 0], e[..., 1], e[..., 2], e[..., 3])
 
 
-def phase_pair_magnitudes(t2, t4):
-    """Return (|e^{i t2} + e^{i t4}|, |e^{i t2} - e^{i t4}|), elementwise
-    when t2 and t4 are arrays.
-
-    The sum of the squares of the two magnitudes is always 4, so the sum
-    of the magnitudes is at most 2*sqrt(2), with equality exactly when the
-    two phases differ by an odd multiple of pi/2.
-    """
-    import numpy as np
-    z2 = np.exp(1j * t2)
-    z4 = np.exp(1j * t4)
-    return abs(z2 + z4), abs(z2 - z4)
-
-
 def analytic_bound(t2, t4):
     """|e^{i t2}+e^{i t4}| + |e^{i t2}-e^{i t4}|, an upper bound on
     bell_expression for every model carrying these two Bob phases.  Takes
-    floats or arrays of equal shape."""
-    plus, minus = phase_pair_magnitudes(t2, t4)
-    return plus + minus
+    floats or arrays of equal shape.
+
+    The squares of the two magnitudes always sum to 4, so the bound is at
+    most 2*sqrt(2), with equality exactly when the two phases differ by an
+    odd multiple of pi/2.
+    """
+    import numpy as np
+    z2, z4 = np.exp(1j * t2), np.exp(1j * t4)
+    return abs(z2 + z4) + abs(z2 - z4)
 
 
 def make_achieving_model() -> ChshModel:
     """The explicit configuration that saturates the 2*sqrt(2) bound:
     theta = (7pi/4, 0, pi/4, pi/2) on a single support point with all four
     bits zero."""
-    return _single_point_model(0.0, math.pi / 2, 7 * math.pi / 4, math.pi / 4)
+    return _single_point_model(7 * math.pi / 4, 0.0, math.pi / 4, math.pi / 2)
 
 
-def _single_point_model(t2: float, t4: float, t1: float = 0.0, t3: float = 0.0) -> ChshModel:
-    # On a one-point space with equal bits the Bell value reduces to
-    # analytic_bound(t2, t4); t1 and t3 only rotate the two absolute values.
+def _single_point_model(t1: float, t2: float, t3: float, t4: float) -> ChshModel:
+    # a one-point model with equal bits: its Bell value is analytic_bound(t2, t4)
     return ChshModel((1.0,), (t1, t2, t3, t4), ((0,), (0,), (0,), (0,)))
 
 
@@ -215,7 +205,7 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
         if not improved:
             step *= 0.5
 
-    best_model = _single_point_model(canonical_phase(best_t2), canonical_phase(best_t4))
+    best_model = _single_point_model(0.0, best_t2 % math.tau, 0.0, best_t4 % math.tau)
     return best_model, bell_expression(best_model)
 
 
@@ -275,29 +265,34 @@ def _row_model(weights, thetas, bits, row: int) -> ChshModel:
 _BLOCK = 1024
 # the phase regimes of bell_sweep: uniform on [0, 2pi), and real (0 or pi)
 _SWEEP_REGIMES = (None, (0.0, math.pi))
+# complex rows that bell_sweep returns whatever their value: 15 in 16 rows
+# have more than one point, where the maxima nearly always have one
+_SPOT_ROWS = 2
 
 
 class Witness(NamedTuple):
-    """The lowest-indexed model of a sweep that reaches its maximum."""
+    """A row of a sweep: the lowest-indexed model that reaches a maximum,
+    or a spot row."""
 
     index: int      # row of the sweep, counted from 0 across blocks
     value: float    # its Bell value through bell_values
     model: ChshModel
 
 
-def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness, float]:
+def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness, float, list[Witness]]:
     """Draw samples models from rng, as sample_models draws them, and
     evaluate each under complex phases (uniform on [0, 2pi)) and under real
     phases (0 or pi) mapped from the same phase uniforms: the real models
     are those that sample_models(rng, samples, (0.0, math.pi)) would draw
     from a generator in the same state.  Works in blocks of up to _BLOCK
     models, one rng.random call and one bell_values call each.  Returns
-    the witnesses of the complex and of the real maximum, and the largest
-    excess of a complex value over its analytic_bound."""
+    the witnesses of the complex and of the real maximum, the largest
+    excess of a complex value over its analytic_bound, and the first
+    _SPOT_ROWS rows (fewer if samples is smaller) under complex phases."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     best: list[Witness | None] = [None] * len(_SWEEP_REGIMES)
-    gap = -math.inf
+    gap, spots = -math.inf, []
     for start in range(0, samples, _BLOCK):
         # no name holds the uniforms, so they are freed before evaluation: a
         # block held through bell_values made malloc return and re-fault
@@ -305,12 +300,14 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness
         weights, thetas, bits = _decode_rows(rng.random((min(_BLOCK, samples - start), _ROW)), _SWEEP_REGIMES)
         values = bell_values(weights, thetas, bits)
         gap = max(gap, float((values[0] - analytic_bound(thetas[0][:, 1], thetas[0][:, 3])).max()))
+        spots += [Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], bits, row))
+                  for row in range(min(len(bits), _SPOT_ROWS - start))]
         for regime, row in enumerate(values.argmax(axis=1).tolist()):
             value = float(values[regime, row])
             # a tie keeps the earlier witness, as argmax does within a block
             if best[regime] is None or value > best[regime].value:
                 best[regime] = Witness(start + row, value, _row_model(weights, thetas[regime], bits, row))
-    return best[0], best[1], gap
+    return best[0], best[1], gap, spots
 
 
 def model_to_dict(model: ChshModel) -> dict:

@@ -8,9 +8,10 @@ seed, so reports are reproducible by construction.
 A command is one record of COMMANDS: help text, argument specs and a
 handler.  A handler returns its claims (name, expected, actual, rule,
 tolerance) and an optional result payload; RULES decides each claim's
-pass, and the report's config is the parsed arguments.  A result that
-names a witness (chsh-verify's maximal models) carries what replays it,
-and a claim replays it by another route.
+pass, and the report's config is the parsed arguments.  chsh-verify's
+result names its maximal models, with their records, and two spot rows,
+which --seed and the index replay; one claim replays all of them by the
+per-model route.
 
 numpy and the oracle are imported only by the handlers that use them, so
 the exact commands start without loading numpy.
@@ -101,16 +102,9 @@ RULES = {
 }
 
 
-def _complex_pair(value) -> list:
-    """json.dumps default: a complex as [re, im]."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, allow_nan=False, default=_complex_pair) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=("name", "expected", "actual", "tolerance", "pass"))
     writer.writeheader()
@@ -125,24 +119,28 @@ def _chsh_achieve(args):
     claims = [("bell_expression", TSIRELSON, chsh.bell_expression(model), "close", BOUND_TOL)]
     correlations = {f"E({a},{b})": chsh.correlation(model, a, b)
                     for a in chsh.ALICE_SETTINGS for b in chsh.BOB_SETTINGS}
-    return claims, {"model": chsh.model_to_dict(model), "correlations": correlations}
+    # JSON has no complex numbers: each correlation is written as [re, im]
+    return claims, {"model": chsh.model_to_dict(model),
+                    "correlations": {k: [z.real, z.imag] for k, z in correlations.items()}}
 
 
 def _chsh_verify(args):
     import numpy as np
-    complex_max, real_max, gap = chsh.bell_sweep(np.random.default_rng(args.seed), args.samples)
+    complex_max, real_max, gap, spots = chsh.bell_sweep(np.random.default_rng(args.seed), args.samples)
     witnesses = {name: {"index": w.index, "value": w.value, "model": chsh.model_to_dict(w.model)}
                  for name, w in (("complex_witness", complex_max), ("real_witness", real_max))}
-    # the scalar route replays each witness from its printed record
-    replay = max(abs(chsh.bell_expression(chsh.model_from_dict(w["model"])) - w["value"])
-                 for w in witnesses.values())
+    # the scalar route replays each witness from its printed record, and each
+    # spot row, which --seed and its index replay, in process
+    replayed = [(chsh.model_from_dict(w["model"]), w["value"]) for w in witnesses.values()]
+    replayed += [(w.model, w.value) for w in spots]
+    replay = max(abs(chsh.bell_expression(model) - value) for model, value in replayed)
     claims = [
         ("max_bell_complex_leq_tsirelson", TSIRELSON, complex_max.value, "at_most", BOUND_TOL),
         ("max_bell_real_leq_classical", CLASSICAL, real_max.value, "at_most", BOUND_TOL),
         ("analytic_bound_dominance_gap", 0.0, gap, "at_most", BOUND_TOL),
         ("witness_replays", 0.0, replay, "close", EXACT_TOL),
     ]
-    return claims, witnesses
+    return claims, {**witnesses, "spot_rows": [{"index": w.index, "value": w.value} for w in spots]}
 
 
 def _chsh_optimize(args):
@@ -180,7 +178,7 @@ def _qubit_dist(args):
     dist = qubit.state_distribution(args.bloch)
     claims = [
         ("retroaction", True, qubit.retroaction_check(dist), "equal", None),
-        ("min_weight_floor", NEGATIVE_WEIGHT_FLOOR, dist.min_weight(), "at_least", EXACT_TOL),
+        ("min_weight_floor", NEGATIVE_WEIGHT_FLOOR, min(dist.weights), "at_least", EXACT_TOL),
     ]
     return claims, {"distribution": list(dist.weights)}
 

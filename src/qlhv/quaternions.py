@@ -1,5 +1,4 @@
-"""Exact arithmetic in the 8-element unit-quaternion group, plus the reduction
-of a phase angle into [0, 2*pi).
+"""Exact arithmetic in the 8-element unit-quaternion group.
 
 The group {±1, ±i, ±j, ±k} is represented exactly (no floating point) so
 that identities proved over it hold with no tolerance.
@@ -7,13 +6,10 @@ that identities proved over it hold with no tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
 from typing import Iterable
-
-TWO_PI = 2.0 * math.pi
 
 
 class Basis(IntEnum):
@@ -84,12 +80,3 @@ def q8_product(seq: Iterable[Q8Element]) -> Q8Element:
     if not items:
         raise ValueError("empty product")
     return reduce(q8_mul, items)
-
-
-def canonical_phase(theta: float) -> float:
-    """Reduce an angle in radians into [0, 2*pi)."""
-    reduced = math.fmod(theta, TWO_PI)
-    if reduced < 0.0:
-        reduced += TWO_PI
-    return reduced
-

@@ -83,9 +83,6 @@ class SignedDistribution:
             raise ValueError("weights must lie in [-1, 1]")
         object.__setattr__(self, "weights", w)
 
-    def min_weight(self) -> float:
-        return min(self.weights)
-
 
 def state_distribution(r: Sequence[float]) -> SignedDistribution:
     """Distribution of the state with Bloch vector r:

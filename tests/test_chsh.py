@@ -19,11 +19,9 @@ from qlhv.chsh import (
     maximize_bell,
     model_from_dict,
     model_to_dict,
-    phase_pair_magnitudes,
     sample_model,
     sample_models,
 )
-from qlhv.quaternions import canonical_phase
 from qlhv.tolerances import TSIRELSON
 
 SQRT2 = math.sqrt(2.0)
@@ -90,15 +88,21 @@ def test_analytic_bound_examples():
     assert analytic_bound(0.0, math.pi / 3) == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-12)
 
 
+def phase_pair_magnitudes(t2, t4):
+    # (|e^{i t2} + e^{i t4}|, |e^{i t2} - e^{i t4}|), the two terms of analytic_bound
+    z2, z4 = cmath.exp(1j * t2), cmath.exp(1j * t4)
+    return abs(z2 + z4), abs(z2 - z4)
+
+
 def test_phase_pair_magnitude_examples():
-    plus, minus = phase_pair_magnitudes(0.0, math.pi / 2)
-    assert plus == pytest.approx(SQRT2, abs=1e-12)
-    assert minus == pytest.approx(SQRT2, abs=1e-12)
-    assert phase_pair_magnitudes(0.0, 0.0) == pytest.approx((2.0, 0.0), abs=1e-12)
-    plus, minus = phase_pair_magnitudes(0.0, math.pi / 3)
-    assert plus == pytest.approx(math.sqrt(3.0), abs=1e-12)
-    assert minus == pytest.approx(1.0, abs=1e-12)
-    assert plus + minus == pytest.approx(2.7320508, abs=1e-6)
+    # analytic_bound(0, t4) of each example, as floats and as one array
+    t4 = (math.pi / 2, 0.0, math.pi / 3)
+    pairs = ((SQRT2, SQRT2), (2.0, 0.0), (math.sqrt(3.0), 1.0))
+    for phase, pair in zip(t4, pairs):
+        assert phase_pair_magnitudes(0.0, phase) == pytest.approx(pair, abs=1e-12)
+        assert analytic_bound(0.0, phase) == pytest.approx(sum(pair), abs=1e-12)
+    bounds = analytic_bound(np.zeros(3), np.array(t4))
+    assert bounds == pytest.approx([sum(pair) for pair in pairs], abs=1e-12)
 
 
 @given(
@@ -108,6 +112,7 @@ def test_phase_pair_magnitude_examples():
 def test_phase_pair_properties(t2, t4):
     plus, minus = phase_pair_magnitudes(t2, t4)
     assert plus * plus + minus * minus == pytest.approx(4.0, abs=1e-12)
+    assert analytic_bound(t2, t4) == pytest.approx(plus + minus, abs=1e-12)
     assert plus + minus <= 2.0 * SQRT2 + 1e-12
     # saturation happens only when the phases differ by pi/2 mod pi; the
     # value degrades quadratically, so near-saturation pins the difference
@@ -118,8 +123,7 @@ def test_phase_pair_properties(t2, t4):
 
 def test_saturation_at_exact_quarter_turn():
     for base in (0.0, 1.0, 2.5):
-        plus, minus = phase_pair_magnitudes(base, base + math.pi / 2)
-        assert plus + minus == pytest.approx(2.0 * SQRT2, abs=1e-12)
+        assert analytic_bound(base, base + math.pi / 2) == pytest.approx(2.0 * SQRT2, abs=1e-12)
 
 
 def test_random_models_respect_bounds():
@@ -170,6 +174,16 @@ def test_maximizer_rejects_small_grid():
         maximize_bell(3)
 
 
+def test_maximizer_returns_phases_in_zero_to_two_pi():
+    # refinement can leave a phase outside [0, 2pi) before the reduction: the
+    # 5-step grid, seed 0, ends below 0 and returns theta2 = 5.969...
+    assert maximize_bell(5, 50, 0)[0].thetas[1] == pytest.approx(5.969026, abs=1e-6)
+    for grid_steps in range(4, 33):
+        for seed in range(6):
+            model, _ = maximize_bell(grid_steps, 50, seed)
+            assert all(0.0 <= theta < math.tau for theta in model.thetas), (grid_steps, seed)
+
+
 def test_maximizer_deterministic():
     a = maximize_bell(12, 50, 5)
     b = maximize_bell(12, 50, 5)
@@ -202,7 +216,7 @@ def reference_maximize(grid_steps, refine_iters, rng_seed):
                 improved = True
         if not improved:
             step *= 0.5
-    model = single_point_model((0.0, canonical_phase(best_t2), 0.0, canonical_phase(best_t4)))
+    model = single_point_model((0.0, best_t2 % math.tau, 0.0, best_t4 % math.tau))
     return model, bell_expression(model)
 
 
@@ -502,6 +516,18 @@ def test_bell_values_on_stacked_phases_equal_one_call_per_regime():
     assert stacked.shape == (2, 500)
     assert np.array_equal(stacked[0], bell_values(weights, thetas, bits))
     assert np.array_equal(stacked[1], bell_values(weights, real, bits))
+
+
+def test_bell_sweep_returns_the_first_two_rows_as_spot_rows(monkeypatch):
+    for block in (1, 1024):
+        monkeypatch.setattr(chsh, "_BLOCK", block)
+        for samples in (1, 2, 5):
+            *_, spots = bell_sweep(np.random.default_rng(3), samples)
+            rng = np.random.default_rng(3)
+            models = [sample_model(rng) for _ in range(min(samples, 2))]
+            assert [(spot.index, spot.model) for spot in spots] == list(enumerate(models))
+            for spot in spots:
+                assert abs(spot.value - bell_expression(spot.model)) <= 1e-14
 
 
 def test_bell_sweep_does_not_depend_on_the_block_size(monkeypatch):

@@ -239,6 +239,36 @@ def test_chsh_verify_matches_the_two_generator_sweeps(capsys, seed):
             assert chsh.model_from_dict(witness["model"]) == chsh.sample_model(rng, phase_choices)
 
 
+def test_chsh_verify_reports_its_spot_rows(capsys):
+    # rows 0 and 1 of the complex regime, replayable from --seed and the index
+    for samples, rows in ((1, [0]), (200, [0, 1])):
+        code, report = run_json(capsys, "chsh-verify", "--samples", str(samples), "--seed", "7")
+        assert code == 0
+        spots = report["result"]["spot_rows"]
+        assert [spot["index"] for spot in spots] == rows
+        weights, thetas, bits = chsh.sample_models(np.random.default_rng(7), samples)
+        values = chsh.bell_values(weights, thetas, bits)
+        assert [spot["value"] for spot in spots] == values[rows].tolist()
+    # at seed 7 both rows have 11 points, so neither replays a one-point model
+    rng = np.random.default_rng(7)
+    assert [len(chsh.sample_model(rng).weights) for _ in rows] == [11, 11]
+
+
+def test_chsh_verify_fails_when_bell_values_moves_only_multi_point_rows(monkeypatch, capsys):
+    # the maxima are one-point models here, so only the spot rows see the change
+    bell_values = chsh.bell_values
+
+    def halve_multi_point_rows(weights, thetas, bits):
+        return bell_values(weights, thetas, bits) * np.where((weights > 0).sum(axis=1) > 1, 0.5, 1.0)
+
+    monkeypatch.setattr(chsh, "bell_values", halve_multi_point_rows)
+    code, report = run_json(capsys, "chsh-verify", "--samples", "200", "--seed", "7")
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["witness_replays"]
+    witnesses = (report["result"]["complex_witness"], report["result"]["real_witness"])
+    assert [len(w["model"]["weights"]) for w in witnesses] == [1, 1]
+
+
 def test_chsh_verify_draws_each_block_once(monkeypatch, capsys):
     default_rng, generators = np.random.default_rng, []
 

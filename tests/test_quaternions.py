@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import pytest
 
@@ -11,7 +10,6 @@ from qlhv.quaternions import (
     K,
     Q8Element,
     Q8_ELEMENTS,
-    canonical_phase,
     q8_mul,
     q8_product,
 )
@@ -84,11 +82,3 @@ def test_bad_sign_rejected():
 def test_float_embedding_matches_exact_product():
     for a, b in itertools.product(Q8_ELEMENTS, repeat=2):
         assert hamilton(embed(a), embed(b)) == embed(q8_mul(a, b))
-
-
-def test_canonical_phase():
-    assert canonical_phase(0.0) == 0.0
-    assert canonical_phase(2.0 * math.pi) == 0.0
-    assert canonical_phase(-math.pi / 2) == pytest.approx(3 * math.pi / 2)
-    assert 0.0 <= canonical_phase(123.456) < 2.0 * math.pi
-

@@ -68,7 +68,7 @@ def test_state_distribution_diagonal_negative_weight():
     r = (1 / SQRT3, 1 / SQRT3, 1 / SQRT3)
     dist = state_distribution(r)
     assert dist.weights[7] == pytest.approx((1.0 - SQRT3) / 8.0, abs=1e-12)
-    assert dist.min_weight() < 0.0
+    assert min(dist.weights) < 0.0
     assert retroaction_check(dist)
 
 
@@ -127,7 +127,7 @@ def test_state_distribution_properties(r):
     dist = state_distribution(r)
     assert sum(dist.weights) == pytest.approx(1.0, abs=1e-12)
     assert retroaction_check(dist)
-    assert dist.min_weight() >= (1.0 - SQRT3) / 8.0 - 1e-12
+    assert min(dist.weights) >= (1.0 - SQRT3) / 8.0 - 1e-12
     for axis, value in zip("xyz", r):
         assert axis_expectation(dist, axis) == pytest.approx(value, abs=1e-12)
 
@@ -138,7 +138,7 @@ def test_negativity_iff_l1_norm_exceeds_one(r):
     if abs(l1 - 1.0) < 1e-9:
         return
     dist = state_distribution(r)
-    assert (dist.min_weight() < -1e-15) == (l1 > 1.0)
+    assert (min(dist.weights) < -1e-15) == (l1 > 1.0)
 
 
 def test_retroaction_check_violation():

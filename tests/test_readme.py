@@ -2,6 +2,7 @@
 comments say."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -35,3 +36,13 @@ def test_library_example_prints_its_comments():
         assert ast.literal_eval(out) == expected, lines[call.end_lineno - 1]
         compared += 1
     assert compared >= 4
+
+
+def test_readme_api_references_resolve():
+    # every inline `qlhv.<module>.<name>` or `<module>.<name>`, called or not
+    readme = (ROOT / "README.md").read_text()
+    modules = "chsh|cli|ghz|oracle|quaternions|qubit|tolerances"
+    references = set(re.findall(rf"`(?:qlhv\.)?({modules})\.(\w+)", readme))
+    assert len(references) >= 10
+    for module, name in sorted(references):
+        assert hasattr(importlib.import_module(f"qlhv.{module}"), name), f"{module}.{name}"
