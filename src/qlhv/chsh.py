@@ -16,15 +16,17 @@ of a population of one.  bell_sweep draws each block of a sweep once and
 evaluates it under complex and real phases, the two regimes the paper
 compares, returning a witness row for each maximum and two fixed spot rows.
 
-numpy is imported, when called, by the population functions and by
-maximize_bell for its generator; the ChshModel record path is plain Python.
+numpy is imported, when called, by the population functions
+(sample_model, sample_models, bell_values, bell_sweep) and by analytic_bound
+given arrays.  maximize_bell, which draws from random.Random, and the
+ChshModel record path are plain Python.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .tolerances import EXACT_TOL
@@ -48,31 +50,30 @@ _SLOT = {"a": 0, "b": 1, "a'": 2, "b'": 3}
 _ALICE, _BOB = zip(*((_SLOT[a], _SLOT[b]) for a in ALICE_SETTINGS for b in BOB_SETTINGS))
 
 
-@dataclass(frozen=True)
-class ChshModel:
+class ChshModel(namedtuple("ChshModel", "weights thetas bits")):
     """One model, an unpadded row of a population: a probability weight per
     hidden point (nonnegative, sum 1; signed weights belong to the qubit
     model), four phases theta1..theta4 and four per-point bit vectors
-    f1..f4, one per setting.  Checks what bell_values checks, without numpy."""
+    f1..f4, one per setting, each field a tuple.  Checks what bell_values
+    checks, without numpy."""
 
-    weights: tuple[float, ...]
-    thetas: tuple[float, float, float, float]
-    bits: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, weights: tuple[float, ...], thetas: tuple[float, float, float, float],
+                bits: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]):
         try:
-            valid = all(w >= 0.0 for w in self.weights) and abs(sum(self.weights) - 1.0) <= EXACT_TOL
-            finite = all(map(math.isfinite, self.thetas))
+            valid = all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= EXACT_TOL
+            finite = all(map(math.isfinite, thetas))
         except TypeError:
             # a string, None or a complex number fails >= or isfinite
             raise ValueError("weights and phases must be numbers") from None
         if not valid:
             raise ValueError("invalid distribution")
         try:
-            if len(self.thetas) != 4 or len(self.bits) != 4:
+            if len(thetas) != 4 or len(bits) != 4:
                 raise ValueError("need exactly four phases and four bit vectors")
-            for vec in self.bits:
-                if len(vec) != len(self.weights):
+            for vec in bits:
+                if len(vec) != len(weights):
                     raise ValueError("bits need one entry per point")
                 if any(b not in (0, 1) for b in vec):
                     raise ValueError("bits must be 0 or 1")
@@ -80,6 +81,12 @@ class ChshModel:
             raise ValueError("bits need one entry per point") from None
         if not finite:
             raise ValueError("phases must be finite")
+        return super().__new__(cls, weights, thetas, bits)
+
+    # _replace builds through _make, so neither skips the checks of __new__
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def correlation(model: ChshModel, alice: str, bob: str) -> complex:
@@ -143,10 +150,15 @@ def analytic_bound(t2, t4):
 
     The squares of the two magnitudes always sum to 4, so the bound is at
     most 2*sqrt(2), with equality exactly when the two phases differ by an
-    odd multiple of pi/2.
+    odd multiple of pi/2.  Two real numbers take cmath.exp, which agrees
+    with np.exp bit for bit, so only arrays import numpy.
     """
-    import numpy as np
-    z2, z4 = np.exp(1j * t2), np.exp(1j * t4)
+    if isinstance(t2, (int, float)) and isinstance(t4, (int, float)):
+        exp = cmath.exp
+    else:
+        import numpy as np
+        exp = np.exp
+    z2, z4 = exp(1j * t2), exp(1j * t4)
     return abs(z2 + z4) + abs(z2 - z4)
 
 
@@ -170,11 +182,15 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     equal bits): any maximizing model can be brought to that form, so only
     the phases are searched, each candidate scored by analytic_bound, which
     is its Bell value.  Among equal grid maxima the lowest grid index wins.
+    The random candidate of each refinement step comes from
+    random.Random(rng_seed), which must be nonnegative.
     Returns (best model, its Bell value through the correlations).
     """
     if grid_steps < 4:
         raise ValueError("grid_steps must be at least 4")
-    import numpy as np
+    if rng_seed < 0:
+        raise ValueError("rng_seed must be nonnegative")
+    import random
     grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
     spacing = 2.0 * math.pi / grid_steps
 
@@ -186,7 +202,7 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
             if val > best_val:
                 best_val, best_t2, best_t4 = val, t2, t4
 
-    rng = np.random.default_rng(rng_seed)
+    rng = random.Random(rng_seed)
     step = spacing
     for _ in range(refine_iters):
         improved = False

@@ -13,8 +13,11 @@ result names its maximal models, with their records, and two spot rows,
 which --seed and the index replay; one claim replays all of them by the
 per-model route.
 
-numpy and the oracle are imported only by the handlers that use them, so
-the exact commands start without loading numpy.
+numpy is imported only by chsh-verify, for its generator and arrays, and by
+oracle-check, for the oracle's matrices and its random settings; the other
+eight commands, chsh-optimize and qubit-expect among them, run in plain
+Python.  The oracle module and csv are imported only by the handlers and
+the output format that use them.
 
 main(argv) may be called repeatedly in one process: the parser is built on
 the first call and reused, and each call parses into a fresh namespace.
@@ -23,7 +26,6 @@ the first call and reused, and each call parses into a fresh namespace.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -105,6 +107,7 @@ RULES = {
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    import csv
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=("name", "expected", "actual", "tolerance", "pass"))
     writer.writeheader()

@@ -11,7 +11,7 @@ an exact quaternion product.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .quaternions import AXIS_BASIS, Q8Element, q8_product
@@ -85,14 +85,25 @@ def xxx_product(assignment: int) -> Q8Element:
     return q8_product([_unit(assignment, party, "x") for party in range(3)])
 
 
-@dataclass(frozen=True)
-class ParityCheckReport:
+class ParityCheckReport(namedtuple("ParityCheckReport", "satisfying_count xxx_sign_products")):
     """Outcome of the all-real sign check: how many of the 2^6 sign
     assignments satisfy the three conditions, and the (constant) product
-    of the three x signs over that satisfying set."""
+    of the three x signs over that satisfying set, as a frozenset of +1
+    and -1."""
 
-    satisfying_count: int
-    xxx_sign_products: frozenset[int]
+    __slots__ = ()
+
+    def __new__(cls, satisfying_count: int, xxx_sign_products):
+        if not (type(satisfying_count) is int and 0 <= satisfying_count <= 64):
+            raise ValueError(f"satisfying count must be an int in 0..64, got {satisfying_count!r}")
+        if not (isinstance(xxx_sign_products, frozenset) and xxx_sign_products <= {1, -1}):
+            raise ValueError("sign products must be a frozenset of +1 and -1")
+        return super().__new__(cls, satisfying_count, xxx_sign_products)
+
+    # _replace builds through _make, so neither skips the checks of __new__
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def constant_product(self) -> int | None:

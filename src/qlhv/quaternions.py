@@ -6,7 +6,7 @@ that identities proved over it hold with no tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 from functools import reduce
 from typing import Iterable
@@ -39,16 +39,23 @@ def _basis_product(a: Basis, b: Basis) -> tuple[Basis, int]:
 _MUL_TABLE = {(a, b): _basis_product(a, b) for a in Basis for b in Basis}
 
 
-@dataclass(frozen=True, order=True)
-class Q8Element:
-    """One of the eight unit quaternions ±1, ±i, ±j, ±k."""
+class Q8Element(namedtuple("Q8Element", "basis sign")):
+    """One of the eight unit quaternions ±1, ±i, ±j, ±k: a Basis and a sign
+    of +1 or -1, ordered by basis, then sign."""
 
-    basis: Basis
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    def __new__(cls, basis: Basis, sign: int = 1):
+        if not isinstance(basis, Basis):
+            raise ValueError(f"basis must be a Basis member, got {basis!r}")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        return super().__new__(cls, basis, sign)
+
+    # _replace builds through _make, so neither skips the checks of __new__
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def __neg__(self) -> "Q8Element":
         return Q8Element(self.basis, -self.sign)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .quaternions import AXIS_BASIS, Q8Element
@@ -61,19 +61,18 @@ def quaternion_value(axis: str, lam: int) -> Q8Element:
     return Q8Element(AXIS_BASIS[axis], sign)
 
 
-@dataclass(frozen=True)
-class SignedDistribution:
+class SignedDistribution(namedtuple("SignedDistribution", "weights")):
     """Eight real weights summing to 1, kept as a tuple of floats.  Negative
     weights are allowed; whether the antipodal pair sums equal 1/4 is
     checked separately by retroaction_check."""
 
-    weights: tuple[float, float, float, float, float, float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, weights: Sequence[float]):
         try:
-            if isinstance(self.weights, str) or len(self.weights) != 8:
+            if isinstance(weights, str) or len(weights) != 8:
                 raise ValueError("need exactly 8 weights")
-            w = tuple(map(float, self.weights))
+            w = tuple(map(float, weights))
         except TypeError:
             # a number, None or a nested sequence: like NaN, it has no sum
             raise ValueError("weights must sum to 1") from None
@@ -81,7 +80,12 @@ class SignedDistribution:
             raise ValueError("weights must sum to 1")
         if not all(abs(x) <= 1.0 + EXACT_TOL for x in w):
             raise ValueError("weights must lie in [-1, 1]")
-        object.__setattr__(self, "weights", w)
+        return super().__new__(cls, w)
+
+    # _replace builds through _make, so neither skips the checks of __new__
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def state_distribution(r: Sequence[float]) -> SignedDistribution:
@@ -155,18 +159,20 @@ def evolve_permutation(dist: SignedDistribution, s: Sequence[int]) -> SignedDist
     return SignedDistribution(tuple(dist.weights[perm[m - 1] - 1] for m in LAMBDAS))
 
 
-@dataclass(frozen=True)
-class PermutationMix:
-    """Convex combination of permutations of the eight hidden values."""
+class PermutationMix(namedtuple("PermutationMix", "terms")):
+    """Convex combination of permutations of the eight hidden values: terms
+    is a tuple of (permutation, weight) pairs."""
 
-    terms: tuple[tuple[tuple[int, ...], float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("mixture needs at least one term")
+    def __new__(cls, terms: Sequence[tuple[Sequence[int], float]]):
         total = 0.0
         try:
-            for perm, weight in self.terms:
+            # a tuple, so a one-shot iterator is not kept spent by the checks
+            terms = tuple(terms)
+            if not terms:
+                raise ValueError("mixture needs at least one term")
+            for perm, weight in terms:
                 _check_permutation(perm)
                 if not weight >= 0.0:
                     raise ValueError("mixture weights must be nonnegative")
@@ -175,6 +181,12 @@ class PermutationMix:
             raise ValueError("mixture terms must be (permutation, number) pairs") from None
         if not abs(total - 1.0) <= EXACT_TOL:
             raise ValueError("mixture weights must sum to 1")
+        return super().__new__(cls, terms)
+
+    # _replace builds through _make, so neither skips the checks of __new__
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def evolve_mixture(dist: SignedDistribution, mix: PermutationMix) -> SignedDistribution:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -174,6 +175,12 @@ def test_maximizer_rejects_small_grid():
         maximize_bell(3)
 
 
+def test_maximizer_rejects_negative_seed():
+    # random.Random would take -1 as the seed 1
+    with pytest.raises(ValueError, match="rng_seed must be nonnegative"):
+        maximize_bell(8, 50, -1)
+
+
 def test_maximizer_returns_phases_in_zero_to_two_pi():
     # refinement can leave a phase outside [0, 2pi) before the reduction: the
     # 5-step grid, seed 0, ends below 0 and returns theta2 = 5.969...
@@ -203,7 +210,7 @@ def reference_maximize(grid_steps, refine_iters, rng_seed):
             val = score(t2, t4)
             if val > best_val:
                 best_val, best_t2, best_t4 = val, t2, t4
-    rng = np.random.default_rng(rng_seed)
+    rng = random.Random(rng_seed)
     step = 2.0 * math.pi / grid_steps
     for _ in range(refine_iters):
         improved = False

@@ -108,11 +108,11 @@ def test_fresh_process_runs_a_command():
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-# The README's ten subcommand lines.  Only these four import numpy; the
-# exact commands run in plain Python.
+# The README's ten subcommand lines.  Only these two import numpy; the
+# other eight run in plain Python.
 README_COMMANDS = [shlex.split(line, comments=True)[1:] for line in README.splitlines()
                    if line.startswith("qlhv ")]
-NUMPY_COMMANDS = {"chsh-verify", "chsh-optimize", "qubit-expect", "oracle-check"}
+NUMPY_COMMANDS = {"chsh-verify", "oracle-check"}
 
 # runs the CLI, then reports on stderr whether numpy was loaded
 _MAIN_THEN_NUMPY_LOADED = ("import sys\nfrom qlhv.cli import main\ncode = main(sys.argv[1:])\n"
@@ -145,6 +145,14 @@ def test_readme_command_loads_numpy_only_if_it_needs_it(argv):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout, parse_constant=_reject_constant)["command"] == argv[0]
     assert proc.stderr.splitlines()[-1] == str(argv[0] in NUMPY_COMMANDS)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
+    probe = ("import sys\nbefore = set(sys.modules)\nimport qlhv.cli\n"
+             "print(sorted({'dataclasses', 'inspect', 'numpy'} & (set(sys.modules) - before)))")
+    proc = _fresh_python("-W", "error", "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_package_binds_no_public_name():
@@ -311,6 +319,11 @@ def test_chsh_optimize(capsys):
     value = report["checks"][0]["actual"]
     assert abs(value - 2.0 * math.sqrt(2.0)) <= 1e-6
     assert "model" in report["result"]
+
+
+def test_chsh_optimize_rejects_a_negative_seed(capsys):
+    assert main(["chsh-optimize", "--grid", "8", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: rng_seed must be nonnegative\n")
 
 
 def test_ghz_verify(capsys):

@@ -79,6 +79,13 @@ def test_bad_sign_rejected():
         Q8Element(Basis.I, 2)
 
 
+def test_bad_basis_rejected():
+    # an int has no symbol, so str() of such an element would raise KeyError
+    for basis in (1, 4, "i", None):
+        with pytest.raises(ValueError, match="basis must be a Basis member"):
+            Q8Element(basis, 1)
+
+
 def test_float_embedding_matches_exact_product():
     for a, b in itertools.product(Q8_ELEMENTS, repeat=2):
         assert hamilton(embed(a), embed(b)) == embed(q8_mul(a, b))

@@ -291,6 +291,14 @@ def test_even_mixture_of_identity_and_x_flip_is_uniform():
     assert evolve_mixture(dist, mix).weights == pytest.approx((0.125,) * 8, abs=1e-15)
 
 
+def test_mixture_keeps_one_shot_terms():
+    # checking the terms consumes an iterator; the record keeps them as a tuple
+    dist = state_distribution((1.0, 0.0, 0.0))
+    mix = PermutationMix(iter([(X_FLIP, 1.0)]))
+    assert mix.terms == ((X_FLIP, 1.0),)
+    assert evolve_mixture(dist, mix) == evolve_permutation(dist, X_FLIP)
+
+
 def test_mixture_weight_validation():
     with pytest.raises(ValueError):
         PermutationMix(((IDENTITY_PERMUTATION, 0.4), (X_FLIP, 0.4)))
