@@ -62,6 +62,8 @@ class ChshModel(namedtuple("ChshModel", "weights thetas bits")):
     def __new__(cls, weights: tuple[float, ...], thetas: tuple[float, float, float, float],
                 bits: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]):
         try:
+            # tuples, so that no caller keeps a mutable field of the record
+            weights, thetas = tuple(weights), tuple(thetas)
             valid = all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= EXACT_TOL
             finite = all(map(math.isfinite, thetas))
         except TypeError:
@@ -70,12 +72,14 @@ class ChshModel(namedtuple("ChshModel", "weights thetas bits")):
         if not valid:
             raise ValueError("invalid distribution")
         try:
+            bits = tuple(map(tuple, bits))
             if len(thetas) != 4 or len(bits) != 4:
                 raise ValueError("need exactly four phases and four bit vectors")
             for vec in bits:
                 if len(vec) != len(weights):
                     raise ValueError("bits need one entry per point")
-                if any(b not in (0, 1) for b in vec):
+                # counted by ==, as `in (0, 1)` compares, so no entry is hashed
+                if vec.count(0) + vec.count(1) != len(vec):
                     raise ValueError("bits must be 0 or 1")
         except TypeError:   # a number in place of the bit vectors or of one of them
             raise ValueError("bits need one entry per point") from None

@@ -4,9 +4,11 @@ Pauli algebra, tensor products, the three-qubit GHZ state and its
 eigenrelations, single-qubit expectations, and the quantum value of the
 CHSH operator via power iteration.  Dimensions never exceed 8.
 
-One Pauli table, 2x2 rows of complex numbers, underlies every operator.
-The single-qubit path (density_matrix, qubit_expectation) is explicit
-complex arithmetic on those rows and needs no numpy.  pauli, ghz_state,
+One Pauli table underlies every operator: I, X, Y and Z, each flattened
+to its four complex entries.  The single-qubit path (density_matrix,
+qubit_expectation) builds rho and n . sigma each as one fused combination
+c0*I + cx*X + cy*Y + cz*Z of the table, takes the trace by explicit 2x2
+complex arithmetic, and needs no numpy.  pauli, ghz_state,
 three_party_operator, verify_eigenrelation, direction_operator and
 chsh_quantum_value build or take numpy arrays and import numpy when called.
 """
@@ -22,29 +24,27 @@ from .tolerances import EXACT_TOL, bloch_vector, unit_direction
 if TYPE_CHECKING:
     import numpy as np
 
-_IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
+# The Pauli table, each matrix flattened to its entries (m00, m01, m10, m11)
+_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
 _PAULI = {
-    "x": ((0j, 1 + 0j), (1 + 0j, 0j)),
-    "y": ((0j, -1j), (1j, 0j)),
-    "z": ((1 + 0j, 0j), (0j, -1 + 0j)),
+    "x": (0j, 1 + 0j, 1 + 0j, 0j),
+    "y": (0j, -1j, 1j, 0j),
+    "z": (1 + 0j, 0j, 0j, -1 + 0j),
 }
+# entry k of I, X, Y and Z, side by side
+_ENTRIES = tuple(zip(_IDENTITY, *_PAULI.values()))
 
 
-def _combination(terms) -> tuple:
-    """The rows of sum c * m over the (c, m) terms, m rows of complex
-    numbers, added in the order of the terms."""
-    (c, m), *rest = terms
-    rows = [[c * v for v in row] for row in m]
-    for c, m in rest:
-        rows = [[a + c * v for a, v in zip(total, row)] for total, row in zip(rows, m)]
-    return tuple(map(tuple, rows))
+def _combination(c0: float, cx: float, cy: float, cz: float) -> list:
+    """The entries of c0*I + cx*X + cy*Y + cz*Z, added in this order."""
+    return [c0 * i + cx * x + cy * y + cz * z for i, x, y, z in _ENTRIES]
 
 
 @functools.cache
 def _pauli_arrays() -> dict:
     # the table as numpy arrays, built on first use
     import numpy as np
-    return {axis: np.array(rows) for axis, rows in _PAULI.items()}
+    return {axis: np.array(entries).reshape(2, 2) for axis, entries in _PAULI.items()}
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -82,11 +82,6 @@ def verify_eigenrelation(op: np.ndarray, v: np.ndarray, expected: int) -> bool:
     return bool(np.linalg.norm(op @ v - expected * v) <= EXACT_TOL)
 
 
-def _direction_rows(n: Sequence[float]) -> tuple:
-    """n . sigma as rows, for a unit 3-vector n."""
-    return _combination(zip(unit_direction(n), _PAULI.values()))
-
-
 def direction_operator(n: Sequence[float]) -> np.ndarray:
     """n . sigma for a unit 3-vector n."""
     vec = unit_direction(n)
@@ -97,14 +92,15 @@ def direction_operator(n: Sequence[float]) -> np.ndarray:
 def density_matrix(r: Sequence[float]) -> tuple:
     """(I + r . sigma) / 2 as rows of complex numbers, for a Bloch vector r
     with |r| <= 1."""
-    vec = bloch_vector(r)
-    return _combination([(0.5, _IDENTITY), *((0.5 * c, m) for c, m in zip(vec, _PAULI.values()))])
+    x, y, z = bloch_vector(r)
+    r00, r01, r10, r11 = _combination(0.5, 0.5 * x, 0.5 * y, 0.5 * z)
+    return (r00, r01), (r10, r11)
 
 
 def qubit_expectation(r: Sequence[float], n: Sequence[float]) -> float:
     """Tr(rho * (n . sigma)) by explicit 2x2 complex arithmetic; equals n . r."""
     (r00, r01), (r10, r11) = density_matrix(r)
-    (n00, n01), (n10, n11) = _direction_rows(n)
+    n00, n01, n10, n11 = _combination(0.0, *unit_direction(n))
     return ((r00 * n00 + r01 * n10) + (r10 * n01 + r11 * n11)).real
 
 

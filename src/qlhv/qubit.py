@@ -167,21 +167,21 @@ class PermutationMix(namedtuple("PermutationMix", "terms")):
 
     def __new__(cls, terms: Sequence[tuple[Sequence[int], float]]):
         total = 0.0
+        checked = []
         try:
-            # a tuple, so a one-shot iterator is not kept spent by the checks
-            terms = tuple(terms)
-            if not terms:
-                raise ValueError("mixture needs at least one term")
             for perm, weight in terms:
-                _check_permutation(perm)
+                # the checked tuple, so that no caller keeps a mutable permutation
+                checked.append((_check_permutation(perm), weight))
                 if not weight >= 0.0:
                     raise ValueError("mixture weights must be nonnegative")
                 total += weight
         except TypeError:   # terms that are no sequence, or a weight that is no number
             raise ValueError("mixture terms must be (permutation, number) pairs") from None
+        if not checked:
+            raise ValueError("mixture needs at least one term")
         if not abs(total - 1.0) <= EXACT_TOL:
             raise ValueError("mixture weights must sum to 1")
-        return super().__new__(cls, terms)
+        return super().__new__(cls, tuple(checked))
 
     # _replace builds through _make, so neither skips the checks of __new__
     @classmethod

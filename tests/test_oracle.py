@@ -14,7 +14,7 @@ from qlhv.oracle import (
     three_party_operator,
     verify_eigenrelation,
 )
-from qlhv.tolerances import TSIRELSON
+from qlhv.tolerances import BOUND_TOL, TSIRELSON
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def is_hermitian(m):
@@ -103,6 +103,19 @@ def test_qubit_expectation_is_inner_product():
         assert qubit_expectation(r, n) == pytest.approx(float(n @ r), abs=1e-12)
 
 
+def test_single_qubit_path_matches_numpy_route():
+    # the numpy arrays of pauli and direction_operator, with np.eye for I
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        r = rng.uniform(-1, 1, 3) / math.sqrt(3.0)
+        n = rng.standard_normal(3)
+        n /= np.linalg.norm(n)
+        rho = np.array(density_matrix(r))
+        reference = 0.5 * (np.eye(2) + sum(c * pauli(axis) for c, axis in zip(r, "xyz")))
+        assert np.max(np.abs(rho - reference)) <= 1e-15
+        assert abs(qubit_expectation(r, n) - np.trace(rho @ direction_operator(n)).real) <= 1e-15
+
+
 def test_qubit_expectation_validates_inputs():
     with pytest.raises(ValueError, match="non-unit direction"):
         qubit_expectation((0, 0, 0), (1, 1, 0))
@@ -149,3 +162,13 @@ def test_chsh_quantum_value_cross_checked_against_eigensolver():
 def test_chsh_rejects_non_unit_settings():
     with pytest.raises(ValueError, match="non-unit direction"):
         chsh_quantum_value((1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0))
+
+
+@pytest.mark.xfail(strict=True, reason="power iteration stalls on near-degenerate top eigenvalues "
+                   "and underestimates; remove this marker when the batched eigvalsh oracle "
+                   "(ROADMAP item 2) replaces it")
+def test_chsh_quantum_value_near_degenerate_settings():
+    settings = ((1.0, 0.0, 0.0), (math.cos(1e-5), math.sin(1e-5), 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    a, ap, b, bp = map(direction_operator, settings)
+    reference = float(np.max(np.abs(np.linalg.eigvalsh(np.kron(a, b + bp) + np.kron(ap, b - bp)))))
+    assert abs(chsh_quantum_value(*settings) - reference) <= BOUND_TOL

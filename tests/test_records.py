@@ -54,3 +54,16 @@ def test_parity_report_rejects_malformed_fields():
         ParityCheckReport(8, frozenset({1, 2}))
     with pytest.raises(ValueError, match="sign products"):
         ParityCheckReport(8, {1})
+
+
+def test_records_built_from_lists_hold_tuples():
+    weights, thetas, bits = [0.5, 0.5], [0.0] * 4, [[0, 1] for _ in range(4)]
+    model = ChshModel(weights, thetas, bits)
+    perm = list(X_FLIP)
+    mix = PermutationMix([[perm, 1.0]])
+    weights[0], thetas[0], bits[0][0], perm[0] = 5.0, 1.0, 1, 1
+    assert model == ChshModel((0.5, 0.5), (0.0,) * 4, ((0, 1),) * 4)
+    assert mix == PermutationMix(((X_FLIP, 1.0),))
+    for field in (*model, *model.bits, mix.terms, *mix.terms, mix.terms[0][0]):
+        assert type(field) is tuple
+    assert hash(model) == hash(ChshModel(*model)) and hash(mix) == hash(PermutationMix(*mix))
