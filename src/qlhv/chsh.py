@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .tolerances import EXACT_TOL
+from .tolerances import EXACT_TOL, CheckedRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,7 +50,7 @@ _SLOT = {"a": 0, "b": 1, "a'": 2, "b'": 3}
 _ALICE, _BOB = zip(*((_SLOT[a], _SLOT[b]) for a in ALICE_SETTINGS for b in BOB_SETTINGS))
 
 
-class ChshModel(namedtuple("ChshModel", "weights thetas bits")):
+class ChshModel(CheckedRecord, namedtuple("ChshModel", "weights thetas bits")):
     """One model, an unpadded row of a population: a probability weight per
     hidden point (nonnegative, sum 1; signed weights belong to the qubit
     model), four phases theta1..theta4 and four per-point bit vectors
@@ -86,11 +86,6 @@ class ChshModel(namedtuple("ChshModel", "weights thetas bits")):
         if not finite:
             raise ValueError("phases must be finite")
         return super().__new__(cls, weights, thetas, bits)
-
-    # _replace builds through _make, so neither skips the checks of __new__
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 def correlation(model: ChshModel, alice: str, bob: str) -> complex:

@@ -16,8 +16,10 @@ per-model route.
 numpy is imported only by chsh-verify, for its generator and arrays, and by
 oracle-check, for the oracle's matrices and its random settings; the other
 eight commands, chsh-optimize and qubit-expect among them, run in plain
-Python.  The oracle module and csv are imported only by the handlers and
-the output format that use them.
+Python.  Each handler imports the one qlhv module it runs: chsh-* load chsh,
+ghz-* load ghz (and its quaternions), qubit-* load qubit, and qubit-expect
+and oracle-check load oracle; csv is imported only by the CSV format.  So a
+command's process compiles no module that it does not run.
 
 main(argv) may be called repeatedly in one process: the parser is built on
 the first call and reused, and each call parses into a fresh namespace.
@@ -36,7 +38,6 @@ import time
 from typing import Callable, NamedTuple
 
 from . import __version__
-from . import chsh, ghz, qubit
 from .tolerances import (
     BOUND_TOL,
     CLASSICAL,
@@ -118,6 +119,7 @@ def render_report(report: dict, fmt: str) -> str:
 # ---------------------------------------------------------------- handlers
 
 def _chsh_achieve(args):
+    from . import chsh
     model = chsh.make_achieving_model()
     claims = [("bell_expression", TSIRELSON, chsh.bell_expression(model), "close", BOUND_TOL)]
     correlations = {f"E({a},{b})": chsh.correlation(model, a, b)
@@ -129,6 +131,7 @@ def _chsh_achieve(args):
 
 def _chsh_verify(args):
     import numpy as np
+    from . import chsh
     complex_max, real_max, gap, spots = chsh.bell_sweep(np.random.default_rng(args.seed), args.samples)
     witnesses = {name: {"index": w.index, "value": w.value, "model": chsh.model_to_dict(w.model)}
                  for name, w in (("complex_witness", complex_max), ("real_witness", real_max))}
@@ -147,12 +150,14 @@ def _chsh_verify(args):
 
 
 def _chsh_optimize(args):
+    from . import chsh
     model, value = chsh.maximize_bell(args.grid, rng_seed=args.seed)
     claims = [("optimizer_reaches_tsirelson", TSIRELSON, value, "reaches", OPTIMUM_TOL)]
     return claims, {"model": chsh.model_to_dict(model)}
 
 
 def _ghz_enumerate(args):
+    from . import ghz
     claims = [("assignment_count", 512, len(ghz.enumerate_assignments()), "equal", None)]
     claims += [(f"condition_set_size_{p}", 256, len(ghz.condition_set(p)), "equal", None)
                for p in ghz.PATTERNS]
@@ -160,6 +165,8 @@ def _ghz_enumerate(args):
 
 
 def _ghz_verify(args):
+    from . import ghz
+
     def products(assignments):
         return "/".join(sorted({str(ghz.xxx_product(a)) for a in assignments}))
 
@@ -178,6 +185,7 @@ def _ghz_verify(args):
 
 
 def _qubit_dist(args):
+    from . import qubit
     dist = qubit.state_distribution(args.bloch)
     claims = [
         ("retroaction", True, qubit.retroaction_check(dist), "equal", None),
@@ -187,7 +195,7 @@ def _qubit_dist(args):
 
 
 def _qubit_expect(args):
-    from . import oracle
+    from . import oracle, qubit
     dist = qubit.state_distribution(args.bloch)
     claims = []
     for idx, axis in enumerate(qubit.AXES):
@@ -201,6 +209,7 @@ def _qubit_expect(args):
 
 
 def _qubit_search_sign(args):
+    from . import qubit
     found = qubit.sign_function_search(args.dir)
     magnitudes = sorted(abs(c) for c in args.dir)
     on_axis = all(abs(m - t) <= BOUND_TOL for m, t in zip(magnitudes, (0.0, 0.0, 1.0)))
@@ -209,6 +218,7 @@ def _qubit_search_sign(args):
 
 
 def _qubit_evolve(args):
+    from . import qubit
     dist = qubit.state_distribution(args.bloch)
     evolved = qubit.evolve_permutation(dist, args.perm)
     # the evolved weights are a state iff they are the distribution of their
@@ -223,6 +233,8 @@ def _qubit_evolve(args):
 
 
 def _oracle_check(args):
+    if args.samples and args.seed is None:
+        raise ValueError("--samples requires --seed")
     import numpy as np
     from . import oracle
     state = oracle.ghz_state()
@@ -234,8 +246,6 @@ def _oracle_check(args):
     optimal = oracle.chsh_quantum_value((1, 0, 0), (0, 1, 0), (s, s, 0.0), (s, -s, 0.0))
     claims.append(("tsirelson_optimal_settings", TSIRELSON, optimal, "close", OPTIMUM_TOL))
     if args.samples:
-        if args.seed is None:
-            raise ValueError("--samples requires --seed")
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(args.samples):

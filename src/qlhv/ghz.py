@@ -15,6 +15,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .quaternions import AXIS_BASIS, Q8Element, q8_product
+from .tolerances import CheckedRecord
 
 PATTERNS = ("xyy", "yxy", "yyx")
 
@@ -85,7 +86,7 @@ def xxx_product(assignment: int) -> Q8Element:
     return q8_product([_unit(assignment, party, "x") for party in range(3)])
 
 
-class ParityCheckReport(namedtuple("ParityCheckReport", "satisfying_count xxx_sign_products")):
+class ParityCheckReport(CheckedRecord, namedtuple("ParityCheckReport", "satisfying_count xxx_sign_products")):
     """Outcome of the all-real sign check: how many of the 2^6 sign
     assignments satisfy the three conditions, and the (constant) product
     of the three x signs over that satisfying set, as a frozenset of +1
@@ -99,11 +100,6 @@ class ParityCheckReport(namedtuple("ParityCheckReport", "satisfying_count xxx_si
         if not (isinstance(xxx_sign_products, frozenset) and xxx_sign_products <= {1, -1}):
             raise ValueError("sign products must be a frozenset of +1 and -1")
         return super().__new__(cls, satisfying_count, xxx_sign_products)
-
-    # _replace builds through _make, so neither skips the checks of __new__
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
     @property
     def constant_product(self) -> int | None:

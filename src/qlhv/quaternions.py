@@ -11,6 +11,8 @@ from enum import IntEnum
 from functools import reduce
 from typing import Iterable
 
+from .tolerances import CheckedRecord
+
 
 class Basis(IntEnum):
     ONE = 0
@@ -39,7 +41,7 @@ def _basis_product(a: Basis, b: Basis) -> tuple[Basis, int]:
 _MUL_TABLE = {(a, b): _basis_product(a, b) for a in Basis for b in Basis}
 
 
-class Q8Element(namedtuple("Q8Element", "basis sign")):
+class Q8Element(CheckedRecord, namedtuple("Q8Element", "basis sign")):
     """One of the eight unit quaternions ±1, ±i, ±j, ±k: a Basis and a sign
     of +1 or -1, ordered by basis, then sign."""
 
@@ -51,11 +53,6 @@ class Q8Element(namedtuple("Q8Element", "basis sign")):
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         return super().__new__(cls, basis, sign)
-
-    # _replace builds through _make, so neither skips the checks of __new__
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
     def __neg__(self) -> "Q8Element":
         return Q8Element(self.basis, -self.sign)

@@ -9,7 +9,8 @@ that commute with m -> 9-m (384 of the 40,320, the hyperoctahedral group
 B4) keep every pair sum for every state, so evolution accepts no other.
 
 Plain Python throughout (no numpy): the model is exact combinatorics over
-eight points.
+eight points.  quaternion_value, the one user of the quaternion group,
+imports it when called.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .quaternions import AXIS_BASIS, Q8Element
-from .tolerances import BOUND_TOL, EXACT_TOL, bloch_vector, unit_direction
+from .tolerances import BOUND_TOL, EXACT_TOL, CheckedRecord, bloch_vector, unit_direction
+
+if TYPE_CHECKING:
+    from .quaternions import Q8Element
 
 LAMBDAS = tuple(range(1, 9))
 
@@ -57,11 +60,12 @@ def epsilon(axis: str, lam: int) -> int:
 def quaternion_value(axis: str, lam: int) -> Q8Element:
     """The quaternion-valued outcome at (axis, lam): the axis unit (i, j
     or k) carrying the table sign."""
+    from .quaternions import AXIS_BASIS, Q8Element
     sign = epsilon(axis, lam)   # first, so a bad axis raises its ValueError
     return Q8Element(AXIS_BASIS[axis], sign)
 
 
-class SignedDistribution(namedtuple("SignedDistribution", "weights")):
+class SignedDistribution(CheckedRecord, namedtuple("SignedDistribution", "weights")):
     """Eight real weights summing to 1, kept as a tuple of floats.  Negative
     weights are allowed; whether the antipodal pair sums equal 1/4 is
     checked separately by retroaction_check."""
@@ -81,11 +85,6 @@ class SignedDistribution(namedtuple("SignedDistribution", "weights")):
         if not all(abs(x) <= 1.0 + EXACT_TOL for x in w):
             raise ValueError("weights must lie in [-1, 1]")
         return super().__new__(cls, w)
-
-    # _replace builds through _make, so neither skips the checks of __new__
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 def state_distribution(r: Sequence[float]) -> SignedDistribution:
@@ -159,7 +158,7 @@ def evolve_permutation(dist: SignedDistribution, s: Sequence[int]) -> SignedDist
     return SignedDistribution(tuple(dist.weights[perm[m - 1] - 1] for m in LAMBDAS))
 
 
-class PermutationMix(namedtuple("PermutationMix", "terms")):
+class PermutationMix(CheckedRecord, namedtuple("PermutationMix", "terms")):
     """Convex combination of permutations of the eight hidden values: terms
     is a tuple of (permutation, weight) pairs."""
 
@@ -183,17 +182,13 @@ class PermutationMix(namedtuple("PermutationMix", "terms")):
             raise ValueError("mixture weights must sum to 1")
         return super().__new__(cls, tuple(checked))
 
-    # _replace builds through _make, so neither skips the checks of __new__
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
 
 def evolve_mixture(dist: SignedDistribution, mix: PermutationMix) -> SignedDistribution:
     """Weighted combination of permutation evolutions:
     p'(lam) = sum_t w_t * p(s_t(lam))."""
+    w = dist.weights
     out = (0.0,) * 8
+    # each term's permutation is the tuple that PermutationMix checked
     for perm, weight in mix.terms:
-        evolved = evolve_permutation(dist, perm)
-        out = tuple(o + weight * w for o, w in zip(out, evolved.weights))
+        out = tuple(o + weight * w[p - 1] for o, p in zip(out, perm))
     return SignedDistribution(out)

@@ -1,7 +1,9 @@
-"""Every proved bound and every tolerance of the package, and the two input
-rules built on them: the closed Bloch ball and the unit sphere.  Checks are
-written so that NaN fails them (`not x <= tol`, never `x > tol`).  The input
-rules return 3-tuples of Python floats and need no numpy."""
+"""Every proved bound and every tolerance of the package, the two input
+rules built on them (the closed Bloch ball and the unit sphere), and
+CheckedRecord, the base that keeps each record's checks on every route that
+builds one.  Checks are written so that NaN fails them (`not x <= tol`,
+never `x > tol`).  The input rules return 3-tuples of Python floats and
+need no numpy."""
 
 from __future__ import annotations
 
@@ -48,3 +50,16 @@ def unit_direction(n: Sequence[float]) -> tuple[float, float, float]:
     if not abs(math.hypot(*vec) - 1.0) <= BOUND_TOL:
         raise ValueError("non-unit direction")
     return vec
+
+
+class CheckedRecord:
+    """Base of the package's records, listed before their namedtuple base.
+    namedtuple's _make, which _replace calls, builds the tuple without
+    __new__; this _make goes through the class, so neither skips the
+    record's checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)

@@ -119,6 +119,19 @@ _MAIN_THEN_NUMPY_LOADED = ("import sys\nfrom qlhv.cli import main\ncode = main(s
                            "print('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)\n")
 
 
+# the qlhv modules that importing the CLI loads, and what each command adds
+_CLI_MODULES = {"qlhv", "qlhv.cli", "qlhv.tolerances"}
+_COMMAND_MODULES = {"chsh": {"qlhv.chsh"}, "ghz": {"qlhv.ghz", "qlhv.quaternions"},
+                    "qubit": {"qlhv.qubit"}, "oracle": {"qlhv.oracle"}}
+# prints the qlhv modules loaded after `import qlhv.cli`, then after main
+_QLHV_MODULES_AFTER_IMPORT_AND_MAIN = (
+    "import contextlib, io, json, sys\n"
+    "loaded = lambda: json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'qlhv'))\n"
+    "from qlhv.cli import main\nprint(loaded())\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
+    "print(loaded())\nsys.exit(code)\n")
+
+
 def test_readme_lists_every_command():
     assert sorted(argv[0] for argv in README_COMMANDS) == sorted(cli.COMMANDS)
 
@@ -145,6 +158,25 @@ def test_readme_command_loads_numpy_only_if_it_needs_it(argv):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout, parse_constant=_reject_constant)["command"] == argv[0]
     assert proc.stderr.splitlines()[-1] == str(argv[0] in NUMPY_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_command_imports_only_its_modules(argv):
+    proc = _fresh_python("-W", "error", "-c", _QLHV_MODULES_AFTER_IMPORT_AND_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_main = map(json.loads, proc.stdout.splitlines())
+    expected = _CLI_MODULES | _COMMAND_MODULES[argv[0].split("-")[0]]
+    if argv[0] == "qubit-expect":
+        expected |= _COMMAND_MODULES["oracle"]
+    assert set(after_import) == _CLI_MODULES
+    assert set(after_main) == expected
+
+
+def test_oracle_check_rejects_samples_without_seed_before_numpy():
+    proc = _fresh_python("-W", "error", "-c", _MAIN_THEN_NUMPY_LOADED, "oracle-check", "--samples", "20")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: --samples requires --seed", "False"]
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_numpy():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qlhv import qubit
 from qlhv.qubit import (
     AXES,
     IDENTITY_PERMUTATION,
@@ -297,6 +298,21 @@ def test_mixture_keeps_one_shot_terms():
     mix = PermutationMix(iter([(X_FLIP, 1.0)]))
     assert mix.terms == ((X_FLIP, 1.0),)
     assert evolve_mixture(dist, mix) == evolve_permutation(dist, X_FLIP)
+
+
+def test_evolve_mixture_reuses_the_checked_permutations(monkeypatch):
+    dist = state_distribution((0.1, 0.5, -0.3))
+    terms = ((IDENTITY_PERMUTATION, 0.25), (X_FLIP, 0.5), ((2, 1, 4, 3, 6, 5, 8, 7), 0.25))
+    mix = PermutationMix(terms)
+    # the term-by-term route through evolve_permutation, which checks each term
+    expected = (0.0,) * 8
+    for perm, weight in terms:
+        expected = tuple(o + weight * w for o, w in zip(expected, evolve_permutation(dist, perm).weights))
+    calls = []
+    check = qubit._check_permutation
+    monkeypatch.setattr(qubit, "_check_permutation", lambda s: calls.append(s) or check(s))
+    assert evolve_mixture(dist, mix) == SignedDistribution(expected)
+    assert calls == []
 
 
 def test_mixture_weight_validation():
