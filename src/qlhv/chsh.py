@@ -11,8 +11,9 @@ with zeros past each model's support, thetas (N, 4) and int8 bits
 (N, 4, MAX_POINTS).  sample_models draws one from a single (N, 85) block
 of uniforms and bell_values evaluates it, under one set of phases or
 under S stacked as (S, N, 4); ChshModel is one unpadded row, used by the
-per-model API and serialization, and sample_model is the ChshModel view
-of a population of one.  bell_sweep draws each block of a sweep once and
+per-model API and serialization, whose weights and phases follow the real
+rule of qlhv.tolerances, and sample_model is the ChshModel view of a
+population of one.  bell_sweep draws each block of a sweep once and
 evaluates it under complex and real phases, the two regimes the paper
 compares, returning a witness row for each maximum and two fixed spot rows.
 
@@ -29,7 +30,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .tolerances import EXACT_TOL, CheckedRecord
+from .tolerances import EXACT_TOL, CheckedRecord, reals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,22 +55,18 @@ class ChshModel(CheckedRecord, namedtuple("ChshModel", "weights thetas bits")):
     """One model, an unpadded row of a population: a probability weight per
     hidden point (nonnegative, sum 1; signed weights belong to the qubit
     model), four phases theta1..theta4 and four per-point bit vectors
-    f1..f4, one per setting, each field a tuple.  Checks what bell_values
-    checks, without numpy."""
+    f1..f4, one per setting, each field a tuple.  Weights and phases are
+    reals by the rule of qlhv.tolerances, stored as floats; bits are 0 or 1
+    by ==.  Checks what bell_values checks, without numpy."""
 
     __slots__ = ()
 
     def __new__(cls, weights: tuple[float, ...], thetas: tuple[float, float, float, float],
                 bits: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]):
-        try:
-            # tuples, so that no caller keeps a mutable field of the record
-            weights, thetas = tuple(weights), tuple(thetas)
-            valid = all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= EXACT_TOL
-            finite = all(map(math.isfinite, thetas))
-        except TypeError:
-            # a string, None or a complex number fails >= or isfinite
-            raise ValueError("weights and phases must be numbers") from None
-        if not valid:
+        # tuples, so that no caller keeps a mutable field of the record
+        weights = reals(weights, "weights and phases must be numbers")
+        thetas = reals(thetas, "weights and phases must be numbers")
+        if not (all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= EXACT_TOL):
             raise ValueError("invalid distribution")
         try:
             bits = tuple(map(tuple, bits))
@@ -83,7 +80,7 @@ class ChshModel(CheckedRecord, namedtuple("ChshModel", "weights thetas bits")):
                     raise ValueError("bits must be 0 or 1")
         except TypeError:   # a number in place of the bit vectors or of one of them
             raise ValueError("bits need one entry per point") from None
-        if not finite:
+        if not all(map(math.isfinite, thetas)):
             raise ValueError("phases must be finite")
         return super().__new__(cls, weights, thetas, bits)
 
@@ -271,8 +268,7 @@ def _row_model(weights, thetas, bits, row: int) -> ChshModel:
     # weights, which come first
     w = weights[row].tolist()
     n = len(w) - w.count(0.0)
-    return ChshModel(tuple(w[:n]), tuple(thetas[row].tolist()),
-                     tuple(map(tuple, bits[row, :, :n].tolist())))
+    return ChshModel(w[:n], thetas[row].tolist(), bits[row, :, :n].tolist())
 
 
 # models per block of bell_sweep: bounds its memory for any sample count
@@ -328,20 +324,18 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness
 def model_to_dict(model: ChshModel) -> dict:
     """Flat serialization {points, weights, theta, f1..f4}; points are l0, l1, ..."""
     record = {"points": [f"l{k}" for k in range(len(model.weights))],
-              "weights": list(map(float, model.weights)), "theta": list(map(float, model.thetas))}
+              "weights": list(model.weights), "theta": list(model.thetas)}
     record.update((key, list(map(int, vec))) for key, vec in zip(_BIT_KEYS, model.bits))
     return record
 
 
 def model_from_dict(record: Mapping) -> ChshModel:
     """Inverse of model_to_dict.  Labels are only counted: there must be
-    one per weight."""
-    weights, thetas = tuple(record["weights"]), tuple(record["theta"])
-    # ints and floats, as JSON gives them; a string or a bool is corrupt
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in weights + thetas):
-        raise ValueError("weights and phases must be numbers")
-    if len(record["points"]) != len(weights):
+    one per weight.  ChshModel judges the numbers, so a string or a bool
+    (JSON true/false) as a weight or phase is corrupt, while a bit is
+    read as 0 or 1 by ==, true/false as 1/0."""
+    if len(record["points"]) != len(record["weights"]):
         raise ValueError("invalid distribution: one label per weight")
     # a bit that is not 0 or 1 stays as it is, for ChshModel to reject
     bits = tuple(tuple(int(b) if b in (0, 1) else b for b in record[key]) for key in _BIT_KEYS)
-    return ChshModel(tuple(map(float, weights)), tuple(map(float, thetas)), bits)
+    return ChshModel(record["weights"], record["theta"], bits)

@@ -5,17 +5,17 @@ is an int in range(512): bit 8 - (3*party + axis) is set when that party's
 unit for that axis (x -> i, y -> j, z -> k) carries -1.  Each of the three
 product constraints (xyy, yxy, yyx) is the parity of the assignment under
 a mask; the punchline product over the three x components is evaluated as
-an exact quaternion product.
+an exact quaternion product.  classical_parity_check brute-forces the
+all-real counterpart and returns a plain ParityCheckReport.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from functools import lru_cache
+from typing import NamedTuple
 
 from .quaternions import AXIS_BASIS, Q8Element, q8_product
-from .tolerances import CheckedRecord
 
 PATTERNS = ("xyy", "yxy", "yyx")
 
@@ -86,20 +86,14 @@ def xxx_product(assignment: int) -> Q8Element:
     return q8_product([_unit(assignment, party, "x") for party in range(3)])
 
 
-class ParityCheckReport(CheckedRecord, namedtuple("ParityCheckReport", "satisfying_count xxx_sign_products")):
-    """Outcome of the all-real sign check: how many of the 2^6 sign
-    assignments satisfy the three conditions, and the (constant) product
-    of the three x signs over that satisfying set, as a frozenset of +1
-    and -1."""
+class ParityCheckReport(NamedTuple):
+    """Outcome of the all-real sign check, a plain result that only
+    classical_parity_check builds: how many of the 2^6 sign assignments
+    satisfy the three conditions, and the (constant) product of the three
+    x signs over that satisfying set, as a frozenset of +1 and -1."""
 
-    __slots__ = ()
-
-    def __new__(cls, satisfying_count: int, xxx_sign_products):
-        if not (type(satisfying_count) is int and 0 <= satisfying_count <= 64):
-            raise ValueError(f"satisfying count must be an int in 0..64, got {satisfying_count!r}")
-        if not (isinstance(xxx_sign_products, frozenset) and xxx_sign_products <= {1, -1}):
-            raise ValueError("sign products must be a frozenset of +1 and -1")
-        return super().__new__(cls, satisfying_count, xxx_sign_products)
+    satisfying_count: int
+    xxx_sign_products: frozenset[int]
 
     @property
     def constant_product(self) -> int | None:

@@ -11,7 +11,7 @@ from enum import IntEnum
 from functools import reduce
 from typing import Iterable
 
-from .tolerances import CheckedRecord
+from .tolerances import CheckedRecord, integer
 
 
 class Basis(IntEnum):
@@ -42,17 +42,18 @@ _MUL_TABLE = {(a, b): _basis_product(a, b) for a in Basis for b in Basis}
 
 
 class Q8Element(CheckedRecord, namedtuple("Q8Element", "basis sign")):
-    """One of the eight unit quaternions ±1, ±i, ±j, ±k: a Basis and a sign
-    of +1 or -1, ordered by basis, then sign."""
+    """One of the eight unit quaternions ±1, ±i, ±j, ±k: a Basis and a sign,
+    the integer +1 or -1, ordered by basis, then sign."""
 
     __slots__ = ()
 
     def __new__(cls, basis: Basis, sign: int = 1):
         if not isinstance(basis, Basis):
             raise ValueError(f"basis must be a Basis member, got {basis!r}")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        return super().__new__(cls, basis, sign)
+        checked = integer(sign)
+        if checked not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        return super().__new__(cls, basis, checked)
 
     def __neg__(self) -> "Q8Element":
         return Q8Element(self.basis, -self.sign)

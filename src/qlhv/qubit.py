@@ -8,19 +8,19 @@ points and by convex mixtures of such permutations.  Only permutations
 that commute with m -> 9-m (384 of the 40,320, the hyperoctahedral group
 B4) keep every pair sum for every state, so evolution accepts no other.
 
-Plain Python throughout (no numpy): the model is exact combinatorics over
-eight points.  quaternion_value, the one user of the quaternion group,
-imports it when called.
+Weights are reals, and hidden values and permutation entries integers, by
+the number rules of qlhv.tolerances.  Plain Python throughout (no numpy):
+the model is exact combinatorics over eight points.  quaternion_value, the
+one user of the quaternion group, imports it when called.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence
 
-from .tolerances import BOUND_TOL, EXACT_TOL, CheckedRecord, bloch_vector, unit_direction
+from .tolerances import BOUND_TOL, EXACT_TOL, CheckedRecord, bloch_vector, integer, reals, unit_direction
 
 if TYPE_CHECKING:
     from .quaternions import Q8Element
@@ -43,16 +43,13 @@ IDENTITY_PERMUTATION = LAMBDAS
 
 
 def epsilon(axis: str, lam: int) -> int:
-    """Sign of the given axis component at hidden value lam."""
-    try:
-        # an int only, as in _check_permutation: a bool is an int but no hidden value
-        index = -1 if isinstance(lam, bool) else operator.index(lam) - 1
-    except TypeError:   # a float or a string
-        index = -1
-    if not 0 <= index < 8:
+    """Sign of the given axis component at hidden value lam, an integer
+    in 1..8."""
+    value = integer(lam)
+    if value not in LAMBDAS:
         raise ValueError(f"hidden value outside 1..8: {lam!r}")
     try:
-        return _AXIS_SIGNS[axis][index]
+        return _AXIS_SIGNS[axis][value - 1]
     except KeyError:
         raise ValueError(f"unknown axis: {axis!r}") from None
 
@@ -73,13 +70,10 @@ class SignedDistribution(CheckedRecord, namedtuple("SignedDistribution", "weight
     __slots__ = ()
 
     def __new__(cls, weights: Sequence[float]):
-        try:
-            if isinstance(weights, str) or len(weights) != 8:
-                raise ValueError("need exactly 8 weights")
-            w = tuple(map(float, weights))
-        except TypeError:
-            # a number, None or a nested sequence: like NaN, it has no sum
-            raise ValueError("weights must sum to 1") from None
+        # what is no sequence of reals, like NaN, has no sum
+        w = reals(weights, "weights must sum to 1")
+        if len(w) != 8:
+            raise ValueError("need exactly 8 weights")
         if not abs(sum(w) - 1.0) <= EXACT_TOL:
             raise ValueError("weights must sum to 1")
         if not all(abs(x) <= 1.0 + EXACT_TOL for x in w):
@@ -139,11 +133,10 @@ def commutes_with_antipode(s: Sequence[int]) -> bool:
 
 def _check_permutation(s: Sequence[int]) -> tuple[int, ...]:
     try:
-        # int entries only; a bool is an int but no hidden value, so -1
-        perm = tuple(-1 if isinstance(v, bool) else operator.index(v) for v in s)
-    except TypeError:   # a float or string entry, or no sequence at all
+        perm = tuple(map(integer, s))   # None for an entry that is no integer
+    except TypeError:   # no sequence at all
         perm = ()
-    if sorted(perm) != list(LAMBDAS):
+    if None in perm or sorted(perm) != list(LAMBDAS):
         raise ValueError("not a permutation of 1..8")
     if not commutes_with_antipode(perm):
         raise ValueError("breaks antipodal constraint")
@@ -160,27 +153,25 @@ def evolve_permutation(dist: SignedDistribution, s: Sequence[int]) -> SignedDist
 
 class PermutationMix(CheckedRecord, namedtuple("PermutationMix", "terms")):
     """Convex combination of permutations of the eight hidden values: terms
-    is a tuple of (permutation, weight) pairs."""
+    is a tuple of (permutation, weight) pairs, each weight a float."""
 
     __slots__ = ()
 
     def __new__(cls, terms: Sequence[tuple[Sequence[int], float]]):
-        total = 0.0
-        checked = []
         try:
-            for perm, weight in terms:
-                # the checked tuple, so that no caller keeps a mutable permutation
-                checked.append((_check_permutation(perm), weight))
-                if not weight >= 0.0:
-                    raise ValueError("mixture weights must be nonnegative")
-                total += weight
-        except TypeError:   # terms that are no sequence, or a weight that is no number
+            # the checked tuples, so that no caller keeps a mutable permutation
+            checked = [(_check_permutation(perm), weight) for perm, weight in terms]
+        except TypeError:   # terms that are no sequence
             raise ValueError("mixture terms must be (permutation, number) pairs") from None
         if not checked:
             raise ValueError("mixture needs at least one term")
-        if not abs(total - 1.0) <= EXACT_TOL:
+        perms, weights = zip(*checked)
+        weights = reals(weights, "mixture terms must be (permutation, number) pairs")
+        if not all(w >= 0.0 for w in weights):
+            raise ValueError("mixture weights must be nonnegative")
+        if not abs(sum(weights) - 1.0) <= EXACT_TOL:
             raise ValueError("mixture weights must sum to 1")
-        return super().__new__(cls, tuple(checked))
+        return super().__new__(cls, tuple(zip(perms, weights)))
 
 
 def evolve_mixture(dist: SignedDistribution, mix: PermutationMix) -> SignedDistribution:

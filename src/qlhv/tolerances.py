@@ -1,14 +1,19 @@
-"""Every proved bound and every tolerance of the package, the two input
-rules built on them (the closed Bloch ball and the unit sphere), and
-CheckedRecord, the base that keeps each record's checks on every route that
-builds one.  Checks are written so that NaN fails them (`not x <= tol`,
-never `x > tol`).  The input rules return 3-tuples of Python floats and
-need no numpy."""
+"""Every proved bound and every tolerance of the package, the two number
+rules that every input boundary applies, the two vector rules built on them
+(the closed Bloch ball and the unit sphere), and CheckedRecord, the base
+that keeps each record's checks on every route that builds one.
+
+A real is a Python or numpy int or float, never a bool, str, bytes, None
+or complex.  An integer is what operator.index accepts, never a bool.
+Checks are written so that NaN fails them (`not x <= tol`, never
+`x > tol`).  The rules return Python floats and ints and need no numpy."""
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import operator
+import sys
+from typing import Iterable, Sequence
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 CLASSICAL = 2.0
@@ -24,20 +29,52 @@ BOUND_TOL = 1e-9
 OPTIMUM_TOL = 1e-6
 
 
-def _three_floats(v: Sequence[float], message: str) -> tuple[float, float, float]:
-    # A string, a nested sequence or a component that is not a real number
-    # fails with the caller's message, as a vector of the wrong length does.
-    if isinstance(v, str):
-        raise ValueError(message)
+_FLOAT = frozenset({float})
+
+
+def is_real(x) -> bool:
+    """The real rule: x is a Python or numpy int or float, and no bool."""
+    if isinstance(x, (int, float)):
+        return not isinstance(x, bool)
+    # a numpy scalar exists only once numpy is imported, so it is never imported here
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, (np.integer, np.floating))
+
+
+def integer(x) -> int | None:
+    """The integer rule: x as an int, if operator.index takes it and it is
+    no bool; otherwise None."""
     try:
-        x, y, z = v
-        return float(x), float(y), float(z)
-    except (TypeError, ValueError):
+        return None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        return None
+
+
+def reals(values: Iterable[float], message: str) -> tuple[float, ...]:
+    """values as a tuple of floats, if it is a sequence of reals; otherwise
+    ValueError(message).  A str or bytes is text, never a sequence of
+    numbers, although bytes iterate as ints."""
+    try:
+        entries = tuple(values)
+    except TypeError:   # a number or None in place of the sequence
         raise ValueError(message) from None
+    if entries and _FLOAT.issuperset(map(type, entries)):   # the common case, already floats
+        return entries
+    if isinstance(values, (str, bytes, bytearray)) or not all(map(is_real, entries)):
+        raise ValueError(message)
+    return tuple(map(float, entries))
+
+
+def _three_floats(v: Sequence[float], message: str) -> tuple[float, float, float]:
+    # a vector of the wrong length fails with the message of a malformed one
+    vec = reals(v, message)
+    if len(vec) != 3:
+        raise ValueError(message)
+    return vec
 
 
 def bloch_vector(r: Sequence[float]) -> tuple[float, float, float]:
-    """r as three floats, if it is a 3-vector with |r|^2 <= 1 + EXACT_TOL."""
+    """r as three floats, if it is three reals with |r|^2 <= 1 + EXACT_TOL."""
     x, y, z = vec = _three_floats(r, "Bloch vector must have three components")
     if not x * x + y * y + z * z <= 1.0 + EXACT_TOL:
         raise ValueError("outside Bloch ball")
@@ -45,7 +82,7 @@ def bloch_vector(r: Sequence[float]) -> tuple[float, float, float]:
 
 
 def unit_direction(n: Sequence[float]) -> tuple[float, float, float]:
-    """n as three floats, if it is a 3-vector with | |n| - 1 | <= BOUND_TOL."""
+    """n as three floats, if it is three reals with | |n| - 1 | <= BOUND_TOL."""
     vec = _three_floats(n, "non-unit direction")
     if not abs(math.hypot(*vec) - 1.0) <= BOUND_TOL:
         raise ValueError("non-unit direction")

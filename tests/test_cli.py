@@ -114,22 +114,25 @@ README_COMMANDS = [shlex.split(line, comments=True)[1:] for line in README.split
                    if line.startswith("qlhv ")]
 NUMPY_COMMANDS = {"chsh-verify", "oracle-check"}
 
-# runs the CLI, then reports on stderr whether numpy was loaded
-_MAIN_THEN_NUMPY_LOADED = ("import sys\nfrom qlhv.cli import main\ncode = main(sys.argv[1:])\n"
-                           "print('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)\n")
-
-
 # the qlhv modules that importing the CLI loads, and what each command adds
 _CLI_MODULES = {"qlhv", "qlhv.cli", "qlhv.tolerances"}
 _COMMAND_MODULES = {"chsh": {"qlhv.chsh"}, "ghz": {"qlhv.ghz", "qlhv.quaternions"},
                     "qubit": {"qlhv.qubit"}, "oracle": {"qlhv.oracle"}}
-# prints the qlhv modules loaded after `import qlhv.cli`, then after main
-_QLHV_MODULES_AFTER_IMPORT_AND_MAIN = (
-    "import contextlib, io, json, sys\n"
-    "loaded = lambda: json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'qlhv'))\n"
-    "from qlhv.cli import main\nprint(loaded())\n"
-    "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
-    "print(loaded())\nsys.exit(code)\n")
+# runs the CLI, its report on stdout, then prints on stderr one JSON line:
+# the qlhv modules loaded after `import qlhv.cli`, those loaded after main,
+# and whether numpy was loaded
+_MAIN_THEN_LOADED = (
+    "import json, sys\n"
+    "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'qlhv')\n"
+    "from qlhv.cli import main\nafter_import = loaded()\ncode = main(sys.argv[1:])\n"
+    "print(json.dumps([after_import, loaded(), 'numpy' in sys.modules]), file=sys.stderr)\n"
+    "sys.exit(code)\n")
+
+
+@pytest.fixture(scope="module", params=README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def readme_run(request):
+    """One fresh process per README command, which the tests below share."""
+    return request.param, _fresh_python("-W", "error", "-c", _MAIN_THEN_LOADED, *request.param)
 
 
 def test_readme_lists_every_command():
@@ -152,19 +155,18 @@ def test_readme_rules_match_cli_rules():
     assert sorted(documented) == sorted(RULES)
 
 
-@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
-def test_readme_command_loads_numpy_only_if_it_needs_it(argv):
-    proc = _fresh_python("-W", "error", "-c", _MAIN_THEN_NUMPY_LOADED, *argv)
+def test_readme_command_loads_numpy_only_if_it_needs_it(readme_run):
+    argv, proc = readme_run
     assert proc.returncode == 0, proc.stderr
+    *_, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
     assert json.loads(proc.stdout, parse_constant=_reject_constant)["command"] == argv[0]
-    assert proc.stderr.splitlines()[-1] == str(argv[0] in NUMPY_COMMANDS)
+    assert numpy_loaded is (argv[0] in NUMPY_COMMANDS)
 
 
-@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
-def test_readme_command_imports_only_its_modules(argv):
-    proc = _fresh_python("-W", "error", "-c", _QLHV_MODULES_AFTER_IMPORT_AND_MAIN, *argv)
+def test_readme_command_imports_only_its_modules(readme_run):
+    argv, proc = readme_run
     assert proc.returncode == 0, proc.stderr
-    after_import, after_main = map(json.loads, proc.stdout.splitlines())
+    after_import, after_main, _ = json.loads(proc.stderr.splitlines()[-1])
     expected = _CLI_MODULES | _COMMAND_MODULES[argv[0].split("-")[0]]
     if argv[0] == "qubit-expect":
         expected |= _COMMAND_MODULES["oracle"]
@@ -173,10 +175,11 @@ def test_readme_command_imports_only_its_modules(argv):
 
 
 def test_oracle_check_rejects_samples_without_seed_before_numpy():
-    proc = _fresh_python("-W", "error", "-c", _MAIN_THEN_NUMPY_LOADED, "oracle-check", "--samples", "20")
+    proc = _fresh_python("-W", "error", "-c", _MAIN_THEN_LOADED, "oracle-check", "--samples", "20")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.splitlines() == ["error: --samples requires --seed", "False"]
+    error, loaded = proc.stderr.splitlines()
+    assert error == "error: --samples requires --seed" and json.loads(loaded)[2] is False
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_numpy():

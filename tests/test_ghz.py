@@ -4,6 +4,7 @@ import pytest
 
 from qlhv.ghz import (
     PATTERNS,
+    ParityCheckReport,
     classical_parity_check,
     condition_set,
     enumerate_assignments,
@@ -161,6 +162,13 @@ def test_classical_parity_check():
     assert report.satisfying_count == 8
     # the all-positive assignment satisfies every condition
     assert satisfies(ALL_PLUS, "xyy") and satisfies(ALL_PLUS, "yxy") and satisfies(ALL_PLUS, "yyx")
+
+
+def test_parity_report_is_a_plain_result():
+    # a product that differs across the satisfying set has no constant
+    assert ParityCheckReport(8, frozenset({1, -1})).constant_product is None
+    assert ParityCheckReport(8, frozenset({-1})).constant_product == -1
+    assert classical_parity_check() == (8, frozenset({1}))
 
 
 def test_export_format():

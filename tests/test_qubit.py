@@ -90,13 +90,13 @@ def test_distribution_invariants_rejected():
 
 
 @pytest.mark.parametrize("weights, message", [
-    pytest.param("abcdefgh", "need exactly 8 weights", id="string"),
+    pytest.param("abcdefgh", "weights must sum to 1", id="string"),
     pytest.param((0.25,) * 4, "need exactly 8 weights", id="four-weights"),
     pytest.param((0.1,) * 10, "need exactly 8 weights", id="ten-weights"),
     pytest.param(5, "weights must sum to 1", id="number"),
     pytest.param(((0.125,),) + (0.125,) * 7, "weights must sum to 1", id="nested"),
     pytest.param((None,) + (0.125,) * 7, "weights must sum to 1", id="none-weight"),
-    pytest.param(("x",) + (0.125,) * 7, "could not convert string to float", id="string-weight"),
+    pytest.param(("x",) + (0.125,) * 7, "weights must sum to 1", id="string-weight"),
     pytest.param((math.nan,) + (0.125,) * 7, "weights must sum to 1", id="nan"),
     pytest.param((math.inf,) + (0.125,) * 7, "weights must sum to 1", id="inf"),
     pytest.param((-math.inf,) + (0.125,) * 7, "weights must sum to 1", id="-inf"),

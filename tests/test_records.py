@@ -1,10 +1,10 @@
-"""The five records of the package are immutable tuples that no constructor
-path builds invalid: the class, _make, and _replace all run its checks."""
+"""The four validating records of the package are immutable tuples that no
+constructor path builds invalid: the class, _make, and _replace all run its
+checks."""
 
 import pytest
 
 from qlhv.chsh import ChshModel
-from qlhv.ghz import ParityCheckReport, classical_parity_check
 from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP, PermutationMix, SignedDistribution
 from qlhv.quaternions import Basis, Q8Element, Q8_ELEMENTS
 
@@ -17,8 +17,6 @@ RECORDS = [
                  id="SignedDistribution"),
     pytest.param(PermutationMix(((IDENTITY_PERMUTATION, 0.5), (X_FLIP, 0.5))), ("terms",),
                  ("terms", ((X_FLIP, 1.5),)), id="PermutationMix"),
-    pytest.param(classical_parity_check(), ("satisfying_count", "xxx_sign_products"),
-                 ("satisfying_count", -1), id="ParityCheckReport"),
 ]
 
 
@@ -45,15 +43,6 @@ def test_record_is_immutable_and_never_invalid(record, fields, invalid):
 def test_q8_elements_order_by_basis_then_sign():
     assert sorted(Q8_ELEMENTS) == sorted(Q8_ELEMENTS, key=lambda e: (e.basis, e.sign))
     assert Q8Element(Basis.ONE, 1) < Q8Element(Basis.I, -1) < Q8Element(Basis.I, 1)
-
-
-def test_parity_report_rejects_malformed_fields():
-    with pytest.raises(ValueError, match="satisfying count"):
-        ParityCheckReport(True, frozenset({1}))
-    with pytest.raises(ValueError, match="sign products"):
-        ParityCheckReport(8, frozenset({1, 2}))
-    with pytest.raises(ValueError, match="sign products"):
-        ParityCheckReport(8, {1})
 
 
 def test_records_built_from_lists_hold_tuples():
