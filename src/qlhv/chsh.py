@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .tolerances import EXACT_TOL, CheckedRecord, reals
+from .tolerances import EXACT_TOL, CheckedRecord, integer, reals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -170,6 +170,17 @@ def _single_point_model(t1: float, t2: float, t3: float, t4: float) -> ChshModel
     return ChshModel((1.0,), (t1, t2, t3, t4), ((0,), (0,), (0,), (0,)))
 
 
+def _count(value, name: str, minimum: int) -> int:
+    # a count or seed argument: an integer by the rule of qlhv.tolerances, at
+    # least minimum
+    checked = integer(value)
+    if checked is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if checked < minimum:
+        raise ValueError(f"{name} must be at least {minimum}" if minimum else f"{name} must be nonnegative")
+    return checked
+
+
 def maximize_bell(grid_steps: int, refine_iters: int = 50,
                   rng_seed: int = 0) -> tuple[ChshModel, float]:
     """Grid search over the two Bob phases followed by local refinement.
@@ -179,13 +190,13 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     the phases are searched, each candidate scored by analytic_bound, which
     is its Bell value.  Among equal grid maxima the lowest grid index wins.
     The random candidate of each refinement step comes from
-    random.Random(rng_seed), which must be nonnegative.
+    random.Random(rng_seed).  grid_steps, refine_iters and rng_seed are
+    integers; refine_iters and rng_seed must be nonnegative.
     Returns (best model, its Bell value through the correlations).
     """
-    if grid_steps < 4:
-        raise ValueError("grid_steps must be at least 4")
-    if rng_seed < 0:
-        raise ValueError("rng_seed must be nonnegative")
+    grid_steps = _count(grid_steps, "grid_steps", 4)
+    refine_iters = _count(refine_iters, "refine_iters", 0)
+    rng_seed = _count(rng_seed, "rng_seed", 0)
     import random
     grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
     spacing = 2.0 * math.pi / grid_steps
@@ -237,7 +248,9 @@ def sample_models(rng: np.random.Generator, count: int,
     model's support, in one rng.random((count, 85)) call.  A row-major draw
     consumes the stream as count draws of one row do, so row i is the model
     that the i-th of count sample_model calls on the same generator would
-    return, and splitting a sweep into chunks does not change its models."""
+    return, and splitting a sweep into chunks does not change its models.
+    count is a nonnegative integer."""
+    count = _count(count, "count", 0)
     weights, (thetas,), bits = _decode_rows(rng.random((count, _ROW)), (phase_choices,))
     return weights, thetas, bits
 
@@ -300,8 +313,7 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness
     the witnesses of the complex and of the real maximum, the largest
     excess of a complex value over its analytic_bound, and the first
     _SPOT_ROWS rows (fewer if samples is smaller) under complex phases."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    samples = _count(samples, "samples", 1)
     best: list[Witness | None] = [None] * len(_SWEEP_REGIMES)
     gap, spots = -math.inf, []
     for start in range(0, samples, _BLOCK):

@@ -5,12 +5,15 @@ eigenrelations, single-qubit expectations, and the quantum value of the
 CHSH operator via power iteration.  Dimensions never exceed 8.
 
 One Pauli table underlies every operator: I, X, Y and Z, each flattened
-to its four complex entries.  The single-qubit path (density_matrix,
-qubit_expectation) builds rho and n . sigma each as one fused combination
-c0*I + cx*X + cy*Y + cz*Z of the table, takes the trace by explicit 2x2
-complex arithmetic, and needs no numpy.  pauli, ghz_state,
-three_party_operator, verify_eigenrelation, direction_operator and
-chsh_quantum_value build or take numpy arrays and import numpy when called.
+to its four complex entries, and every operator is built from it.  rho
+and n . sigma are each one fused combination c0*I + cx*X + cy*Y + cz*Z
+of the table; the single-qubit path (density_matrix, qubit_expectation)
+takes the trace by explicit 2x2 complex arithmetic and needs no numpy.
+Tensor products are one broadcast product each, whose every entry is the
+single product x[i, j] * y[k, l] that np.kron computes, without its
+generic Python path.  pauli, ghz_state, three_party_operator,
+verify_eigenrelation, direction_operator and chsh_quantum_value build or
+take numpy arrays and import numpy when called.
 """
 
 from __future__ import annotations
@@ -40,17 +43,18 @@ def _combination(c0: float, cx: float, cy: float, cz: float) -> list:
     return [c0 * i + cx * x + cy * y + cz * z for i, x, y, z in _ENTRIES]
 
 
-@functools.cache
-def _pauli_arrays() -> dict:
-    # the table as numpy arrays, built on first use
-    import numpy as np
-    return {axis: np.array(entries).reshape(2, 2) for axis, entries in _PAULI.items()}
-
-
 def pauli(axis: str) -> np.ndarray:
     if axis not in _PAULI:
         raise ValueError(f"unknown axis: {axis!r}")
-    return _pauli_arrays()[axis].copy()
+    import numpy as np
+    return np.array(_PAULI[axis]).reshape(2, 2)
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two square matrices: entry (i*m + k, j*m + l)
+    is x[i, j] * y[k, l], as in np.kron."""
+    n, m = len(x), len(y)
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(n * m, n * m)
 
 
 def ghz_state() -> np.ndarray:
@@ -67,10 +71,9 @@ def three_party_operator(axes: str) -> np.ndarray:
     """Tensor product of one Pauli per party, e.g. "xyy"."""
     if len(axes) != 3:
         raise ValueError("need one axis per party")
-    import numpy as np
     op = pauli(axes[0])
     for axis in axes[1:]:
-        op = np.kron(op, pauli(axis))
+        op = _kron(op, pauli(axis))
     return op
 
 
@@ -84,9 +87,8 @@ def verify_eigenrelation(op: np.ndarray, v: np.ndarray, expected: int) -> bool:
 
 def direction_operator(n: Sequence[float]) -> np.ndarray:
     """n . sigma for a unit 3-vector n."""
-    vec = unit_direction(n)
-    x, y, z = _pauli_arrays().values()
-    return vec[0] * x + vec[1] * y + vec[2] * z
+    import numpy as np
+    return np.array(_combination(0.0, *unit_direction(n))).reshape(2, 2)
 
 
 def density_matrix(r: Sequence[float]) -> tuple:
@@ -109,14 +111,23 @@ _RESIDUAL = 1e-10
 _MAX_ITERS = 10_000
 
 
+@functools.cache
+def _start_vector(dim: int) -> np.ndarray:
+    # the unit start vector of _power_iteration, drawn once and read-only, so
+    # that every call runs the same iterations
+    import numpy as np
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
 def _power_iteration(m: np.ndarray) -> float:
     """Dominant eigenvalue of a positive semidefinite hermitian matrix by
     power iteration, run to a residual of _RESIDUAL."""
     import numpy as np
-    dim = m.shape[0]
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v = _start_vector(m.shape[0])
     lam = 0.0
     for _ in range(_MAX_ITERS):
         w = m @ v
@@ -137,11 +148,10 @@ def chsh_quantum_value(a: Sequence[float], a_prime: Sequence[float],
     """Largest-magnitude eigenvalue of the CHSH operator
     a.sigma (x) (b+b').sigma + a'.sigma (x) (b-b').sigma,
     obtained by power iteration on its square."""
-    import numpy as np
     op_a = direction_operator(a)
     op_ap = direction_operator(a_prime)
     op_b = direction_operator(b)
     op_bp = direction_operator(b_prime)
-    bell_op = np.kron(op_a, op_b + op_bp) + np.kron(op_ap, op_b - op_bp)
+    bell_op = _kron(op_a, op_b + op_bp) + _kron(op_ap, op_b - op_bp)
     top = _power_iteration(bell_op.conj().T @ bell_op)
     return math.sqrt(max(top, 0.0))

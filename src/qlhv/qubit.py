@@ -158,15 +158,17 @@ class PermutationMix(CheckedRecord, namedtuple("PermutationMix", "terms")):
     __slots__ = ()
 
     def __new__(cls, terms: Sequence[tuple[Sequence[int], float]]):
+        message = "mixture terms must be (permutation, number) pairs"
         try:
-            # the checked tuples, so that no caller keeps a mutable permutation
-            checked = [(_check_permutation(perm), weight) for perm, weight in terms]
-        except TypeError:   # terms that are no sequence
-            raise ValueError("mixture terms must be (permutation, number) pairs") from None
-        if not checked:
+            pairs = [(perm, weight) for perm, weight in terms]
+        except (TypeError, ValueError):   # terms that are no sequence, or a term that is no pair
+            raise ValueError(message) from None
+        if not pairs:
             raise ValueError("mixture needs at least one term")
-        perms, weights = zip(*checked)
-        weights = reals(weights, "mixture terms must be (permutation, number) pairs")
+        perms, weights = zip(*pairs)
+        # the checked tuples, so that no caller keeps a mutable permutation
+        perms = tuple(map(_check_permutation, perms))
+        weights = reals(weights, message)
         if not all(w >= 0.0 for w in weights):
             raise ValueError("mixture weights must be nonnegative")
         if not abs(sum(weights) - 1.0) <= EXACT_TOL:

@@ -53,7 +53,12 @@ def integer(x) -> int | None:
 def reals(values: Iterable[float], message: str) -> tuple[float, ...]:
     """values as a tuple of floats, if it is a sequence of reals; otherwise
     ValueError(message).  A str or bytes is text, never a sequence of
-    numbers, although bytes iterate as ints."""
+    numbers, although bytes iterate as ints.  A numpy array is read through
+    one tolist(), whose Python numbers, lists and str the rules then check."""
+    if type(values) is not tuple and type(values) is not list:
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(values, np.ndarray):
+            values = values.tolist()
     try:
         entries = tuple(values)
     except TypeError:   # a number or None in place of the sequence

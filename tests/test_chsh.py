@@ -181,6 +181,29 @@ def test_maximizer_rejects_negative_seed():
         maximize_bell(8, 50, -1)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: maximize_bell(4.5), "grid_steps must be an integer", id="float-grid"),
+    pytest.param(lambda: maximize_bell(16, 2.5), "refine_iters must be an integer", id="float-refine"),
+    pytest.param(lambda: maximize_bell(16, -1), "refine_iters must be nonnegative", id="negative-refine"),
+    pytest.param(lambda: maximize_bell(16, 50, True), "rng_seed must be an integer", id="bool-seed"),
+    pytest.param(lambda: bell_sweep(np.random.default_rng(0), 2.5), "samples must be an integer",
+                 id="float-samples"),
+    pytest.param(lambda: bell_sweep(np.random.default_rng(0), 0), "samples must be at least 1", id="no-samples"),
+    pytest.param(lambda: sample_models(np.random.default_rng(0), True), "count must be an integer", id="bool-count"),
+    pytest.param(lambda: sample_models(np.random.default_rng(0), -1), "count must be nonnegative",
+                 id="negative-count"),
+])
+def test_counts_and_seeds_follow_the_integer_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_counts_and_seeds_take_numpy_integers():
+    assert maximize_bell(np.int64(8), np.int64(50), np.int64(1)) == maximize_bell(8, 50, 1)
+    weights, _, _ = sample_models(np.random.default_rng(0), np.int64(3))
+    assert weights.shape == (3, MAX_POINTS)
+
+
 def test_maximizer_returns_phases_in_zero_to_two_pi():
     # refinement can leave a phase outside [0, 2pi) before the reduction: the
     # 5-step grid, seed 0, ends below 0 and returns theta2 = 5.969...

@@ -60,6 +60,38 @@ def test_tensor_dimensions():
     assert three_party_operator("xyy").shape == (8, 8)
 
 
+def test_kron_helper_equals_np_kron_entry_for_entry():
+    # eigvalsh cannot tell kron(x, y) from kron(y, x): both have one spectrum
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x, y = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        assert np.array_equal(oracle._kron(x, y), np.kron(x, y))
+    pair = oracle._kron(pauli("x"), pauli("y"))
+    assert np.array_equal(oracle._kron(pair, pauli("z")), np.kron(pair, pauli("z")))
+    for axes in ("xxx", "xyy", "yxy", "yyx", "zxy"):
+        assert np.array_equal(three_party_operator(axes),
+                              np.kron(np.kron(pauli(axes[0]), pauli(axes[1])), pauli(axes[2])))
+
+
+def test_direction_operator_is_the_sum_over_the_pauli_matrices():
+    rng = np.random.default_rng(6)
+    dirs = rng.standard_normal((20, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for x, y, z in dirs.tolist() + [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]:
+        expected = x * pauli("x") + y * pauli("y") + z * pauli("z")
+        assert np.array_equal(direction_operator((x, y, z)), expected)
+
+
+def test_power_iteration_start_vector_is_read_only_and_shared():
+    v = oracle._start_vector(4)
+    assert v is oracle._start_vector(4) and np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        v[0] = 0.0
+    bell = oracle._kron(pauli("x"), pauli("x") + pauli("z")) + oracle._kron(pauli("z"), pauli("x") - pauli("z"))
+    square = bell.conj().T @ bell
+    assert oracle._power_iteration(square) == oracle._power_iteration(square)
+
+
 def test_ghz_state_amplitudes():
     v = ghz_state()
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
@@ -166,7 +198,7 @@ def test_chsh_rejects_non_unit_settings():
 
 @pytest.mark.xfail(strict=True, reason="power iteration stalls on near-degenerate top eigenvalues "
                    "and underestimates; remove this marker when the batched eigvalsh oracle "
-                   "(ROADMAP item 2) replaces it")
+                   "(ROADMAP item 3) replaces it")
 def test_chsh_quantum_value_near_degenerate_settings():
     settings = ((1.0, 0.0, 0.0), (math.cos(1e-5), math.sin(1e-5), 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     a, ap, b, bp = map(direction_operator, settings)

@@ -328,6 +328,8 @@ def test_mixture_weight_validation():
     pytest.param(((X_FLIP, "1"),), id="string-weight"),
     pytest.param(((X_FLIP, None),), id="none-weight"),
     pytest.param(5, id="terms-not-a-sequence"),
+    pytest.param(((X_FLIP, 1.0, 3),), id="triple"),
+    pytest.param(((X_FLIP,),), id="single"),
 ])
 def test_mixture_rejects_terms_that_are_not_permutation_number_pairs(terms):
     with pytest.raises(ValueError, match=r"mixture terms must be \(permutation, number\) pairs"):

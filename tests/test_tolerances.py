@@ -86,6 +86,12 @@ NOT_THREE_NUMBERS = [
     pytest.param(("x", 0.8, 0.6), id="string-component"),
     pytest.param(0.6, id="number"),
     pytest.param(b"\x00\x00\x01", id="bytes"),
+    pytest.param(np.array([True, False, False]), id="numpy-bool-row"),
+    pytest.param(np.array([0.6 + 0j, 0.8, 0.0]), id="numpy-complex-row"),
+    pytest.param(np.array(["0.6", "0.8", "0"]), id="numpy-str-row"),
+    pytest.param(np.array([[0.6, 0.8, 0.0]]), id="numpy-2d-row"),
+    pytest.param(np.array([[0.6], [0.8], [0.0]]), id="numpy-2d-column"),
+    pytest.param(np.array(0.6), id="numpy-0d"),
 ]
 NON_FINITE = [pytest.param(math.nan, id="nan"), pytest.param(math.inf, id="inf"),
               pytest.param(-math.inf, id="-inf")]
