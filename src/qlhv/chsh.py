@@ -30,7 +30,8 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .tolerances import EXACT_TOL, CheckedRecord, integer, reals
+from . import tolerances
+from .tolerances import EXACT_TOL, CheckedRecord, reals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -170,17 +171,6 @@ def _single_point_model(t1: float, t2: float, t3: float, t4: float) -> ChshModel
     return ChshModel((1.0,), (t1, t2, t3, t4), ((0,), (0,), (0,), (0,)))
 
 
-def _count(value, name: str, minimum: int) -> int:
-    # a count or seed argument: an integer by the rule of qlhv.tolerances, at
-    # least minimum
-    checked = integer(value)
-    if checked is None:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if checked < minimum:
-        raise ValueError(f"{name} must be at least {minimum}" if minimum else f"{name} must be nonnegative")
-    return checked
-
-
 def maximize_bell(grid_steps: int, refine_iters: int = 50,
                   rng_seed: int = 0) -> tuple[ChshModel, float]:
     """Grid search over the two Bob phases followed by local refinement.
@@ -194,9 +184,9 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     integers; refine_iters and rng_seed must be nonnegative.
     Returns (best model, its Bell value through the correlations).
     """
-    grid_steps = _count(grid_steps, "grid_steps", 4)
-    refine_iters = _count(refine_iters, "refine_iters", 0)
-    rng_seed = _count(rng_seed, "rng_seed", 0)
+    grid_steps = tolerances.count(grid_steps, "grid_steps", 4)
+    refine_iters = tolerances.count(refine_iters, "refine_iters", 0)
+    rng_seed = tolerances.count(rng_seed, "rng_seed", 0)
     import random
     grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
     spacing = 2.0 * math.pi / grid_steps
@@ -250,7 +240,7 @@ def sample_models(rng: np.random.Generator, count: int,
     that the i-th of count sample_model calls on the same generator would
     return, and splitting a sweep into chunks does not change its models.
     count is a nonnegative integer."""
-    count = _count(count, "count", 0)
+    count = tolerances.count(count, "count", 0)
     weights, (thetas,), bits = _decode_rows(rng.random((count, _ROW)), (phase_choices,))
     return weights, thetas, bits
 
@@ -313,7 +303,7 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness
     the witnesses of the complex and of the real maximum, the largest
     excess of a complex value over its analytic_bound, and the first
     _SPOT_ROWS rows (fewer if samples is smaller) under complex phases."""
-    samples = _count(samples, "samples", 1)
+    samples = tolerances.count(samples, "samples", 1)
     best: list[Witness | None] = [None] * len(_SWEEP_REGIMES)
     gap, spots = -math.inf, []
     for start in range(0, samples, _BLOCK):

@@ -5,13 +5,17 @@ checks, elapsed_ms}, JSON by default, CSV as a flat check table) and exits
 0 only if every check passes.  Randomized commands require an explicit
 seed, so reports are reproducible by construction.
 
-A command is one record of COMMANDS: help text, argument specs and a
-handler.  A handler returns its claims (name, expected, actual, rule,
-tolerance) and an optional result payload; RULES decides each claim's
-pass, and the report's config is the parsed arguments.  chsh-verify's
-result names its maximal models, with their records, and two spot rows,
-which --seed and the index replay; one claim replays all of them by the
-per-model route.
+A command is one record of COMMANDS: help text, (flag, parse, required)
+triples and a handler.  argparse reads each flag as text; main converts the
+given flags once, each by its parse, into config, keyed by flag name without
+"--", which is both the handler's only argument and the report's config.
+A flag that does not parse raises ValueError naming it; the library judges
+every parsed value.  Either ValueError prints one "error: ..." line and
+exits 2.  A handler returns its claims (name, expected, actual, rule,
+tolerance) and an optional result payload; RULES decides each claim's pass.
+chsh-verify's result names its maximal models, with their records, and two
+spot rows, which --seed and the index replay; one claim replays all of them
+by the per-model route.
 
 numpy is imported only by chsh-verify, for its generator and arrays, and by
 oracle-check, for the oracle's matrices and its random settings; the other
@@ -45,6 +49,7 @@ from .tolerances import (
     NEGATIVE_WEIGHT_FLOOR,
     OPTIMUM_TOL,
     TSIRELSON,
+    count,
 )
 
 
@@ -70,25 +75,6 @@ def parse_permutation(text: str):
 def _vector3(text: str) -> tuple[float, ...]:
     """Comma-separated floats; the model's rules judge the vector."""
     return tuple(float(p) for p in text.split(","))
-
-
-def _at_least(minimum: int) -> Callable[[str], int]:
-    def count(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise ValueError(f"must be at least {minimum}, got {value}")
-        return value
-    return count
-
-
-def _argument_type(parse: Callable):
-    """An argparse type that reports the ValueError message of parse."""
-    def convert(text: str):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return convert
 
 
 # ---------------------------------------------------------------- claims
@@ -118,7 +104,7 @@ def render_report(report: dict, fmt: str) -> str:
 
 # ---------------------------------------------------------------- handlers
 
-def _chsh_achieve(args):
+def _chsh_achieve(config):
     from . import chsh
     model = chsh.make_achieving_model()
     claims = [("bell_expression", TSIRELSON, chsh.bell_expression(model), "close", BOUND_TOL)]
@@ -129,10 +115,10 @@ def _chsh_achieve(args):
                     "correlations": {k: [z.real, z.imag] for k, z in correlations.items()}}
 
 
-def _chsh_verify(args):
+def _chsh_verify(config):
     import numpy as np
     from . import chsh
-    complex_max, real_max, gap, spots = chsh.bell_sweep(np.random.default_rng(args.seed), args.samples)
+    complex_max, real_max, gap, spots = chsh.bell_sweep(np.random.default_rng(config["seed"]), config["samples"])
     witnesses = {name: {"index": w.index, "value": w.value, "model": chsh.model_to_dict(w.model)}
                  for name, w in (("complex_witness", complex_max), ("real_witness", real_max))}
     # the scalar route replays each witness from its printed record, and each
@@ -149,14 +135,14 @@ def _chsh_verify(args):
     return claims, {**witnesses, "spot_rows": [{"index": w.index, "value": w.value} for w in spots]}
 
 
-def _chsh_optimize(args):
+def _chsh_optimize(config):
     from . import chsh
-    model, value = chsh.maximize_bell(args.grid, rng_seed=args.seed)
+    model, value = chsh.maximize_bell(config["grid"], rng_seed=config["seed"])
     claims = [("optimizer_reaches_tsirelson", TSIRELSON, value, "reaches", OPTIMUM_TOL)]
     return claims, {"model": chsh.model_to_dict(model)}
 
 
-def _ghz_enumerate(args):
+def _ghz_enumerate(config):
     from . import ghz
     claims = [("assignment_count", 512, len(ghz.enumerate_assignments()), "equal", None)]
     claims += [(f"condition_set_size_{p}", 256, len(ghz.condition_set(p)), "equal", None)
@@ -164,7 +150,7 @@ def _ghz_enumerate(args):
     return claims, None
 
 
-def _ghz_verify(args):
+def _ghz_verify(config):
     from . import ghz
 
     def products(assignments):
@@ -184,9 +170,9 @@ def _ghz_verify(args):
                     "intersection": ghz.export_assignments(aligned)}
 
 
-def _qubit_dist(args):
+def _qubit_dist(config):
     from . import qubit
-    dist = qubit.state_distribution(args.bloch)
+    dist = qubit.state_distribution(config["bloch"])
     claims = [
         ("retroaction", True, qubit.retroaction_check(dist), "equal", None),
         ("min_weight_floor", NEGATIVE_WEIGHT_FLOOR, min(dist.weights), "at_least", EXACT_TOL),
@@ -194,33 +180,33 @@ def _qubit_dist(args):
     return claims, {"distribution": list(dist.weights)}
 
 
-def _qubit_expect(args):
+def _qubit_expect(config):
     from . import oracle, qubit
-    dist = qubit.state_distribution(args.bloch)
+    dist = qubit.state_distribution(config["bloch"])
     claims = []
     for idx, axis in enumerate(qubit.AXES):
         lhv = qubit.axis_expectation(dist, axis)
-        quantum = oracle.qubit_expectation(args.bloch, tuple(float(i == idx) for i in range(3)))
-        claims.append((f"expectation_{axis}", args.bloch[idx], lhv, "close", EXACT_TOL))
+        quantum = oracle.qubit_expectation(config["bloch"], tuple(float(i == idx) for i in range(3)))
+        claims.append((f"expectation_{axis}", config["bloch"][idx], lhv, "close", EXACT_TOL))
         claims.append((f"oracle_agreement_{axis}", quantum, lhv, "close", EXACT_TOL))
-    if args.dir is None:
+    if "dir" not in config:
         return claims, None
-    return claims, {"oracle_direction_expectation": oracle.qubit_expectation(args.bloch, args.dir)}
+    return claims, {"oracle_direction_expectation": oracle.qubit_expectation(config["bloch"], config["dir"])}
 
 
-def _qubit_search_sign(args):
+def _qubit_search_sign(config):
     from . import qubit
-    found = qubit.sign_function_search(args.dir)
-    magnitudes = sorted(abs(c) for c in args.dir)
+    found = qubit.sign_function_search(config["dir"])
+    magnitudes = sorted(abs(c) for c in config["dir"])
     on_axis = all(abs(m - t) <= BOUND_TOL for m, t in zip(magnitudes, (0.0, 0.0, 1.0)))
     claims = [("sign_function_exists", on_axis, found is not None, "equal", None)]
     return claims, {"signs": None if found is None else list(found)}
 
 
-def _qubit_evolve(args):
+def _qubit_evolve(config):
     from . import qubit
-    dist = qubit.state_distribution(args.bloch)
-    evolved = qubit.evolve_permutation(dist, args.perm)
+    dist = qubit.state_distribution(config["bloch"])
+    evolved = qubit.evolve_permutation(dist, config["perm"])
     # the evolved weights are a state iff they are the distribution of their
     # own axis expectations r', which lie in the Bloch ball for every accepted s
     bloch_after = [qubit.axis_expectation(evolved, axis) for axis in qubit.AXES]
@@ -232,8 +218,9 @@ def _qubit_evolve(args):
                     "bloch_after": bloch_after}
 
 
-def _oracle_check(args):
-    if args.samples and args.seed is None:
+def _oracle_check(config):
+    samples = count(config.get("samples", 0), "samples", 0)
+    if samples and "seed" not in config:
         raise ValueError("--samples requires --seed")
     import numpy as np
     from . import oracle
@@ -245,10 +232,10 @@ def _oracle_check(args):
     s = 1.0 / math.sqrt(2.0)
     optimal = oracle.chsh_quantum_value((1, 0, 0), (0, 1, 0), (s, s, 0.0), (s, -s, 0.0))
     claims.append(("tsirelson_optimal_settings", TSIRELSON, optimal, "close", OPTIMUM_TOL))
-    if args.samples:
-        rng = np.random.default_rng(args.seed)
+    if samples:
+        rng = np.random.default_rng(config["seed"])
         worst = 0.0
-        for _ in range(args.samples):
+        for _ in range(samples):
             dirs = rng.standard_normal((4, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             worst = max(worst, oracle.chsh_quantum_value(*dirs))
@@ -261,30 +248,29 @@ def _oracle_check(args):
 class Command(NamedTuple):
     help: str
     run: Callable
-    args: tuple = ()    # (flag, argparse keywords) pairs
+    args: tuple = ()    # (flag, parse, required) triples
 
 
-_SEED = ("--seed", {"type": int, "required": True})
-_BLOCH = ("--bloch", {"type": _vector3, "required": True})
+_SEED = ("--seed", int, True)
+_BLOCH = ("--bloch", _vector3, True)
 
 COMMANDS = {
     "chsh-achieve": Command("evaluate the saturating configuration", _chsh_achieve),
     "chsh-verify": Command("randomized Bell-bound sweep", _chsh_verify, (
-        ("--samples", {"type": _at_least(1), "required": True}), _SEED)),
+        ("--samples", int, True), _SEED)),
     "chsh-optimize": Command("numerical Bell maximizer", _chsh_optimize, (
-        ("--grid", {"type": int, "required": True}), _SEED)),
+        ("--grid", int, True), _SEED)),
     "ghz-enumerate": Command("count assignments and condition sets", _ghz_enumerate),
     "ghz-verify": Command("intersection, product and parity checks", _ghz_verify),
     "qubit-dist": Command("hidden-variable distribution of a state", _qubit_dist, (_BLOCH,)),
     "qubit-expect": Command("axis expectations vs the quantum oracle", _qubit_expect, (
-        _BLOCH, ("--dir", {"type": _vector3}))),
+        _BLOCH, ("--dir", _vector3, False))),
     "qubit-search-sign": Command("exhaustive sign-assignment search", _qubit_search_sign, (
-        ("--dir", {"type": _vector3, "required": True}),)),
+        ("--dir", _vector3, True),)),
     "qubit-evolve": Command("permute the hidden-variable weights", _qubit_evolve, (
-        _BLOCH,
-        ("--perm", {"type": parse_permutation, "required": True}))),
+        _BLOCH, ("--perm", parse_permutation, True))),
     "oracle-check": Command("quantum ground-truth checks", _oracle_check, (
-        ("--samples", {"type": _at_least(0)}), ("--seed", {"type": int}))),
+        ("--samples", int, False), ("--seed", int, False))),
 }
 
 
@@ -298,10 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help)
-        for flag, kwargs in command.args:
-            if "type" in kwargs:
-                kwargs = {**kwargs, "type": _argument_type(kwargs["type"])}
-            p.add_argument(flag, **kwargs)
+        for flag, _, required in command.args:
+            p.add_argument(flag, required=required)
     return parser
 
 
@@ -312,9 +296,17 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
 
-    started = time.perf_counter()
+    command = COMMANDS[args.command]
     try:
-        claims, result = COMMANDS[args.command].run(args)
+        config = {}
+        for flag, parse, _ in command.args:
+            if (given := getattr(args, flag[2:])) is not None:
+                try:
+                    config[flag[2:]] = parse(given)
+                except ValueError as exc:
+                    raise ValueError(f"{flag}: {exc}") from None
+        started = time.perf_counter()
+        claims, result = command.run(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -325,11 +317,10 @@ def main(argv=None) -> int:
     ]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    common = ("command", "out", "format")
     report = {
         "command": args.command,
         "version": __version__,
-        "config": {k: v for k, v in vars(args).items() if k not in common and v is not None},
+        "config": config,
         "checks": checks,
         "elapsed_ms": elapsed_ms,
     }

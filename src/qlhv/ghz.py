@@ -2,7 +2,9 @@
 
 Each party carries a triple (±i, ±j, ±k).  An assignment of the nine signs
 is an int in range(512): bit 8 - (3*party + axis) is set when that party's
-unit for that axis (x -> i, y -> j, z -> k) carries -1.  Each of the three
+unit for that axis (x -> i, y -> j, z -> k) carries -1.  satisfies,
+xxx_product and export_assignments take an assignment only if it is an
+integer by the rule of qlhv.tolerances and in range(512).  Each of the three
 product constraints (xyy, yxy, yyx) is the parity of the assignment under
 a mask; the punchline product over the three x components is evaluated as
 an exact quaternion product.  classical_parity_check brute-forces the
@@ -16,6 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .quaternions import AXIS_BASIS, Q8Element, q8_product
+from .tolerances import integer
 
 PATTERNS = ("xyy", "yxy", "yyx")
 
@@ -39,19 +42,26 @@ def enumerate_assignments() -> range:
     return range(512)
 
 
+def _checked(assignment) -> int:
+    # integer() is None, which no range holds, for a non-integer
+    if integer(assignment) not in range(512):
+        raise ValueError(f"assignment outside 0..511: {assignment!r}")
+    return integer(assignment)
+
+
 def satisfies(assignment: int, pattern: str) -> bool:
     """True iff the signs of the selected components (one axis letter per
     party) multiply to +1, i.e. an even number of them are -1."""
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown condition pattern: {pattern!r}")
-    return (assignment & _mask(pattern)).bit_count() % 2 == 0
+    return _checked(assignment) in condition_set(pattern)
 
 
 @lru_cache(maxsize=None)
 def condition_set(pattern: str) -> frozenset[int]:
     """All assignments satisfying one sign-product condition; a single
     parity constraint, so exactly half the 512-element space."""
-    return frozenset(a for a in enumerate_assignments() if satisfies(a, pattern))
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown condition pattern: {pattern!r}")
+    return frozenset(a for a in enumerate_assignments() if (a & _mask(pattern)).bit_count() % 2 == 0)
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +93,7 @@ def ghz_intersection() -> frozenset[int]:
 
 def xxx_product(assignment: int) -> Q8Element:
     """Quaternion product of the three x components, in party order."""
+    assignment = _checked(assignment)
     return q8_product([_unit(assignment, party, "x") for party in range(3)])
 
 
@@ -120,4 +131,4 @@ def export_assignments(assignments) -> list[list[list[str]]]:
     """Label export, e.g. [["+i", "+j", "-k"], ...] per party.  Descending
     ints put -1 before +1, party by party and axis by axis."""
     return [[[str(_unit(a, party, axis)) for axis in "xyz"] for party in range(3)]
-            for a in sorted(assignments, reverse=True)]
+            for a in sorted(map(_checked, assignments), reverse=True)]

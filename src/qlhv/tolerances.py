@@ -1,10 +1,13 @@
 """Every proved bound and every tolerance of the package, the two number
-rules that every input boundary applies, the two vector rules built on them
-(the closed Bloch ball and the unit sphere), and CheckedRecord, the base
-that keeps each record's checks on every route that builds one.
+rules that every input boundary applies, the count rule and the two vector
+rules built on them (the closed Bloch ball and the unit sphere), and
+CheckedRecord, the base that keeps each record's checks on every route that
+builds one.
 
 A real is a Python or numpy int or float, never a bool, str, bytes, None
-or complex.  An integer is what operator.index accepts, never a bool.
+or complex.  An integer is what operator.index accepts, never a bool.  A
+count is an integer with a lower bound; the library, not the CLI, applies
+it to every count and seed argument.
 Checks are written so that NaN fails them (`not x <= tol`, never
 `x > tol`).  The rules return Python floats and ints and need no numpy."""
 
@@ -48,6 +51,18 @@ def integer(x) -> int | None:
         return None if isinstance(x, bool) else operator.index(x)
     except TypeError:
         return None
+
+
+def count(value, name: str, minimum: int) -> int:
+    """value as an int, if it is an integer by the integer rule and at least
+    minimum; otherwise ValueError naming it.  The rule of every count and
+    seed argument."""
+    checked = integer(value)
+    if checked is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if checked < minimum:
+        raise ValueError(f"{name} must be at least {minimum}" if minimum else f"{name} must be nonnegative")
+    return checked
 
 
 def reals(values: Iterable[float], message: str) -> tuple[float, ...]:

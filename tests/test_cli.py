@@ -107,6 +107,17 @@ def test_fresh_process_runs_a_command():
     assert report["command"] == "ghz-verify"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("ghz-verify",), 0),
+    (("qubit-evolve", "--bloch", "0.5,0.3,0.1", "--perm", "(1 2)(7 8)"), 1),
+    (("qubit-dist", "--bloch", "2,0,0"), 2),
+])
+def test_entry_point_exits_with_the_code_of_main(argv, code):
+    # the function behind the qlhv console script, reading sys.argv
+    proc = _fresh_python("-c", "from qlhv.cli import entry_point; entry_point()", *argv)
+    assert proc.returncode == code, proc.stderr
+
+
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 # The README's ten subcommand lines.  Only these two import numpy; the
 # other eight run in plain Python.
@@ -514,6 +525,50 @@ def test_malformed_vector_exits_2(capsys):
 )
 def test_non_positive_samples_exit_2(capsys, argv):
     assert run(capsys, *argv) == (2, "")
+
+
+# bad input, and the flag that fails to parse (None: the library rejects it)
+BAD_INPUT = [
+    (("qubit-dist", "--bloch", "a,0,0"), "--bloch"),
+    (("chsh-verify", "--samples", "x", "--seed", "1"), "--samples"),
+    (("qubit-evolve", "--bloch", "1,0,0", "--perm", "(1 2"), "--perm"),
+    (("chsh-verify", "--samples", "0", "--seed", "1"), None),
+    (("oracle-check", "--samples", "-3", "--seed", "1"), None),
+    (("chsh-optimize", "--grid", "3", "--seed", "1"), None),
+    (("qubit-dist", "--bloch", "2,0,0"), None),
+    (("qubit-evolve", "--bloch", "1,0,0", "--perm", "(1 2)"), None),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_INPUT, ids=[" ".join(argv) for argv, _ in BAD_INPUT])
+def test_bad_input_prints_one_error_line(capsys, argv, flag):
+    # a flag that does not parse and a value the library rejects take one
+    # path: exit 2, no report, one line that names the flag if it did not parse
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert err.startswith(f"error: {flag}: ") if flag else not err.startswith("error: --")
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_handler_reads_the_config_that_the_report_prints(monkeypatch, argv):
+    seen = {}
+
+    def handler(config):
+        seen["config"] = config
+        return [], None
+
+    def render(report, fmt):
+        seen["report"] = report
+        return ""
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], cli.COMMANDS[argv[0]]._replace(run=handler))
+    monkeypatch.setattr(cli, "render_report", render)
+    assert main(argv) == 0
+    assert type(seen["config"]) is dict and seen["report"]["config"] is seen["config"]
+    # keyed by the given flags, each value parsed
+    assert list(seen["config"]) == [arg[2:] for arg in argv if arg.startswith("--")]
+    assert not any(isinstance(value, str) for value in seen["config"].values())
 
 
 def test_rules_fail_outside_tolerance_and_on_nan():

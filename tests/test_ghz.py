@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from qlhv.ghz import (
@@ -169,6 +170,20 @@ def test_parity_report_is_a_plain_result():
     assert ParityCheckReport(8, frozenset({1, -1})).constant_product is None
     assert ParityCheckReport(8, frozenset({-1})).constant_product == -1
     assert classical_parity_check() == (8, frozenset({1}))
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (512, False), (-1, False), (True, False), (1.5, False), ("3", False), (None, False),
+    (0, True), (511, True), (np.int64(7), True),
+])
+def test_assignment_boundary_takes_only_integers_in_0_to_511(value, accepted):
+    calls = (lambda a: satisfies(a, "xyy"), xxx_product, lambda a: export_assignments([a]))
+    for call in calls:
+        if accepted:
+            assert call(value) == call(int(value))
+        else:
+            with pytest.raises(ValueError, match="assignment outside 0..511"):
+                call(value)
 
 
 def test_export_format():
