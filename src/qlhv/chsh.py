@@ -12,10 +12,11 @@ with zeros past each model's support, thetas (N, 4) and int8 bits
 of uniforms and bell_values evaluates it, under one set of phases or
 under S stacked as (S, N, 4); ChshModel is one unpadded row, used by the
 per-model API and serialization, whose weights and phases follow the real
-rule of qlhv.tolerances, and sample_model is the ChshModel view of a
-population of one.  bell_sweep draws each block of a sweep once and
-evaluates it under complex and real phases, the two regimes the paper
-compares, returning a witness row for each maximum and two fixed spot rows.
+rule of qlhv.tolerances (bell_values applies it as a dtype rule), and
+sample_model is the ChshModel view of a population of one.  bell_sweep
+draws each block of a sweep once and evaluates it under complex and real
+phases, the two regimes the paper compares, returning a witness row for
+each maximum and two fixed spot rows.
 
 numpy is imported, when called, by the population functions
 (sample_model, sample_models, bell_values, bell_sweep) and by analytic_bound
@@ -117,13 +118,17 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
     (N, P), thetas (N, 4), bits (N, 4, P); returns shape (N,).  thetas may
     also stack S phase regimes of the same weights and bits as (S, N, 4),
     which returns (S, N): the parity sums are computed once and only the
-    phase factors once per regime.  Each row must be a valid model: weights
-    nonnegative summing to 1 within EXACT_TOL, finite phases, bits 0 or 1.
-    Zero-weight columns do not change a row's value, whatever their bits."""
+    phase factors once per regime.  Weights and phases must have an int,
+    uint or float dtype, and bits may have any dtype whose entries are 0 or
+    1.  Each row must be a valid model: weights nonnegative summing to 1
+    within EXACT_TOL, finite phases, bits 0 or 1.  Zero-weight columns do
+    not change a row's value, whatever their bits."""
     import numpy as np
-    weights = np.asarray(weights, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    bits = np.asarray(bits)
+    weights, thetas, bits = np.asarray(weights), np.asarray(thetas), np.asarray(bits)
+    # the real rule as a dtype rule: no bool, str, bytes, complex or object
+    if weights.dtype.kind not in "iuf" or thetas.dtype.kind not in "iuf":
+        raise ValueError("weights and phases must be numbers")
+    weights, thetas = weights.astype(float, copy=False), thetas.astype(float, copy=False)
     if (weights.ndim != 2 or thetas.ndim not in (2, 3) or thetas.shape[-2:] != (len(weights), 4)
             or bits.shape != (len(weights), 4, weights.shape[1])):
         raise ValueError("need weights (N, P), thetas (N, 4) or (S, N, 4) and bits (N, 4, P)")
@@ -239,8 +244,13 @@ def sample_models(rng: np.random.Generator, count: int,
     consumes the stream as count draws of one row do, so row i is the model
     that the i-th of count sample_model calls on the same generator would
     return, and splitting a sweep into chunks does not change its models.
-    count is a nonnegative integer."""
+    count is a nonnegative integer; phase_choices, if given, is a nonempty
+    sequence of reals."""
     count = tolerances.count(count, "count", 0)
+    if phase_choices is not None:
+        message = "phase_choices must be a nonempty sequence of reals"
+        if not (phase_choices := reals(phase_choices, message)):
+            raise ValueError(message)
     weights, (thetas,), bits = _decode_rows(rng.random((count, _ROW)), (phase_choices,))
     return weights, thetas, bits
 

@@ -10,9 +10,16 @@ triples and a handler.  argparse reads each flag as text; main converts the
 given flags once, each by its parse, into config, keyed by flag name without
 "--", which is both the handler's only argument and the report's config.
 A flag that does not parse raises ValueError naming it; the library judges
-every parsed value.  Either ValueError prints one "error: ..." line and
-exits 2.  A handler returns its claims (name, expected, actual, rule,
-tolerance) and an optional result payload; RULES decides each claim's pass.
+every parsed value, counts and seeds by tolerances.count.  Either
+ValueError prints one "error: ..." line and exits 2.
+
+run(command, config) turns a config into its report and is the one place
+that judges claims: a handler returns its claims (name, expected, actual,
+rule, tolerance) and an optional result payload, and RULES decides each
+claim's pass.  It prints nothing, so a recorded report's command and config
+rerun in process.  main is its shell: argv to config, the exit code 2 on
+bad input, and rendering and writing the report.  The console script and
+`python -m qlhv.cli` call sys.exit(main()).
 chsh-verify's result names its maximal models, with their records, and two
 spot rows, which --seed and the index replay; one claim replays all of them
 by the per-model route.
@@ -118,7 +125,8 @@ def _chsh_achieve(config):
 def _chsh_verify(config):
     import numpy as np
     from . import chsh
-    complex_max, real_max, gap, spots = chsh.bell_sweep(np.random.default_rng(config["seed"]), config["samples"])
+    rng = np.random.default_rng(count(config["seed"], "seed", 0))
+    complex_max, real_max, gap, spots = chsh.bell_sweep(rng, config["samples"])
     witnesses = {name: {"index": w.index, "value": w.value, "model": chsh.model_to_dict(w.model)}
                  for name, w in (("complex_witness", complex_max), ("real_witness", real_max))}
     # the scalar route replays each witness from its printed record, and each
@@ -220,6 +228,7 @@ def _qubit_evolve(config):
 
 def _oracle_check(config):
     samples = count(config.get("samples", 0), "samples", 0)
+    seed = count(config.get("seed", 0), "seed", 0)
     if samples and "seed" not in config:
         raise ValueError("--samples requires --seed")
     import numpy as np
@@ -233,7 +242,7 @@ def _oracle_check(config):
     optimal = oracle.chsh_quantum_value((1, 0, 0), (0, 1, 0), (s, s, 0.0), (s, -s, 0.0))
     claims.append(("tsirelson_optimal_settings", TSIRELSON, optimal, "close", OPTIMUM_TOL))
     if samples:
-        rng = np.random.default_rng(config["seed"])
+        rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(samples):
             dirs = rng.standard_normal((4, 3))
@@ -289,6 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run(command: str, config: dict) -> dict:
+    """The report of command on config, a dict keyed by flag name without
+    "--", as main prints it: the handler's claims, each judged by RULES,
+    timed with the handler in elapsed_ms.  The library's ValueError on a
+    bad value propagates; run prints nothing."""
+    started = time.perf_counter()
+    claims, result = COMMANDS[command].run(config)
+    checks = [{"name": name, "expected": expected, "actual": actual, "tolerance": tol,
+               "pass": bool(RULES[rule](expected, actual, tol))}
+              for name, expected, actual, rule, tol in claims]
+    report = {"command": command, "version": __version__, "config": config, "checks": checks,
+              "elapsed_ms": (time.perf_counter() - started) * 1000.0}
+    return report if result is None else {**report, "result": result}
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -296,36 +320,18 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
 
-    command = COMMANDS[args.command]
     try:
         config = {}
-        for flag, parse, _ in command.args:
+        for flag, parse, _ in COMMANDS[args.command].args:
             if (given := getattr(args, flag[2:])) is not None:
                 try:
                     config[flag[2:]] = parse(given)
                 except ValueError as exc:
                     raise ValueError(f"{flag}: {exc}") from None
-        started = time.perf_counter()
-        claims, result = command.run(config)
+        report = run(args.command, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    checks = [
-        {"name": name, "expected": expected, "actual": actual, "tolerance": tol,
-         "pass": bool(RULES[rule](expected, actual, tol))}
-        for name, expected, actual, rule, tol in claims
-    ]
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-
-    report = {
-        "command": args.command,
-        "version": __version__,
-        "config": config,
-        "checks": checks,
-        "elapsed_ms": elapsed_ms,
-    }
-    if result is not None:
-        report["result"] = result
 
     text = render_report(report, args.format)
     if args.out:
@@ -338,12 +344,8 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
 
-    return 0 if all(item["pass"] for item in checks) else 1
-
-
-def entry_point() -> None:
-    sys.exit(main())
+    return 0 if all(item["pass"] for item in report["checks"]) else 1
 
 
 if __name__ == "__main__":
-    entry_point()
+    sys.exit(main())

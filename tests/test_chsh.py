@@ -53,6 +53,8 @@ def test_correlation_rejects_unknown_settings():
     model = make_achieving_model()
     with pytest.raises(ValueError):
         correlation(model, "b", "a")
+    with pytest.raises(ValueError, match="unknown Bob setting: 'c'"):
+        correlation(model, "a", "c")
 
 
 def test_invalid_distribution_rejected():
@@ -529,6 +531,39 @@ def test_bell_values_take_bits_of_any_0_1_dtype():
     half[7, 1, 0] = 0.5
     with pytest.raises(ValueError, match="bits must be 0 or 1"):
         bell_values(weights, thetas, half)
+
+
+_ONE_POINT_BITS = [[[0], [0], [0], [0]]]
+_NUMBERS = "weights and phases must be numbers"
+_CHOICES = "phase_choices must be a nonempty sequence of reals"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda rng: bell_values([["1.0"]], [["0"] * 4], _ONE_POINT_BITS), _NUMBERS,
+                 id="str-weight-and-phases"),
+    pytest.param(lambda rng: bell_values([[True]], [[0.0] * 4], _ONE_POINT_BITS), _NUMBERS,
+                 id="bool-weight"),
+    pytest.param(lambda rng: bell_values([[1.0]], [[b"0"] * 4], _ONE_POINT_BITS), _NUMBERS,
+                 id="bytes-phases"),
+    pytest.param(lambda rng: bell_values([[1.0]], np.zeros((1, 4), complex), _ONE_POINT_BITS), _NUMBERS,
+                 id="complex-phases"),
+    pytest.param(lambda rng: bell_values(np.ones((1, 1), object), [[0.0] * 4], _ONE_POINT_BITS), _NUMBERS,
+                 id="object-weight"),
+    pytest.param(lambda rng: sample_model(rng, (True, False)), _CHOICES, id="bool-choices"),
+    pytest.param(lambda rng: sample_model(rng, ("0", "1")), _CHOICES, id="str-choices"),
+    pytest.param(lambda rng: sample_models(rng, 2, ()), _CHOICES, id="no-choices"),
+])
+def test_population_inputs_follow_the_real_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(np.random.default_rng(0))
+
+
+def test_population_inputs_take_numbers_of_any_int_uint_or_float_dtype():
+    for weights, thetas in (([[1]], [[0] * 4]), (np.ones((1, 1), np.uint8), np.zeros((1, 4), np.float32))):
+        assert bell_values(weights, thetas, _ONE_POINT_BITS).tolist() == [2.0]
+    for choices in ([0, 1.5], np.array([0.0, math.pi])):
+        expected = sample_model(np.random.default_rng(1), tuple(map(float, choices)))
+        assert sample_model(np.random.default_rng(1), choices) == expected
 
 
 def test_analytic_bound_is_elementwise():

@@ -113,8 +113,8 @@ def test_fresh_process_runs_a_command():
     (("qubit-dist", "--bloch", "2,0,0"), 2),
 ])
 def test_entry_point_exits_with_the_code_of_main(argv, code):
-    # the function behind the qlhv console script, reading sys.argv
-    proc = _fresh_python("-c", "from qlhv.cli import entry_point; entry_point()", *argv)
+    # what the generated qlhv console script runs, reading sys.argv
+    proc = _fresh_python("-c", "import sys; from qlhv.cli import main; sys.exit(main())", *argv)
     assert proc.returncode == code, proc.stderr
 
 
@@ -191,6 +191,15 @@ def test_oracle_check_rejects_samples_without_seed_before_numpy():
     assert proc.stdout == ""
     error, loaded = proc.stderr.splitlines()
     assert error == "error: --samples requires --seed" and json.loads(loaded)[2] is False
+
+
+def test_oracle_check_rejects_a_negative_seed_before_numpy():
+    proc = _fresh_python("-W", "error", "-c", _MAIN_THEN_LOADED, "oracle-check", "--samples", "5",
+                         "--seed", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error, loaded = proc.stderr.splitlines()
+    assert error == "error: seed must be nonnegative" and json.loads(loaded)[2] is False
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
@@ -372,6 +381,12 @@ def test_chsh_optimize_rejects_a_negative_seed(capsys):
     assert capsys.readouterr() == ("", "error: rng_seed must be nonnegative\n")
 
 
+@pytest.mark.parametrize("command", ["chsh-verify", "oracle-check"])
+def test_seeds_follow_the_count_rule(capsys, command):
+    assert main([command, "--samples", "5", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be nonnegative\n")
+
+
 def test_ghz_verify(capsys):
     code, report = run_json(capsys, "ghz-verify")
     assert code == 0
@@ -537,6 +552,8 @@ BAD_INPUT = [
     (("chsh-optimize", "--grid", "3", "--seed", "1"), None),
     (("qubit-dist", "--bloch", "2,0,0"), None),
     (("qubit-evolve", "--bloch", "1,0,0", "--perm", "(1 2)"), None),
+    (("chsh-verify", "--samples", "5", "--seed", "-1"), None),
+    (("oracle-check", "--samples", "5", "--seed", "-1"), None),
 ]
 
 
@@ -569,6 +586,30 @@ def test_handler_reads_the_config_that_the_report_prints(monkeypatch, argv):
     # keyed by the given flags, each value parsed
     assert list(seen["config"]) == [arg[2:] for arg in argv if arg.startswith("--")]
     assert not any(isinstance(value, str) for value in seen["config"].values())
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_run_returns_the_report_that_main_prints(capsys, argv):
+    # a printed report's command and config rerun in process
+    _, printed = run_json(capsys, *argv)
+    report = json.loads(cli.render_report(cli.run(printed["command"], printed["config"]), "json"))
+    assert capsys.readouterr() == ("", "")
+    report["elapsed_ms"] = printed["elapsed_ms"]
+    assert list(report.items()) == list(printed.items())
+
+
+def test_run_raises_on_bad_input_and_prints_nothing(capsys):
+    with pytest.raises(ValueError, match="^outside Bloch ball$"):
+        cli.run("qubit-dist", {"bloch": [2, 0, 0]})
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_renders_the_report_of_run(monkeypatch, capsys):
+    report = {"command": "ghz-enumerate", "checks": [{"pass": False}]}
+    monkeypatch.setattr(cli, "run", lambda command, config: report)
+    monkeypatch.setattr(cli, "render_report", lambda given, fmt: f"{given is report} {fmt}\n")
+    assert main(["ghz-enumerate", "--format", "csv"]) == 1
+    assert capsys.readouterr() == ("True csv\n", "")
 
 
 def test_rules_fail_outside_tolerance_and_on_nan():

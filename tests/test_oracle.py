@@ -54,6 +54,13 @@ def test_unknown_axis_rejected():
         pauli("w")
 
 
+def test_operators_reject_the_wrong_number_of_parties():
+    with pytest.raises(ValueError, match="need one axis per party"):
+        three_party_operator("xy")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verify_eigenrelation(pauli("x"), ghz_state(), 1)
+
+
 def test_tensor_dimensions():
     m = np.kron(pauli("x"), np.eye(2))
     assert m.shape == (4, 4)

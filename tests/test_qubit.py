@@ -316,6 +316,8 @@ def test_evolve_mixture_reuses_the_checked_permutations(monkeypatch):
 
 
 def test_mixture_weight_validation():
+    with pytest.raises(ValueError, match="mixture needs at least one term"):
+        PermutationMix(())
     with pytest.raises(ValueError):
         PermutationMix(((IDENTITY_PERMUTATION, 0.4), (X_FLIP, 0.4)))
     with pytest.raises(ValueError):
