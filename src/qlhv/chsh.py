@@ -5,6 +5,9 @@ phase angles; the observable value at a setting is (-1)^bit * e^{i theta}.
 The module evaluates the two-party correlation functional, the Bell
 combination |E(a,b)-E(a,b')| + |E(a',b)+E(a',b')|, its analytic phase
 bound, the explicit saturating configuration, and a numerical maximizer.
+One pass over a model's points computes its four correlations; correlation
+returns one of them, and the four calls of bell_expression on a model share
+that pass.
 
 A population of models is three padded arrays: weights (N, MAX_POINTS)
 with zeros past each model's support, thetas (N, 4) and int8 bits
@@ -13,7 +16,9 @@ of uniforms and bell_values evaluates it, under one set of phases or
 under S stacked as (S, N, 4); ChshModel is one unpadded row, used by the
 per-model API and serialization, whose weights and phases follow the real
 rule of qlhv.tolerances (bell_values applies it as a dtype rule), and
-sample_model is the ChshModel view of a population of one.  bell_sweep
+sample_model is the ChshModel view of a population of one.  bell_values
+writes its own Bell combination, so bell_expression on a row is a second,
+independent route to its value.  bell_sweep
 draws each block of a sweep once and evaluates it under complex and real
 phases, the two regimes the paper compares, returning a witness row for
 each maximum and two fixed spot rows.
@@ -89,18 +94,43 @@ class ChshModel(CheckedRecord, namedtuple("ChshModel", "weights thetas bits")):
 
 def correlation(model: ChshModel, alice: str, bob: str) -> complex:
     """Weighted sum over hidden points of the product of Alice's and Bob's
-    outcome values for the given settings."""
+    outcome values for the given settings: one of the four correlations
+    that _correlations computes in one pass."""
     if alice not in ALICE_SETTINGS:
         raise ValueError(f"unknown Alice setting: {alice!r}")
     if bob not in BOB_SETTINGS:
         raise ValueError(f"unknown Bob setting: {bob!r}")
-    ia, ib = _SLOT[alice], _SLOT[bob]
-    total = sum(w if x == y else -w for w, x, y in zip(model.weights, model.bits[ia], model.bits[ib]))
-    return total * cmath.exp(1j * (model.thetas[ia] + model.thetas[ib]))
+    return _correlations(model)[2 * ALICE_SETTINGS.index(alice) + BOB_SETTINGS.index(bob)]
+
+
+# the last model given to _correlations and its four values: a model is an
+# immutable record, so the same object has the same values
+_LAST = (None, None)
+
+
+def _correlations(model: ChshModel) -> tuple[complex, complex, complex, complex]:
+    # E(a,b), E(a,b'), E(a',b), E(a',b') in one pass over the points: each
+    # parity sum adds its signed weights left to right from 0.0, as sum() does
+    # up to CPython 3.11, times e^{i(theta_a + theta_b)}
+    global _LAST
+    last, values = _LAST
+    if last is model:
+        return values
+    s_ab = s_abp = s_apb = s_apbp = 0.0
+    for w, a, b, ap, bp in zip(model.weights, *model.bits):
+        s_ab += w if a == b else -w
+        s_abp += w if a == bp else -w
+        s_apb += w if ap == b else -w
+        s_apbp += w if ap == bp else -w
+    t_a, t_b, t_ap, t_bp = model.thetas
+    values = (s_ab * cmath.exp(1j * (t_a + t_b)), s_abp * cmath.exp(1j * (t_a + t_bp)),
+              s_apb * cmath.exp(1j * (t_ap + t_b)), s_apbp * cmath.exp(1j * (t_ap + t_bp)))
+    _LAST = model, values
+    return values
 
 
 def _bell_combination(e_ab, e_abp, e_apb, e_apbp):
-    # complex scalars, or arrays of them element by element
+    # complex scalars: the combination of the per-model route only
     return abs(e_ab - e_abp) + abs(e_apb + e_apbp)
 
 
@@ -142,7 +172,9 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
     b = bits.astype(np.int8, copy=False)
     parity = 1 - 2 * (b[:, _ALICE] ^ b[:, _BOB])
     e = np.einsum("np,nkp->nk", weights, parity) * np.exp(1j * (thetas[..., _ALICE] + thetas[..., _BOB]))
-    return _bell_combination(e[..., 0], e[..., 1], e[..., 2], e[..., 3])
+    # its own combination, so that chsh-verify's replay through bell_expression
+    # is a second route
+    return np.abs(e[..., 0] - e[..., 1]) + np.abs(e[..., 2] + e[..., 3])
 
 
 def analytic_bound(t2, t4):

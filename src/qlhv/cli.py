@@ -301,8 +301,19 @@ def build_parser() -> argparse.ArgumentParser:
 def run(command: str, config: dict) -> dict:
     """The report of command on config, a dict keyed by flag name without
     "--", as main prints it: the handler's claims, each judged by RULES,
-    timed with the handler in elapsed_ms.  The library's ValueError on a
-    bad value propagates; run prints nothing."""
+    timed with the handler in elapsed_ms.  The config's keys must be the
+    command's flags, every required one among them: an unknown command, an
+    unknown key or a missing required key raises ValueError naming it.  The
+    library's ValueError on a bad value propagates; run prints nothing."""
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command: {command!r}")
+    flags = {flag[2:]: required for flag, _, required in COMMANDS[command].args}
+    for key in config:
+        if key not in flags:
+            raise ValueError(f"{command}: unknown config key {key!r}")
+    for key, required in flags.items():
+        if required and key not in config:
+            raise ValueError(f"{command}: missing config key {key!r}")
     started = time.perf_counter()
     claims, result = COMMANDS[command].run(config)
     checks = [{"name": name, "expected": expected, "actual": actual, "tolerance": tol,

@@ -477,6 +477,35 @@ def test_bell_values_match_bell_expression(models, extra, random):
     assert np.all(np.abs(padded - values) <= 1e-14)
 
 
+@given(chsh_models())
+def test_one_pass_correlations_equal_the_four_pass_definition_bit_for_bit(model):
+    # the definition, one setting pair at a time: the signed weights added
+    # left to right from 0.0, times e^{i(theta_a + theta_b)}; written as a
+    # loop, since sum() of floats is compensated from CPython 3.12
+    slot = {"a": 0, "b": 1, "a'": 2, "b'": 3}
+    reference = {}
+    for alice in ("a", "a'"):
+        for bob in ("b", "b'"):
+            ia, ib = slot[alice], slot[bob]
+            total = 0.0
+            for w, x, y in zip(model.weights, model.bits[ia], model.bits[ib]):
+                total += w if x == y else -w
+            reference[alice, bob] = total * cmath.exp(1j * (model.thetas[ia] + model.thetas[ib]))
+    for (alice, bob), value in reference.items():
+        assert correlation(model, alice, bob) == value
+    e_ab, e_abp, e_apb, e_apbp = reference.values()
+    assert bell_expression(model) == abs(e_ab - e_abp) + abs(e_apb + e_apbp)
+
+
+def test_correlation_reads_each_model_when_calls_interleave():
+    # the one-pass kernel keeps the last model's four values: another model
+    # in between must be computed afresh, and the first read again
+    first = make_achieving_model()
+    second = ChshModel(first.weights, (0.0, 0.0, 0.0, 0.0), first.bits)
+    values = [correlation(model, "a", "b'") for model in (first, second, first)]
+    assert values == [cmath.exp(1j * (7 * math.pi / 4 + math.pi / 2)), 1.0, values[0]]
+
+
 def _valid_batch():
     return [part.copy() for part in sample_models(np.random.default_rng(3), 5)]
 

@@ -332,6 +332,17 @@ def test_chsh_verify_fails_when_bell_values_moves_only_multi_point_rows(monkeypa
     assert [len(w["model"]["weights"]) for w in witnesses] == [1, 1]
 
 
+def test_chsh_verify_fails_when_the_per_model_combination_moves(monkeypatch):
+    # bell_values combines its correlations itself, so the replay through
+    # bell_expression is a second route to each value
+    def scaled(e_ab, e_abp, e_apb, e_apbp):
+        return abs(e_ab - e_abp) + 0.9 * abs(e_apb + e_apbp)
+
+    monkeypatch.setattr(chsh, "_bell_combination", scaled)
+    report = cli.run("chsh-verify", {"samples": 200, "seed": 7})
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["witness_replays"]
+
+
 def test_chsh_verify_draws_each_block_once(monkeypatch, capsys):
     default_rng, generators = np.random.default_rng, []
 
@@ -596,6 +607,22 @@ def test_run_returns_the_report_that_main_prints(capsys, argv):
     assert capsys.readouterr() == ("", "")
     report["elapsed_ms"] = printed["elapsed_ms"]
     assert list(report.items()) == list(printed.items())
+
+
+# a config that main never builds but a recorded report could carry
+MALFORMED_CONFIG = [
+    ("nope", {}, "unknown command: 'nope'"),
+    ("chsh-verify", {"samples": 200}, "chsh-verify: missing config key 'seed'"),
+    ("qubit-dist", {"bloch": [0, 0, 1], "extra": 1}, "qubit-dist: unknown config key 'extra'"),
+]
+
+
+@pytest.mark.parametrize("command, config, message", MALFORMED_CONFIG,
+                         ids=[message for _, _, message in MALFORMED_CONFIG])
+def test_run_rejects_a_malformed_config(command, config, message):
+    with pytest.raises(ValueError) as error:
+        cli.run(command, config)
+    assert str(error.value) == message
 
 
 def test_run_raises_on_bad_input_and_prints_nothing(capsys):
