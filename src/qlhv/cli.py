@@ -20,6 +20,7 @@ claim's pass.  It prints nothing, so a recorded report's command and config
 rerun in process.  main is its shell: argv to config, the exit code 2 on
 bad input, and rendering and writing the report.  The console script and
 `python -m qlhv.cli` call sys.exit(main()).
+
 chsh-verify's result names its maximal models, with their records, and two
 spot rows, which --seed and the index replay; one claim replays all of them
 by the per-model route.

@@ -2,13 +2,14 @@
 
 Each party carries a triple (±i, ±j, ±k).  An assignment of the nine signs
 is an int in range(512): bit 8 - (3*party + axis) is set when that party's
-unit for that axis (x -> i, y -> j, z -> k) carries -1.  satisfies,
-xxx_product and export_assignments take an assignment only if it is an
-integer by the rule of qlhv.tolerances and in range(512).  Each of the three
-product constraints (xyy, yxy, yyx) is the parity of the assignment under
-a mask; the punchline product over the three x components is evaluated as
-an exact quaternion product.  classical_parity_check brute-forces the
-all-real counterpart and returns a plain ParityCheckReport.
+unit for that axis (x -> i, y -> j, z -> k) carries -1.  xxx_product and
+export_assignments take an assignment only if it is an integer by the rule
+of qlhv.tolerances and in range(512).  Each of the three product
+constraints (xyy, yxy, yyx) is the parity of the assignment under a mask,
+and condition_set lists the assignments that meet one; the punchline
+product over the three x components is evaluated as an exact quaternion
+product.  classical_parity_check brute-forces the all-real counterpart and
+returns a plain ParityCheckReport.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ def _checked(assignment) -> int:
     if integer(assignment) not in range(512):
         raise ValueError(f"assignment outside 0..511: {assignment!r}")
     return integer(assignment)
-
-
-def satisfies(assignment: int, pattern: str) -> bool:
-    """True iff the signs of the selected components (one axis letter per
-    party) multiply to +1, i.e. an even number of them are -1."""
-    return _checked(assignment) in condition_set(pattern)
 
 
 @lru_cache(maxsize=None)

@@ -67,10 +67,6 @@ I = Q8Element(Basis.I, 1)
 J = Q8Element(Basis.J, 1)
 K = Q8Element(Basis.K, 1)
 
-Q8_ELEMENTS = tuple(
-    Q8Element(basis, sign) for basis in Basis for sign in (1, -1)
-)
-
 
 def q8_mul(a: Q8Element, b: Q8Element) -> Q8Element:
     """Exact group product a*b."""

@@ -8,22 +8,18 @@ points and by convex mixtures of such permutations.  Only permutations
 that commute with m -> 9-m (384 of the 40,320, the hyperoctahedral group
 B4) keep every pair sum for every state, so evolution accepts no other.
 
-Weights are reals, and hidden values and permutation entries integers, by
-the number rules of qlhv.tolerances.  Plain Python throughout (no numpy):
-the model is exact combinatorics over eight points.  quaternion_value, the
-one user of the quaternion group, imports it when called.
+Weights are reals, and permutation entries integers, by the number rules
+of qlhv.tolerances.  Plain Python throughout (no numpy, no quaternions): the
+model is exact combinatorics over eight points and their sign table.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .tolerances import BOUND_TOL, EXACT_TOL, CheckedRecord, bloch_vector, integer, reals, unit_direction
-
-if TYPE_CHECKING:
-    from .quaternions import Q8Element
 
 LAMBDAS = tuple(range(1, 9))
 
@@ -40,26 +36,6 @@ _AXIS_SIGNS = dict(zip(AXES, zip(*SIGN_TABLE)))
 X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
 
 IDENTITY_PERMUTATION = LAMBDAS
-
-
-def epsilon(axis: str, lam: int) -> int:
-    """Sign of the given axis component at hidden value lam, an integer
-    in 1..8."""
-    value = integer(lam)
-    if value not in LAMBDAS:
-        raise ValueError(f"hidden value outside 1..8: {lam!r}")
-    try:
-        return _AXIS_SIGNS[axis][value - 1]
-    except KeyError:
-        raise ValueError(f"unknown axis: {axis!r}") from None
-
-
-def quaternion_value(axis: str, lam: int) -> Q8Element:
-    """The quaternion-valued outcome at (axis, lam): the axis unit (i, j
-    or k) carrying the table sign."""
-    from .quaternions import AXIS_BASIS, Q8Element
-    sign = epsilon(axis, lam)   # first, so a bad axis raises its ValueError
-    return Q8Element(AXIS_BASIS[axis], sign)
 
 
 class SignedDistribution(CheckedRecord, namedtuple("SignedDistribution", "weights")):

@@ -578,6 +578,23 @@ def test_bad_input_prints_one_error_line(capsys, argv, flag):
     assert err.startswith(f"error: {flag}: ") if flag else not err.startswith("error: --")
 
 
+# (command, flag) for every required flag of every command
+REQUIRED_FLAGS = [(name, flag) for name, command in cli.COMMANDS.items()
+                  for flag, _, required in command.args if required]
+
+
+@pytest.mark.parametrize("command, flag", REQUIRED_FLAGS, ids=[" ".join(pair) for pair in REQUIRED_FLAGS])
+def test_missing_required_flag_is_an_argparse_usage_error(capsys, command, flag):
+    # argparse, not run's missing-key check, turns the flag away; argparse
+    # parses no value, so "1" stands for each other required flag
+    others = [arg for other, _, required in cli.COMMANDS[command].args
+              if required and other != flag for arg in (other, "1")]
+    assert main([command, *others]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"qlhv {command}: error: the following arguments are required: {flag}"
+
+
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
 def test_handler_reads_the_config_that_the_report_prints(monkeypatch, argv):
     seen = {}

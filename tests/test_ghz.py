@@ -12,7 +12,6 @@ from qlhv.ghz import (
     export_assignments,
     full_intersection,
     ghz_intersection,
-    satisfies,
     xxx_product,
 )
 from qlhv.quaternions import I
@@ -73,14 +72,14 @@ def test_assignments_decode_each_axis_to_its_unit():
     assert len({repr(labels) for labels in exported}) == 512
 
 
-def test_satisfies_examples():
-    assert satisfies(ALL_PLUS, "xyy")
+def test_condition_set_examples():
+    assert ALL_PLUS in condition_set("xyy")
     # unselected components are irrelevant
-    assert satisfies(assignment((1, -1, 1), (1, 1, 1), (1, 1, 1)), "xyy")
+    assert assignment((1, -1, 1), (1, 1, 1), (1, 1, 1)) in condition_set("xyy")
     # one flipped selected sign breaks the parity
-    assert not satisfies(assignment((-1, 1, 1), (1, 1, 1), (1, 1, 1)), "xyy")
-    with pytest.raises(ValueError):
-        satisfies(ALL_PLUS, "xxy")
+    assert assignment((-1, 1, 1), (1, 1, 1), (1, 1, 1)) not in condition_set("xyy")
+    with pytest.raises(ValueError, match="unknown condition pattern: 'xxy'"):
+        condition_set("xxy")
 
 
 def test_condition_sets_have_size_256():
@@ -138,7 +137,7 @@ def test_full_intersection_is_larger_superset():
     assert ghz_intersection() < joint
     for a in joint:
         for pattern in PATTERNS:
-            assert satisfies(a, pattern)
+            assert a in condition_set(pattern)
 
 
 def test_xxx_product_examples():
@@ -162,7 +161,7 @@ def test_classical_parity_check():
     # 2^6 sign assignments under three independent parity constraints
     assert report.satisfying_count == 8
     # the all-positive assignment satisfies every condition
-    assert satisfies(ALL_PLUS, "xyy") and satisfies(ALL_PLUS, "yxy") and satisfies(ALL_PLUS, "yyx")
+    assert all(ALL_PLUS in condition_set(p) for p in PATTERNS)
 
 
 def test_parity_report_is_a_plain_result():
@@ -177,8 +176,7 @@ def test_parity_report_is_a_plain_result():
     (0, True), (511, True), (np.int64(7), True),
 ])
 def test_assignment_boundary_takes_only_integers_in_0_to_511(value, accepted):
-    calls = (lambda a: satisfies(a, "xyy"), xxx_product, lambda a: export_assignments([a]))
-    for call in calls:
+    for call in (xxx_product, lambda a: export_assignments([a])):
         if accepted:
             assert call(value) == call(int(value))
         else:

@@ -9,7 +9,6 @@ from qlhv.quaternions import (
     J,
     K,
     Q8Element,
-    Q8_ELEMENTS,
     q8_mul,
     q8_product,
 )
@@ -26,6 +25,10 @@ def hamilton(p, q):
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     )
+
+
+# the eight group elements
+Q8_ELEMENTS = [Q8Element(basis, sign) for basis in Basis for sign in (1, -1)]
 
 
 def embed(e):

@@ -16,15 +16,12 @@ from qlhv.qubit import (
     X_FLIP,
     axis_expectation,
     commutes_with_antipode,
-    epsilon,
     evolve_mixture,
     evolve_permutation,
-    quaternion_value,
     retroaction_check,
     sign_function_search,
     state_distribution,
 )
-from qlhv.quaternions import Basis, Q8Element
 
 SQRT3 = math.sqrt(3.0)
 UNIFORM = SignedDistribution((0.125,) * 8)
@@ -46,12 +43,6 @@ def test_sign_table_rows():
 def test_sign_table_antipodal_flip():
     for m in LAMBDAS:
         assert SIGN_TABLE[m - 1] == tuple(-s for s in SIGN_TABLE[8 - m])
-
-
-def test_quaternion_value_examples():
-    assert quaternion_value("x", 1) == Q8Element(Basis.I, 1)
-    assert quaternion_value("z", 8) == Q8Element(Basis.K, -1)
-    assert quaternion_value("y", 4) == Q8Element(Basis.J, -1)
 
 
 def test_state_distribution_x_eigenstate():
@@ -382,27 +373,6 @@ def test_commuting_permutations_form_subgroup():
             assert commutes_with_antipode(composed)
 
 
-def test_epsilon_matches_table():
-    for lam in LAMBDAS:
-        for idx, axis in enumerate("xyz"):
-            assert epsilon(axis, lam) == int(SIGN_TABLE[lam - 1][idx])
-
-
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda: axis_expectation(UNIFORM, "w"), id="axis_expectation"),
-    pytest.param(lambda: epsilon("w", 1), id="epsilon"),
-    pytest.param(lambda: quaternion_value("w", 1), id="quaternion_value"),
-])
-def test_unknown_axis_is_rejected(call):
+def test_unknown_axis_is_rejected():
     with pytest.raises(ValueError, match="unknown axis: 'w'"):
-        call()
-
-
-@pytest.mark.parametrize("lam", [0, 9, -1, 1.0, True, "1"])
-def test_hidden_value_outside_1_to_8_is_rejected(lam):
-    # 0 and -1 would index the table from its end, 9 past it; a hidden
-    # value is an int, so a float, a bool or a string is none
-    with pytest.raises(ValueError, match="hidden value outside 1..8"):
-        epsilon("x", lam)
-    with pytest.raises(ValueError, match="hidden value outside 1..8"):
-        quaternion_value("x", lam)
+        axis_expectation(UNIFORM, "w")

@@ -6,7 +6,7 @@ import pytest
 
 from qlhv.chsh import ChshModel
 from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP, PermutationMix, SignedDistribution
-from qlhv.quaternions import Basis, Q8Element, Q8_ELEMENTS
+from qlhv.quaternions import Basis, Q8Element
 
 # (a valid record, its fields, one field with an invalid value)
 RECORDS = [
@@ -41,7 +41,8 @@ def test_record_is_immutable_and_never_invalid(record, fields, invalid):
 
 
 def test_q8_elements_order_by_basis_then_sign():
-    assert sorted(Q8_ELEMENTS) == sorted(Q8_ELEMENTS, key=lambda e: (e.basis, e.sign))
+    elements = [Q8Element(basis, sign) for basis in Basis for sign in (1, -1)]
+    assert sorted(elements) == sorted(elements, key=lambda e: (e.basis, e.sign))
     assert Q8Element(Basis.ONE, 1) < Q8Element(Basis.I, -1) < Q8Element(Basis.I, 1)
 
 
