@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qlhv.chsh import ChshModel, model_from_dict, model_to_dict
+from qlhv.ghz import _checked
 from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP, PermutationMix, SignedDistribution
 from qlhv.quaternions import Basis, Q8Element
 from qlhv.tolerances import bloch_vector, integer, is_real, unit_direction
@@ -35,7 +36,9 @@ def _model_record(weights, thetas):
 
 # (the rule, the boundary): each boundary puts the value v in one slot of an
 # input that is valid where v is the number x it stands for, and returns what
-# it stores there.  The number 1 is a valid sign and permutation entry.
+# it stores there.  The number 1 is a valid sign, permutation entry and GHZ
+# assignment; xxx_product and export_assignments store an assignment through
+# ghz._checked.
 BOUNDARIES = [
     pytest.param("real", lambda v, x: bloch_vector((v, 0.0, 0.0))[0], id="bloch_vector"),
     pytest.param("real", lambda v, x: unit_direction((v, math.sqrt(1.0 - x * x), 0.0))[0],
@@ -55,6 +58,7 @@ BOUNDARIES = [
     pytest.param("integer", lambda v, x: Q8Element(Basis.I, v).sign, id="Q8Element-sign"),
     pytest.param("integer", lambda v, x: PermutationMix((((v, 2, 3, 4, 5, 6, 7, 8), 1.0),)).terms[0][0][0],
                  id="permutation-entry"),
+    pytest.param("integer", lambda v, x: _checked(v), id="ghz-assignment"),
 ]
 
 
