@@ -304,10 +304,13 @@ def run(command: str, config: dict) -> dict:
     "--", as main prints it: the handler's claims, each judged by RULES,
     timed with the handler in elapsed_ms.  The config's keys must be the
     command's flags, every required one among them: an unknown command, an
-    unknown key or a missing required key raises ValueError naming it.  The
+    unknown key or a missing required key raises ValueError naming it, as
+    does a command that is not a str or a config that is not a dict.  The
     library's ValueError on a bad value propagates; run prints nothing."""
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ValueError(f"unknown command: {command!r}")
+    if not isinstance(config, dict):
+        raise ValueError(f"{command}: config must be a dict, got {config!r}")
     flags = {flag[2:]: required for flag, _, required in COMMANDS[command].args}
     for key in config:
         if key not in flags:

@@ -62,12 +62,6 @@ class Q8Element(CheckedRecord, namedtuple("Q8Element", "basis sign")):
         return ("+" if self.sign > 0 else "-") + _SYMBOL[self.basis]
 
 
-ONE = Q8Element(Basis.ONE, 1)
-I = Q8Element(Basis.I, 1)
-J = Q8Element(Basis.J, 1)
-K = Q8Element(Basis.K, 1)
-
-
 def q8_mul(a: Q8Element, b: Q8Element) -> Q8Element:
     """Exact group product a*b."""
     basis, factor = _MUL_TABLE[(a.basis, b.basis)]

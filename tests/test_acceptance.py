@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from qlhv import chsh, ghz, oracle, qubit
-from qlhv.quaternions import I as QI
+from qlhv.quaternions import Basis, Q8Element
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+QI = Q8Element(Basis.I, 1)
 
 
 def timed(fn, repeats=3):

@@ -23,7 +23,8 @@ DIAG = "0.5773502691896258,0.5773502691896258,0.5773502691896258"
 
 # Reports of the README subcommands with fixed arguments, elapsed_ms removed
 # (CSV cases as rows).  A change to any report must be deliberate.
-PINNED = json.loads((Path(__file__).parent / "data" / "pinned_reports.json").read_text())
+PINNED_TEXT = (Path(__file__).parent / "data" / "pinned_reports.json").read_text()
+PINNED = json.loads(PINNED_TEXT)
 
 
 def run(capsys, *argv):
@@ -631,6 +632,9 @@ MALFORMED_CONFIG = [
     ("nope", {}, "unknown command: 'nope'"),
     ("chsh-verify", {"samples": 200}, "chsh-verify: missing config key 'seed'"),
     ("qubit-dist", {"bloch": [0, 0, 1], "extra": 1}, "qubit-dist: unknown config key 'extra'"),
+    ("ghz-verify", [], "ghz-verify: config must be a dict, got []"),
+    ("ghz-verify", None, "ghz-verify: config must be a dict, got None"),
+    (["ghz-verify"], {}, "unknown command: ['ghz-verify']"),
 ]
 
 
@@ -703,3 +707,8 @@ def test_report_matches_pinned(capsys, case):
         report = json.loads(out)
         report.pop("elapsed_ms")
         _assert_same(case["output"], report, "report")
+
+
+def test_pinned_reports_are_in_the_layout_record_pinned_writes():
+    # tests/data/record_pinned.py re-records nothing in a file of another layout
+    assert json.dumps(json.loads(PINNED_TEXT), indent=1) == PINNED_TEXT

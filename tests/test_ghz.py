@@ -14,7 +14,9 @@ from qlhv.ghz import (
     ghz_intersection,
     xxx_product,
 )
-from qlhv.quaternions import I
+from qlhv.quaternions import Basis, Q8Element
+
+I = Q8Element(Basis.I, 1)
 
 
 def assignment(*sign_triples):

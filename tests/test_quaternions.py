@@ -2,16 +2,7 @@ import itertools
 
 import pytest
 
-from qlhv.quaternions import (
-    Basis,
-    ONE,
-    I,
-    J,
-    K,
-    Q8Element,
-    q8_mul,
-    q8_product,
-)
+from qlhv.quaternions import Basis, Q8Element, q8_mul, q8_product
 
 
 def hamilton(p, q):
@@ -27,8 +18,9 @@ def hamilton(p, q):
     )
 
 
-# the eight group elements
+# the eight group elements, and the four units with sign +1
 Q8_ELEMENTS = [Q8Element(basis, sign) for basis in Basis for sign in (1, -1)]
+ONE, I, J, K = (Q8Element(basis, 1) for basis in Basis)
 
 
 def embed(e):
