@@ -208,6 +208,17 @@ def _single_point_model(t1: float, t2: float, t3: float, t4: float) -> ChshModel
     return ChshModel((1.0,), (t1, t2, t3, t4), ((0,), (0,), (0,), (0,)))
 
 
+def _improve(best, pairs):
+    # best, a (value, t2, t4) or None, after scoring the pairs in order by
+    # analytic_bound: a pair replaces it only by a strictly greater value, so
+    # among equal values the first stays
+    for t2, t4 in pairs:
+        value = analytic_bound(t2, t4)
+        if best is None or value > best[0]:
+            best = value, t2, t4
+    return best
+
+
 def maximize_bell(grid_steps: int, refine_iters: int = 50,
                   rng_seed: int = 0) -> tuple[ChshModel, float]:
     """Grid search over the two Bob phases followed by local refinement.
@@ -215,10 +226,12 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     The support and bit structure are fixed analytically (single point,
     equal bits): any maximizing model can be brought to that form, so only
     the phases are searched, each candidate scored by analytic_bound, which
-    is its Bell value.  Among equal grid maxima the lowest grid index wins.
-    The random candidate of each refinement step comes from
-    random.Random(rng_seed).  grid_steps, refine_iters and rng_seed are
-    integers; refine_iters and rng_seed must be nonnegative.
+    is its Bell value.  A candidate replaces the best only by a strictly
+    greater value, so among equal grid maxima the lowest grid index wins.
+    Each refinement round scores four steps along the axes and one random
+    candidate from random.Random(rng_seed), and halves the step when none
+    of them improves.  grid_steps, refine_iters and rng_seed are integers;
+    refine_iters and rng_seed must be nonnegative.
     Returns (best model, its Bell value through the correlations).
     """
     grid_steps = tolerances.count(grid_steps, "grid_steps", 4)
@@ -226,36 +239,18 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     rng_seed = tolerances.count(rng_seed, "rng_seed", 0)
     import random
     grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
-    spacing = 2.0 * math.pi / grid_steps
-
-    best_t2, best_t4 = grid[0], grid[0]
-    best_val = -math.inf
-    for t2 in grid:
-        for t4 in grid:
-            val = analytic_bound(t2, t4)
-            if val > best_val:
-                best_val, best_t2, best_t4 = val, t2, t4
-
+    best = _improve(None, ((t2, t4) for t2 in grid for t4 in grid))
     rng = random.Random(rng_seed)
-    step = spacing
+    step = 2.0 * math.pi / grid_steps
     for _ in range(refine_iters):
-        improved = False
-        candidates = [
-            (best_t2 + step, best_t4),
-            (best_t2 - step, best_t4),
-            (best_t2, best_t4 + step),
-            (best_t2, best_t4 - step),
-            (best_t2 + step * rng.uniform(-1, 1), best_t4 + step * rng.uniform(-1, 1)),
-        ]
-        for t2, t4 in candidates:
-            val = analytic_bound(t2, t4)
-            if val > best_val:
-                best_val, best_t2, best_t4 = val, t2, t4
-                improved = True
-        if not improved:
+        _, t2, t4 = best
+        improved = _improve(best, [(t2 + step, t4), (t2 - step, t4), (t2, t4 + step), (t2, t4 - step),
+                                   (t2 + step * rng.uniform(-1, 1), t4 + step * rng.uniform(-1, 1))])
+        if improved is best:
             step *= 0.5
-
-    best_model = _single_point_model(0.0, best_t2 % math.tau, 0.0, best_t4 % math.tau)
+        best = improved
+    _, t2, t4 = best
+    best_model = _single_point_model(0.0, t2 % math.tau, 0.0, t4 % math.tau)
     return best_model, bell_expression(best_model)
 
 

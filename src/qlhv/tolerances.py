@@ -1,4 +1,4 @@
-"""Every proved bound and every tolerance of the package, the two number
+"""Every proved bound and the package's two tolerances, the two number
 rules that every input boundary applies, the count rule and the two vector
 rules built on them (the closed Bloch ball and the unit sphere), and
 CheckedRecord, the base that keeps each record's checks on every route that
@@ -24,12 +24,12 @@ CLASSICAL = 2.0
 NEGATIVE_WEIGHT_FLOOR = (1.0 - math.sqrt(3.0)) / 8.0
 
 #: Identities exact in real arithmetic, up to float rounding: weight and
-#: pair sums, expectations, eigenrelations, the Bloch ball |r|^2 <= 1.
+#: pair sums, expectations, eigenrelations, the Bloch ball |r|^2 <= 1, and
+#: values at the proved optimum TSIRELSON, which move with the square of
+#: an error in their argument.
 EXACT_TOL = 1e-12
 #: Slack on a proved inequality, and on the norm of a unit vector.
 BOUND_TOL = 1e-9
-#: Distance of a numerical optimum from the proved optimum.
-OPTIMUM_TOL = 1e-6
 
 
 _FLOAT = frozenset({float})

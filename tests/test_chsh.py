@@ -224,8 +224,12 @@ def test_maximizer_deterministic():
 
 
 def reference_maximize(grid_steps, refine_iters, rng_seed):
-    # the search scored by bell_expression of a one-point model per candidate
+    # the search scored by bell_expression of a one-point model per candidate;
+    # returns the best model, its value and the scored pairs in order
+    scored = []
+
     def score(t2, t4):
+        scored.append((t2, t4))
         return bell_expression(single_point_model((0.0, t2, 0.0, t4)))
 
     grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
@@ -249,7 +253,7 @@ def reference_maximize(grid_steps, refine_iters, rng_seed):
         if not improved:
             step *= 0.5
     model = single_point_model((0.0, best_t2 % math.tau, 0.0, best_t4 % math.tau))
-    return model, bell_expression(model)
+    return model, bell_expression(model), scored
 
 
 @pytest.mark.parametrize("grid_steps", [4, 5, 8, 12, 16, 24, 32])
@@ -257,9 +261,29 @@ def test_maximizer_matches_the_per_model_search(grid_steps):
     # ties between grid maxima must resolve as in the per-model search
     for seed in range(3):
         model, value = maximize_bell(grid_steps, 50, seed)
-        ref_model, ref_value = reference_maximize(grid_steps, 50, seed)
+        ref_model, ref_value, _ = reference_maximize(grid_steps, 50, seed)
         assert value == ref_value
         assert model.thetas == ref_model.thetas
+
+
+@pytest.mark.parametrize("grid_steps, refine_iters, rng_seed", [(4, 0, 0), (5, 1, 3), (7, 50, 2), (10, 20, 11),
+                                                            (16, 50, 7)])
+def test_maximizer_scores_the_pairs_of_the_per_model_search(monkeypatch, grid_steps, refine_iters, rng_seed):
+    # the optimizer's work, which the benchmark's per-layer counters read:
+    # each grid pair, then five candidates per refinement round, each scored
+    # once by analytic_bound, in the order of the per-model search
+    expected = reference_maximize(grid_steps, refine_iters, rng_seed)[2]
+    scored = []
+    bound = chsh.analytic_bound
+
+    def recording(t2, t4):
+        scored.append((t2, t4))
+        return bound(t2, t4)
+
+    monkeypatch.setattr(chsh, "analytic_bound", recording)
+    maximize_bell(grid_steps, refine_iters, rng_seed)
+    assert len(scored) == grid_steps ** 2 + 5 * refine_iters
+    assert scored == expected
 
 
 def test_serialization_round_trip():

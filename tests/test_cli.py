@@ -17,7 +17,7 @@ import pytest
 from qlhv import chsh, cli, qubit
 from qlhv.cli import RULES, main, parse_permutation
 from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP
-from qlhv.tolerances import OPTIMUM_TOL, TSIRELSON
+from qlhv.tolerances import TSIRELSON
 
 DIAG = "0.5773502691896258,0.5773502691896258,0.5773502691896258"
 
@@ -61,7 +61,7 @@ def test_report_schema_and_exit_code(capsys):
     assert "bell_expression" in names
     bell = next(c for c in report["checks"] if c["name"] == "bell_expression")
     assert bell["expected"] == pytest.approx(2.8284271247, abs=1e-9)
-    assert bell["tolerance"] == 1e-9
+    assert bell["tolerance"] == 1e-12
     assert bell["pass"] is True
 
 
@@ -388,6 +388,33 @@ def test_chsh_optimize(capsys):
     assert "model" in report["result"]
 
 
+def test_chsh_achieve_fails_for_a_bob_phase_off_quadrature(monkeypatch, capsys):
+    # the value moves with the square of the phase error: 2e-5 moves it by
+    # about 1.4e-10, inside BOUND_TOL but not inside EXACT_TOL
+    def shifted():
+        return chsh._single_point_model(7 * math.pi / 4, 0.0, math.pi / 4, math.pi / 2 + 2e-5)
+
+    monkeypatch.setattr(chsh, "make_achieving_model", shifted)
+    code, report = run_json(capsys, "chsh-achieve")
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["bell_expression"]
+
+
+def test_chsh_optimize_fails_for_a_shifted_optimizer_output(monkeypatch, capsys):
+    maximize_bell = chsh.maximize_bell
+
+    def shifted(grid_steps, refine_iters=50, rng_seed=0):
+        model, _ = maximize_bell(grid_steps, refine_iters, rng_seed)
+        t1, t2, t3, t4 = model.thetas
+        moved = model._replace(thetas=(t1, t2, t3, (t4 + 1e-4) % math.tau))
+        return moved, chsh.bell_expression(moved)
+
+    monkeypatch.setattr(chsh, "maximize_bell", shifted)
+    code, report = run_json(capsys, "chsh-optimize", "--grid", "16", "--seed", "7")
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["optimizer_reaches_tsirelson"]
+
+
 def test_chsh_optimize_rejects_a_negative_seed(capsys):
     assert main(["chsh-optimize", "--grid", "8", "--seed", "-1"]) == 2
     assert capsys.readouterr() == ("", "error: rng_seed must be nonnegative\n")
@@ -661,9 +688,10 @@ def test_main_renders_the_report_of_run(monkeypatch, capsys):
 
 
 def test_rules_fail_outside_tolerance_and_on_nan():
-    assert RULES["reaches"](TSIRELSON, TSIRELSON - 0.5 * OPTIMUM_TOL, OPTIMUM_TOL)
-    assert not RULES["reaches"](TSIRELSON, TSIRELSON + 2e-9, OPTIMUM_TOL)
-    assert not RULES["reaches"](TSIRELSON, TSIRELSON - 2.0 * OPTIMUM_TOL, OPTIMUM_TOL)
+    tol = 1e-6
+    assert RULES["reaches"](TSIRELSON, TSIRELSON - 0.5 * tol, tol)
+    assert not RULES["reaches"](TSIRELSON, TSIRELSON + 2e-9, tol)
+    assert not RULES["reaches"](TSIRELSON, TSIRELSON - 2.0 * tol, tol)
     for rule in ("equal", "close", "at_most", "at_least", "reaches"):
         assert not RULES[rule](1.0, math.nan, 1e-9), rule
 
