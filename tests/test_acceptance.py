@@ -9,6 +9,7 @@ import pytest
 
 from qlhv import chsh, ghz, oracle, qubit
 from qlhv.quaternions import Basis, Q8Element
+from qlhv.tolerances import BOUND_TOL, EXACT_TOL
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -60,7 +61,7 @@ def test_criterion_2_chsh_randomized_bounds():
         return max_complex, max_real
 
     (max_complex, max_real), elapsed = timed(sweep, repeats=1)
-    ok = max_complex <= TSIRELSON + 1e-9 and max_real <= 2.0 + 1e-9 and elapsed < 5.0
+    ok = max_complex <= TSIRELSON + BOUND_TOL and max_real <= 2.0 + BOUND_TOL and elapsed < 5.0
     report(
         2,
         f"10^4 random models: complex max {max_complex:.9f} <= 2*sqrt(2), "
@@ -72,7 +73,7 @@ def test_criterion_2_chsh_randomized_bounds():
 
 def test_criterion_3_optimizer():
     (_, value), elapsed = timed(lambda: chsh.maximize_bell(8, 50, 7), repeats=1)
-    ok = (TSIRELSON - 1e-6 <= value <= TSIRELSON + 1e-9) and elapsed < 1.0
+    ok = (TSIRELSON - EXACT_TOL <= value <= TSIRELSON + BOUND_TOL) and elapsed < 1.0
     report(3, f"maximize_bell(8) = {value:.12f}", ok, elapsed)
 
 
@@ -195,7 +196,7 @@ def test_criterion_9_tsirelson_cross_check():
         return optimal, worst
 
     (optimal, worst), elapsed = timed(run, repeats=1)
-    ok = abs(optimal - TSIRELSON) <= 1e-6 and worst <= TSIRELSON + 1e-9 and elapsed < 2.0
+    ok = abs(optimal - TSIRELSON) <= EXACT_TOL and worst <= TSIRELSON + BOUND_TOL and elapsed < 2.0
     report(
         9,
         f"quantum CHSH optimum {optimal:.9f}, random-settings max {worst:.9f}",

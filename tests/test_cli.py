@@ -415,6 +415,17 @@ def test_chsh_optimize_fails_for_a_shifted_optimizer_output(monkeypatch, capsys)
     assert [c["name"] for c in report["checks"] if not c["pass"]] == ["optimizer_reaches_tsirelson"]
 
 
+def test_chsh_optimize_fails_for_an_optimizer_value_above_tsirelson(monkeypatch, capsys):
+    # 1e-11 above the proved bound: more than EXACT_TOL, less than BOUND_TOL
+    def above(grid_steps, refine_iters=50, rng_seed=0):
+        return chsh.make_achieving_model(), TSIRELSON + 1e-11
+
+    monkeypatch.setattr(chsh, "maximize_bell", above)
+    code, report = run_json(capsys, "chsh-optimize", "--grid", "16", "--seed", "7")
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["optimizer_reaches_tsirelson"]
+
+
 def test_chsh_optimize_rejects_a_negative_seed(capsys):
     assert main(["chsh-optimize", "--grid", "8", "--seed", "-1"]) == 2
     assert capsys.readouterr() == ("", "error: rng_seed must be nonnegative\n")
@@ -623,6 +634,18 @@ def test_missing_required_flag_is_an_argparse_usage_error(capsys, command, flag)
     assert err.splitlines()[-1] == f"qlhv {command}: error: the following arguments are required: {flag}"
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_help_lists_the_report_flags_before_the_command_flags(capsys, command):
+    assert main([command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    # argparse may wrap a long usage line, so whitespace is compared collapsed
+    usage = " ".join(out.split("\n\n")[0].split())
+    own = [f"{flag} {flag[2:].upper()}" if required else f"[{flag} {flag[2:].upper()}]"
+           for flag, _, required in cli.COMMANDS[command].args]
+    assert usage == " ".join([f"usage: qlhv {command} [-h] [--out OUT] [--format {{json,csv}}]", *own])
+
+
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
 def test_handler_reads_the_config_that_the_report_prints(monkeypatch, argv):
     seen = {}
@@ -689,10 +712,10 @@ def test_main_renders_the_report_of_run(monkeypatch, capsys):
 
 def test_rules_fail_outside_tolerance_and_on_nan():
     tol = 1e-6
-    assert RULES["reaches"](TSIRELSON, TSIRELSON - 0.5 * tol, tol)
-    assert not RULES["reaches"](TSIRELSON, TSIRELSON + 2e-9, tol)
-    assert not RULES["reaches"](TSIRELSON, TSIRELSON - 2.0 * tol, tol)
-    for rule in ("equal", "close", "at_most", "at_least", "reaches"):
+    assert RULES["close"](TSIRELSON, TSIRELSON - 0.5 * tol, tol)
+    assert not RULES["close"](TSIRELSON, TSIRELSON + 2.0 * tol, tol)
+    assert not RULES["close"](TSIRELSON, TSIRELSON - 2.0 * tol, tol)
+    for rule in ("equal", "close", "at_most", "at_least"):
         assert not RULES[rule](1.0, math.nan, 1e-9), rule
 
 

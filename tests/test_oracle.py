@@ -205,7 +205,7 @@ def test_chsh_rejects_non_unit_settings():
 
 @pytest.mark.xfail(strict=True, reason="power iteration stalls on near-degenerate top eigenvalues "
                    "and underestimates; remove this marker when the batched eigvalsh oracle "
-                   "(ROADMAP item 3) replaces it")
+                   "(ROADMAP item 5) replaces it")
 def test_chsh_quantum_value_near_degenerate_settings():
     settings = ((1.0, 0.0, 0.0), (math.cos(1e-5), math.sin(1e-5), 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     a, ap, b, bp = map(direction_operator, settings)
