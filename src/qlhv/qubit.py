@@ -3,10 +3,11 @@
 The hidden variable takes values 1..8; each value fixes a sign for the
 x, y and z components.  States are weight assignments on the eight
 points derived from a Bloch vector; weights may be negative but antipodal
-pairs (m, 9-m) always sum to 1/4.  Evolution acts by permuting the eight
-points and by convex mixtures of such permutations.  Only permutations
-that commute with m -> 9-m (384 of the 40,320, the hyperoctahedral group
-B4) keep every pair sum for every state, so evolution accepts no other.
+pairs (m, 9-m) always sum to 1/4.  Evolution acts by convex mixtures of
+permutations of the eight points; a single permutation is evolved as the
+one-term mixture.  Only permutations that commute with m -> 9-m (384 of
+the 40,320, the hyperoctahedral group B4) keep every pair sum for every
+state, so evolution accepts no other.
 
 Weights are reals, and permutation entries integers, by the number rules
 of qlhv.tolerances.  Plain Python throughout (no numpy, no quaternions): the
@@ -31,11 +32,6 @@ AXES = ("x", "y", "z")
 SIGN_TABLE = tuple(itertools.product((1, -1), repeat=3))
 # axis -> its column of SIGN_TABLE: the signs of that axis over lam = 1..8
 _AXIS_SIGNS = dict(zip(AXES, zip(*SIGN_TABLE)))
-
-#: Permutation exchanging m and m+4 for m = 1..4 (flips the x signs).
-X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
-
-IDENTITY_PERMUTATION = LAMBDAS
 
 
 class SignedDistribution(CheckedRecord, namedtuple("SignedDistribution", "weights")):
@@ -119,14 +115,6 @@ def _check_permutation(s: Sequence[int]) -> tuple[int, ...]:
     return perm
 
 
-def evolve_permutation(dist: SignedDistribution, s: Sequence[int]) -> SignedDistribution:
-    """Pull the weights back along s: p'(lam) = p(s(lam)).  s must be a
-    permutation of 1..8 commuting with m -> 9-m, which keeps every antipodal
-    pair sum at 1/4 (384 of the 40,320); any other s raises ValueError."""
-    perm = _check_permutation(s)
-    return SignedDistribution(tuple(dist.weights[perm[m - 1] - 1] for m in LAMBDAS))
-
-
 class PermutationMix(CheckedRecord, namedtuple("PermutationMix", "terms")):
     """Convex combination of permutations of the eight hidden values: terms
     is a tuple of (permutation, weight) pairs, each weight a float."""
@@ -161,3 +149,11 @@ def evolve_mixture(dist: SignedDistribution, mix: PermutationMix) -> SignedDistr
     for perm, weight in mix.terms:
         out = tuple(o + weight * w[p - 1] for o, p in zip(out, perm))
     return SignedDistribution(out)
+
+
+def evolve_permutation(dist: SignedDistribution, s: Sequence[int]) -> SignedDistribution:
+    """Pull the weights back along s: p'(lam) = p(s(lam)), the one-term
+    mixture.  s must be a permutation of 1..8 commuting with m -> 9-m, which
+    keeps every antipodal pair sum at 1/4 (384 of the 40,320); any other s
+    raises ValueError."""
+    return evolve_mixture(dist, PermutationMix(((s, 1.0),)))

@@ -14,6 +14,9 @@ from qlhv.tolerances import BOUND_TOL, EXACT_TOL
 TSIRELSON = 2.0 * math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 QI = Q8Element(Basis.I, 1)
+# exchanges m and m+4 for m = 1..4, which flips the x signs
+X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
+IDENTITY_PERMUTATION = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 def timed(fn, repeats=3):
@@ -166,12 +169,12 @@ def test_criterion_8_evolution():
         ok = True
         for _ in range(100):
             r = random_bloch(rng)
-            evolved = qubit.evolve_permutation(qubit.state_distribution(r), qubit.X_FLIP)
+            evolved = qubit.evolve_permutation(qubit.state_distribution(r), X_FLIP)
             mirrored = qubit.state_distribution((-r[0], r[1], r[2]))
             ok = ok and evolved.weights == mirrored.weights
         z_pair_swap = (3, 4, 1, 2, 7, 8, 5, 6)
         mix = qubit.PermutationMix(
-            ((qubit.IDENTITY_PERMUTATION, 0.25), (qubit.X_FLIP, 0.5), (z_pair_swap, 0.25))
+            ((IDENTITY_PERMUTATION, 0.25), (X_FLIP, 0.5), (z_pair_swap, 0.25))
         )
         for _ in range(100):
             evolved = qubit.evolve_mixture(qubit.state_distribution(random_bloch(rng)), mix)

@@ -23,7 +23,7 @@ from qlhv.chsh import (
     sample_model,
     sample_models,
 )
-from qlhv.tolerances import TSIRELSON
+from qlhv.tolerances import EXACT_TOL, TSIRELSON
 
 SQRT2 = math.sqrt(2.0)
 
@@ -163,7 +163,7 @@ def test_relabeling_invariance():
 
 def test_maximizer_converges():
     _, value = maximize_bell(16, 50, 7)
-    assert TSIRELSON - 1e-6 <= value <= TSIRELSON + 1e-9
+    assert abs(value - TSIRELSON) <= EXACT_TOL
 
 
 def test_maximizer_grid_containing_optimum_is_exact():

@@ -16,10 +16,12 @@ import pytest
 
 from qlhv import chsh, cli, qubit
 from qlhv.cli import RULES, main, parse_permutation
-from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP
-from qlhv.tolerances import TSIRELSON
+from qlhv.tolerances import EXACT_TOL, TSIRELSON
 
 DIAG = "0.5773502691896258,0.5773502691896258,0.5773502691896258"
+# exchanges m and m+4 for m = 1..4, which flips the x signs
+X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
+IDENTITY_PERMUTATION = (1, 2, 3, 4, 5, 6, 7, 8)
 
 # Reports of the README subcommands with fixed arguments, elapsed_ms removed
 # (CSV cases as rows).  A change to any report must be deliberate.
@@ -384,7 +386,7 @@ def test_chsh_optimize(capsys):
     code, report = run_json(capsys, "chsh-optimize", "--grid", "8", "--seed", "1")
     assert code == 0
     value = report["checks"][0]["actual"]
-    assert abs(value - 2.0 * math.sqrt(2.0)) <= 1e-6
+    assert abs(value - TSIRELSON) <= EXACT_TOL
     assert "model" in report["result"]
 
 

@@ -14,7 +14,7 @@ from qlhv.oracle import (
     three_party_operator,
     verify_eigenrelation,
 )
-from qlhv.tolerances import BOUND_TOL, TSIRELSON
+from qlhv.tolerances import BOUND_TOL, EXACT_TOL, TSIRELSON
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def is_hermitian(m):
@@ -175,12 +175,12 @@ def test_direction_operator_is_hermitian_unit_involution():
 
 def test_chsh_optimal_settings_reach_tsirelson():
     value = chsh_quantum_value(*OPTIMAL_SETTINGS)
-    assert value == pytest.approx(TSIRELSON, abs=1e-6)
+    assert value == pytest.approx(TSIRELSON, abs=EXACT_TOL)
 
 
 def test_chsh_degenerate_settings_give_two():
     x = (1.0, 0.0, 0.0)
-    assert chsh_quantum_value(x, x, x, x) == pytest.approx(2.0, abs=1e-9)
+    assert chsh_quantum_value(x, x, x, x) == pytest.approx(2.0, abs=EXACT_TOL)
 
 
 def test_chsh_quantum_value_cross_checked_against_eigensolver():

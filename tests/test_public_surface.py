@@ -1,6 +1,6 @@
 """No public name of the package exists only for the tests: every public
 top-level function, class and constant of a qlhv module is reached from the
-package or the benchmark harness, or is on ALLOWED with its reason.
+package or the benchmark harness.
 
 A name N of module M is reached only through M itself: a file loads N after
 `from ...M import N`, names N as an attribute of M or of a name bound to M
@@ -19,14 +19,6 @@ MODULES = sorted(path for path in (ROOT / "src" / "qlhv").glob("*.py") if path.n
 # the harness's own tests are tests too, so they reach nothing here
 CALLERS = [*MODULES, *(path for path in (ROOT / "bench").glob("*.py") if not path.name.startswith("test_"))]
 PACKAGE = "qlhv"
-
-_KEPT = "acceptance criterion 8 (evolution) runs it, and ROADMAP item 7 is to give it a command"
-ALLOWED = {
-    "qubit.X_FLIP": _KEPT,
-    "qubit.IDENTITY_PERMUTATION": _KEPT,
-    "qubit.evolve_mixture": _KEPT,
-}
-
 
 def public_names(path):
     """The public top-level functions, classes and assigned constants."""
@@ -101,8 +93,7 @@ def reached_names(paths):
 def test_every_public_name_is_reached_outside_the_tests():
     reached = reached_names(CALLERS)
     unreached = {f"{path.stem}.{name}" for path in MODULES for name in public_names(path)} - reached
-    # a name on ALLOWED that the package starts to use leaves the list too
-    assert unreached == set(ALLOWED)
+    assert unreached == set()
 
 
 def test_the_scan_flags_a_name_that_nothing_reaches(tmp_path):

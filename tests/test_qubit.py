@@ -8,12 +8,10 @@ from hypothesis import given, strategies as st
 from qlhv import qubit
 from qlhv.qubit import (
     AXES,
-    IDENTITY_PERMUTATION,
     LAMBDAS,
     PermutationMix,
     SIGN_TABLE,
     SignedDistribution,
-    X_FLIP,
     axis_expectation,
     commutes_with_antipode,
     evolve_mixture,
@@ -25,6 +23,9 @@ from qlhv.qubit import (
 
 SQRT3 = math.sqrt(3.0)
 UNIFORM = SignedDistribution((0.125,) * 8)
+# exchanges m and m+4 for m = 1..4, which flips the x signs
+X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
+IDENTITY_PERMUTATION = (1, 2, 3, 4, 5, 6, 7, 8)
 
 bloch_vectors = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
@@ -269,6 +270,26 @@ def test_evolution_accepts_exactly_the_pair_sum_preserving_permutations():
         assert ok == retroaction_check(pulled), perm
         accepted += ok
     assert accepted == 2**4 * math.factorial(4) == 384
+
+
+def test_evolution_is_the_pull_back_for_every_commuting_permutation():
+    # exact equality: 0.0 + 1.0 * w == w, and no state weight is -0.0
+    perms = [s for s in itertools.permutations(LAMBDAS) if commutes_with_antipode(s)]
+    assert len(perms) == 384
+    rng = np.random.default_rng(16)
+    states = []
+    while len(states) < 20:
+        r = rng.uniform(-1, 1, 3)
+        if r @ r <= 1.0:
+            states.append(state_distribution(r))
+    for i, s in enumerate(perms):
+        mix = PermutationMix(((s, 0.25), (perms[i - 1], 0.5), (perms[i - 2], 0.25)))
+        for d in states:
+            assert evolve_permutation(d, s).weights == tuple(d.weights[s[m] - 1] for m in range(8)), s
+            expected = (0.0,) * 8
+            for perm, weight in mix.terms:
+                expected = tuple(o + weight * w for o, w in zip(expected, evolve_permutation(d, perm).weights))
+            assert evolve_mixture(d, mix).weights == expected, s
 
 
 def test_single_term_mixture_reduces_to_permutation():

@@ -5,8 +5,12 @@ checks."""
 import pytest
 
 from qlhv.chsh import ChshModel
-from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP, PermutationMix, SignedDistribution
+from qlhv.qubit import PermutationMix, SignedDistribution
 from qlhv.quaternions import Basis, Q8Element
+
+# exchanges m and m+4 for m = 1..4, which flips the x signs
+X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
+IDENTITY_PERMUTATION = (1, 2, 3, 4, 5, 6, 7, 8)
 
 # (a valid record, its fields, one field with an invalid value)
 RECORDS = [

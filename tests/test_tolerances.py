@@ -9,9 +9,13 @@ import pytest
 
 from qlhv.chsh import ChshModel, model_from_dict, model_to_dict
 from qlhv.ghz import _checked
-from qlhv.qubit import IDENTITY_PERMUTATION, X_FLIP, PermutationMix, SignedDistribution
+from qlhv.qubit import PermutationMix, SignedDistribution
 from qlhv.quaternions import Basis, Q8Element
 from qlhv.tolerances import bloch_vector, integer, is_real, unit_direction
+
+# exchanges m and m+4 for m = 1..4, which flips the x signs
+X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
+IDENTITY_PERMUTATION = (1, 2, 3, 4, 5, 6, 7, 8)
 
 # (value, the number it stands for, the rules that accept it), one of each
 # kind that a caller may pass
