@@ -16,12 +16,19 @@ of uniforms and bell_values evaluates it, under one set of phases or
 under S stacked as (S, N, 4); ChshModel is one unpadded row, used by the
 per-model API and serialization, whose weights and phases follow the real
 rule of qlhv.tolerances (bell_values applies it as a dtype rule), and
-sample_model is the ChshModel view of a population of one.  bell_values
-writes its own Bell combination, so bell_expression on a row is a second,
-independent route to its value.  bell_sweep
-draws each block of a sweep once and evaluates it under complex and real
-phases, the two regimes the paper compares, returning a witness row for
-each maximum and two fixed spot rows.
+sample_model is the ChshModel view of a population of one.
+
+A model's value depends only on its four parity sums s_xy and on Bob's
+phase difference t4 - t2: E(x,y) = s_xy e^{i(theta_x + theta_y)}, so
+|E(a,b) - E(a,b')| = |s_ab - s_ab' e^{i(t4 - t2)}| and the a' term likewise;
+Alice's phases t1 and t3 never enter it.  bell_values evaluates that form,
+while bell_expression multiplies out the four correlations, so the batch
+route and the replay of a row through bell_expression differ by formula,
+and agree to the rounding of the phases.
+
+bell_sweep draws each block of a sweep once and evaluates it under complex
+and real phases, the two regimes the paper compares, returning a witness
+row for each maximum and two fixed spot rows.
 
 numpy is imported, when called, by the population functions
 (sample_model, sample_models, bell_values, bell_sweep) and by analytic_bound
@@ -148,11 +155,15 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
     (N, P), thetas (N, 4), bits (N, 4, P); returns shape (N,).  thetas may
     also stack S phase regimes of the same weights and bits as (S, N, 4),
     which returns (S, N): the parity sums are computed once and only the
-    phase factors once per regime.  Weights and phases must have an int,
-    uint or float dtype, and bits may have any dtype whose entries are 0 or
-    1.  Each row must be a valid model: weights nonnegative summing to 1
-    within EXACT_TOL, finite phases, bits 0 or 1.  Zero-weight columns do
-    not change a row's value, whatever their bits."""
+    phase difference once per regime.  A value reads only the four parity
+    sums and t4 - t2, never t1 or t3, as |s_ab - s_ab' e^{i(t4 - t2)}| +
+    |s_a'b + s_a'b' e^{i(t4 - t2)}|: a different formula from
+    bell_expression's, which it matches to the rounding of the phases.
+    Weights and phases must have an int, uint or float dtype, and bits may
+    have any dtype whose entries are 0 or 1.  Each row must be a valid
+    model: weights nonnegative summing to 1 within EXACT_TOL, finite
+    phases, bits 0 or 1.  Zero-weight columns do not change a row's value,
+    whatever their bits."""
     import numpy as np
     weights, thetas, bits = np.asarray(weights), np.asarray(thetas), np.asarray(bits)
     # the real rule as a dtype rule: no bool, str, bytes, complex or object
@@ -162,19 +173,26 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
     if (weights.ndim != 2 or thetas.ndim not in (2, 3) or thetas.shape[-2:] != (len(weights), 4)
             or bits.shape != (len(weights), 4, weights.shape[1])):
         raise ValueError("need weights (N, P), thetas (N, 4) or (S, N, 4) and bits (N, 4, P)")
-    if not (np.all(weights >= 0.0) and np.all(np.abs(weights.sum(axis=1) - 1.0) <= EXACT_TOL)):
+    # reductions, not elementwise masks: min and max carry a NaN into the
+    # comparison, which it fails
+    if not (weights.min(initial=0.0) >= 0.0
+            and np.abs(weights.sum(axis=1) - 1.0).max(initial=0.0) <= EXACT_TOL):
         raise ValueError("invalid distribution")
-    if not np.all((bits == 0) | (bits == 1)):
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
-    if not np.all(np.isfinite(thetas)):
+    if not np.isfinite(thetas).all():
         raise ValueError("phases must be finite")
     # int8 takes bits of any 0/1 dtype and keeps the parity out of float
     b = bits.astype(np.int8, copy=False)
     parity = 1 - 2 * (b[:, _ALICE] ^ b[:, _BOB])
-    e = np.einsum("np,nkp->nk", weights, parity) * np.exp(1j * (thetas[..., _ALICE] + thetas[..., _BOB]))
-    # its own combination, so that chsh-verify's replay through bell_expression
-    # is a second route
-    return np.abs(e[..., 0] - e[..., 1]) + np.abs(e[..., 2] + e[..., 3])
+    s_ab, s_abp, s_apb, s_apbp = np.einsum("np,nkp->kn", weights, parity)
+    # |E(a,b) - E(a,b')| = |s_ab - s_ab' e^{i delta}| with delta = t4 - t2, and
+    # |E(a',b) + E(a',b')| likewise: Alice's phases cancel.  Real and imaginary
+    # parts, not s^2 + s'^2 - 2 s s' cos delta, which cancels near a zero term
+    delta = thetas[..., _SLOT["b'"]] - thetas[..., _SLOT["b"]]
+    c, sn = np.cos(delta), np.sin(delta)
+    return (np.sqrt((s_ab - s_abp * c) ** 2 + (s_abp * sn) ** 2)
+            + np.sqrt((s_apb + s_apbp * c) ** 2 + (s_apbp * sn) ** 2))
 
 
 def analytic_bound(t2, t4):
@@ -291,16 +309,19 @@ def _decode_rows(u, phase_regimes):
     theta_u, bit_u = u[:, 1 + MAX_POINTS:5 + MAX_POINTS], u[:, 5 + MAX_POINTS:]
     # column k is in a support of floor(16 u) + 1 points iff k <= 16 u
     support = np.arange(MAX_POINTS) <= size_u * MAX_POINTS
-    raw = (weight_u + 1e-9) * support
+    weights = weight_u + 1e-9
+    weights *= support
+    weights /= weights.sum(axis=1, keepdims=True)
     thetas = []
     for choices in phase_regimes:
         if choices is None:
             thetas.append(2.0 * math.pi * theta_u)
         else:
             thetas.append(np.asarray(choices, dtype=float)[(theta_u * len(choices)).astype(np.intp)])
-    bits = (bit_u.reshape(len(u), 4, MAX_POINTS) < 0.5) & support[:, None, :]
+    bits = bit_u.reshape(len(u), 4, MAX_POINTS) < 0.5
+    bits &= support[:, None, :]
     # a fresh bool array: its bytes are already the int8 bits 0 and 1
-    return raw / raw.sum(axis=1, keepdims=True), thetas, bits.view(np.int8)
+    return weights, thetas, bits.view(np.int8)
 
 
 def _row_model(weights, thetas, bits, row: int) -> ChshModel:

@@ -483,6 +483,21 @@ def chsh_models(draw):
     return ChshModel(weights, thetas, bits)
 
 
+def phase_rounding_bound(ulps, *models):
+    """1e-14 + ulps * u with u = ulp(2 max|theta|) over the models' phases:
+    how far apart two values may be when only the rounding of phases
+    separates them, with ulps derived at each use from these two facts.
+    The exact value V(delta) = |s_ab - s_ab' e^{i delta}| + |s_a'b + s_a'b'
+    e^{i delta}|, delta = t4 - t2, moves by at most |s_ab'| + |s_a'b'| <= 2
+    times a change of delta.  bell_values rounds only t4 - t2, to within
+    u/2, so it is within u of V; bell_expression rounds each of its four
+    phase sums theta_a + theta_b to within u/2, which moves the correlation
+    s e^{i phase} by at most |s| u/2, so each magnitude is off by at most
+    (|s| + |s'|) u/2 <= u and the value is within 2u of V.  1e-14 covers
+    the rest of the arithmetic on values of at most 2 sqrt(2)."""
+    return 1e-14 + ulps * math.ulp(2 * max(abs(t) for model in models for t in model.thetas))
+
+
 @given(st.lists(chsh_models(), min_size=1, max_size=8), st.integers(1, 5), st.randoms())
 def test_bell_values_match_bell_expression(models, extra, random):
     models = models + [make_achieving_model()]
@@ -490,7 +505,8 @@ def test_bell_values_match_bell_expression(models, extra, random):
     values = bell_values(weights, thetas, bits)
     assert values.shape == (len(models),)
     for value, model in zip(values, models):
-        assert abs(value - bell_expression(model)) <= 1e-14
+        # within u and 2u of one exact value: 3u apart
+        assert abs(value - bell_expression(model)) <= phase_rounding_bound(3, model)
     assert abs(values[-1] - TSIRELSON) <= 1e-14
 
     # zero-weight columns change no value, whatever their bits
@@ -519,6 +535,46 @@ def test_one_pass_correlations_equal_the_four_pass_definition_bit_for_bit(model)
         assert correlation(model, alice, bob) == value
     e_ab, e_abp, e_apb, e_apbp = reference.values()
     assert bell_expression(model) == abs(e_ab - e_abp) + abs(e_apb + e_apbp)
+
+
+@given(chsh_models(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_bell_expression_reads_only_bob_phase_difference(model, t1, t3, phi):
+    # |E(a,b) - E(a,b')| = |s_ab - s_ab' e^{i(t4 - t2)}| and the a' term
+    # likewise: Alice's phases and a common shift of Bob's leave the value.
+    # Each bell_expression is within 2u of its model's exact value, and the
+    # two exact values differ too: t2 + phi and t4 + phi are each rounded to
+    # within u/4 (they are at most half of 2 max|theta|), so the moved delta
+    # is off by at most u/2 and its exact value by at most u.  5u in all
+    _, t2, _, t4 = model.thetas
+    moved = ChshModel(model.weights, (t1, t2 + phi, t3, t4 + phi), model.bits)
+    assert abs(bell_expression(moved) - bell_expression(model)) <= phase_rounding_bound(5, model, moved)
+
+
+def test_bell_values_are_closer_to_the_exact_value_than_bell_expression():
+    # the exact value of a float model, from its exact parity sums and phase
+    # sums at 40 digits; every value of either route is within its rounding
+    # bound, and the batch route, which rounds one phase difference in place
+    # of four sums, is the closer one
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2024)
+    weights, _, bits = sample_models(rng, 3_000)
+    thetas = rng.uniform(-1e3, 1e3, size=(3_000, 4))
+    batch = bell_values(weights, thetas, bits)
+    errors = {"bell_values": [], "bell_expression": []}
+    for row in range(3_000):
+        model = chsh._row_model(weights, thetas, bits, row)
+        with mpmath.workdps(40):
+            t = [mpmath.mpf(theta) for theta in model.thetas]
+            e = [sum(mpmath.mpf(w) if x == y else -mpmath.mpf(w) for w, x, y in
+                     zip(model.weights, model.bits[a], model.bits[b])) * mpmath.expj(t[a] + t[b])
+                 for a, b in ((0, 1), (0, 3), (2, 1), (2, 3))]
+            exact = abs(e[0] - e[1]) + abs(e[2] + e[3])
+        for name, value, ulps in (("bell_values", batch[row], 1),
+                                  ("bell_expression", bell_expression(model), 2)):
+            error = float(abs(mpmath.mpf(float(value)) - exact))
+            assert error <= phase_rounding_bound(ulps, model)
+            errors[name].append(error)
+    assert max(errors["bell_values"]) < max(errors["bell_expression"])
 
 
 def test_correlation_reads_each_model_when_calls_interleave():
