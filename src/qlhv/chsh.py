@@ -21,7 +21,9 @@ sample_model is the ChshModel view of a population of one.
 A model's value depends only on its four parity sums s_xy and on Bob's
 phase difference t4 - t2: E(x,y) = s_xy e^{i(theta_x + theta_y)}, so
 |E(a,b) - E(a,b')| = |s_ab - s_ab' e^{i(t4 - t2)}| and the a' term likewise;
-Alice's phases t1 and t3 never enter it.  bell_values evaluates that form,
+Alice's phases t1 and t3 never enter it.  So maximize_bell searches the one
+variable delta = t4 - t2 of a one-point model, and returns
+theta = (0, 0, 0, delta).  bell_values evaluates that form,
 while bell_expression multiplies out the four correlations, so the batch
 route and the replay of a row through bell_expression differ by formula,
 and agree to the rounding of the phases.
@@ -136,18 +138,9 @@ def _correlations(model: ChshModel) -> tuple[complex, complex, complex, complex]
     return values
 
 
-def _bell_combination(e_ab, e_abp, e_apb, e_apbp):
-    # complex scalars: the combination of the per-model route only
-    return abs(e_ab - e_abp) + abs(e_apb + e_apbp)
-
-
 def bell_expression(model: ChshModel) -> float:
-    return _bell_combination(
-        correlation(model, "a", "b"),
-        correlation(model, "a", "b'"),
-        correlation(model, "a'", "b"),
-        correlation(model, "a'", "b'"),
-    )
+    return (abs(correlation(model, "a", "b") - correlation(model, "a", "b'"))
+            + abs(correlation(model, "a'", "b") + correlation(model, "a'", "b'")))
 
 
 def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -226,49 +219,49 @@ def _single_point_model(t1: float, t2: float, t3: float, t4: float) -> ChshModel
     return ChshModel((1.0,), (t1, t2, t3, t4), ((0,), (0,), (0,), (0,)))
 
 
-def _improve(best, pairs):
-    # best, a (value, t2, t4) or None, after scoring the pairs in order by
-    # analytic_bound: a pair replaces it only by a strictly greater value, so
-    # among equal values the first stays
-    for t2, t4 in pairs:
-        value = analytic_bound(t2, t4)
+def _improve(best, deltas):
+    # best, a (value, delta) or None, after scoring the phase differences in
+    # order by analytic_bound(0.0, delta): a difference replaces it only by a
+    # strictly greater value, so among equal values the first stays
+    for delta in deltas:
+        value = analytic_bound(0.0, delta)
         if best is None or value > best[0]:
-            best = value, t2, t4
+            best = value, delta
     return best
 
 
 def maximize_bell(grid_steps: int, refine_iters: int = 50,
                   rng_seed: int = 0) -> tuple[ChshModel, float]:
-    """Grid search over the two Bob phases followed by local refinement.
+    """Grid search over Bob's phase difference delta = t4 - t2 followed by
+    local refinement.
 
     The support and bit structure are fixed analytically (single point,
-    equal bits): any maximizing model can be brought to that form, so only
-    the phases are searched, each candidate scored by analytic_bound, which
-    is its Bell value.  A candidate replaces the best only by a strictly
-    greater value, so among equal grid maxima the lowest grid index wins.
-    Each refinement round scores four steps along the axes and one random
-    candidate from random.Random(rng_seed), and halves the step when none
-    of them improves.  grid_steps, refine_iters and rng_seed are integers;
+    equal bits): any maximizing model can be brought to that form, and its
+    Bell value, analytic_bound(t2, t4), reads only delta, so only delta is
+    searched, each candidate scored by analytic_bound(0.0, delta).  A
+    candidate replaces the best only by a strictly greater value, so among
+    equal grid maxima the lowest grid index wins.  Each refinement round
+    scores a step either way and one random candidate from
+    random.Random(rng_seed), and halves the step when none of them
+    improves.  grid_steps, refine_iters and rng_seed are integers;
     refine_iters and rng_seed must be nonnegative.
-    Returns (best model, its Bell value through the correlations).
+    Returns (the model theta = (0, 0, 0, delta mod 2pi), its Bell value
+    through the correlations).
     """
     grid_steps = tolerances.count(grid_steps, "grid_steps", 4)
     refine_iters = tolerances.count(refine_iters, "refine_iters", 0)
     rng_seed = tolerances.count(rng_seed, "rng_seed", 0)
     import random
-    grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
-    best = _improve(None, ((t2, t4) for t2 in grid for t4 in grid))
-    rng = random.Random(rng_seed)
     step = 2.0 * math.pi / grid_steps
+    best = _improve(None, (step * k for k in range(grid_steps)))
+    rng = random.Random(rng_seed)
     for _ in range(refine_iters):
-        _, t2, t4 = best
-        improved = _improve(best, [(t2 + step, t4), (t2 - step, t4), (t2, t4 + step), (t2, t4 - step),
-                                   (t2 + step * rng.uniform(-1, 1), t4 + step * rng.uniform(-1, 1))])
+        delta = best[1]
+        improved = _improve(best, [delta + step, delta - step, delta + step * rng.uniform(-1, 1)])
         if improved is best:
             step *= 0.5
         best = improved
-    _, t2, t4 = best
-    best_model = _single_point_model(0.0, t2 % math.tau, 0.0, t4 % math.tau)
+    best_model = _single_point_model(0.0, 0.0, 0.0, best[1] % math.tau)
     return best_model, bell_expression(best_model)
 
 

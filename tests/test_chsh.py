@@ -129,6 +129,19 @@ def test_saturation_at_exact_quarter_turn():
         assert analytic_bound(base, base + math.pi / 2) == pytest.approx(2.0 * SQRT2, abs=1e-12)
 
 
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_analytic_bound_reads_only_the_phase_difference(t2, t4, phi):
+    # maximize_bell searches t4 - t2 alone on this fact.  A common shift phi
+    # leaves the bound but for the rounding of t2 + phi and t4 + phi, each
+    # within half an ulp of its magnitude, so their difference is off by at
+    # most ulp(m) for the larger magnitude m; the bound moves by at most
+    # sqrt(2) times a change of t4 - t2.  1e-14 covers the exp and abs
+    tol = 1e-14 + 2 * math.ulp(max(abs(t2 + phi), abs(t4 + phi)))
+    assert abs(analytic_bound(t2 + phi, t4 + phi) - analytic_bound(t2, t4)) <= tol
+    unshifted, shifted = analytic_bound(np.array([t2, t2 + phi]), np.array([t4, t4 + phi]))
+    assert abs(shifted - unshifted) <= tol
+
+
 def test_random_models_respect_bounds():
     rng = np.random.default_rng(42)
     for _ in range(500):
@@ -207,13 +220,14 @@ def test_counts_and_seeds_take_numpy_integers():
 
 
 def test_maximizer_returns_phases_in_zero_to_two_pi():
-    # refinement can leave a phase outside [0, 2pi) before the reduction: the
-    # 5-step grid, seed 0, ends below 0 and returns theta2 = 5.969...
-    assert maximize_bell(5, 50, 0)[0].thetas[1] == pytest.approx(5.969026, abs=1e-6)
-    for grid_steps in range(4, 33):
-        for seed in range(6):
-            model, _ = maximize_bell(grid_steps, 50, seed)
-            assert all(0.0 <= theta < math.tau for theta in model.thetas), (grid_steps, seed)
+    # grid 5 holds no optimum: its best grid point 2pi/5 is refined to pi/2
+    assert maximize_bell(5, 50, 0)[0].thetas[3] == pytest.approx(math.pi / 2, abs=1e-8)
+    for grid_steps in range(4, 101):
+        for seed in range(20):
+            model, value = maximize_bell(grid_steps, 50, seed)
+            assert model.thetas[:3] == (0.0, 0.0, 0.0), (grid_steps, seed)
+            assert 0.0 <= model.thetas[3] < math.tau, (grid_steps, seed)
+            assert abs(value - TSIRELSON) <= EXACT_TOL, (grid_steps, seed)
 
 
 def test_maximizer_deterministic():
@@ -224,35 +238,32 @@ def test_maximizer_deterministic():
 
 
 def reference_maximize(grid_steps, refine_iters, rng_seed):
-    # the search scored by bell_expression of a one-point model per candidate;
-    # returns the best model, its value and the scored pairs in order
+    # the search over delta = t4 - t2 scored by bell_expression of a one-point
+    # model per candidate; returns the best model, its value and the scored
+    # deltas in order
     scored = []
 
-    def score(t2, t4):
-        scored.append((t2, t4))
-        return bell_expression(single_point_model((0.0, t2, 0.0, t4)))
+    def score(delta):
+        scored.append(delta)
+        return bell_expression(single_point_model((0.0, 0.0, 0.0, delta)))
 
-    grid = [2.0 * math.pi * k / grid_steps for k in range(grid_steps)]
-    best_val, best_t2, best_t4 = -math.inf, grid[0], grid[0]
-    for t2 in grid:
-        for t4 in grid:
-            val = score(t2, t4)
-            if val > best_val:
-                best_val, best_t2, best_t4 = val, t2, t4
-    rng = random.Random(rng_seed)
     step = 2.0 * math.pi / grid_steps
+    best_val, best_delta = -math.inf, 0.0
+    for k in range(grid_steps):
+        val = score(step * k)
+        if val > best_val:
+            best_val, best_delta = val, step * k
+    rng = random.Random(rng_seed)
     for _ in range(refine_iters):
         improved = False
-        for t2, t4 in [(best_t2 + step, best_t4), (best_t2 - step, best_t4),
-                       (best_t2, best_t4 + step), (best_t2, best_t4 - step),
-                       (best_t2 + step * rng.uniform(-1, 1), best_t4 + step * rng.uniform(-1, 1))]:
-            val = score(t2, t4)
+        for delta in [best_delta + step, best_delta - step, best_delta + step * rng.uniform(-1, 1)]:
+            val = score(delta)
             if val > best_val:
-                best_val, best_t2, best_t4 = val, t2, t4
+                best_val, best_delta = val, delta
                 improved = True
         if not improved:
             step *= 0.5
-    model = single_point_model((0.0, best_t2 % math.tau, 0.0, best_t4 % math.tau))
+    model = single_point_model((0.0, 0.0, 0.0, best_delta % math.tau))
     return model, bell_expression(model), scored
 
 
@@ -270,9 +281,10 @@ def test_maximizer_matches_the_per_model_search(grid_steps):
                                                             (16, 50, 7)])
 def test_maximizer_scores_the_pairs_of_the_per_model_search(monkeypatch, grid_steps, refine_iters, rng_seed):
     # the optimizer's work, which the benchmark's per-layer counters read:
-    # each grid pair, then five candidates per refinement round, each scored
-    # once by analytic_bound, in the order of the per-model search
-    expected = reference_maximize(grid_steps, refine_iters, rng_seed)[2]
+    # each grid delta, then three candidates per refinement round, each
+    # scored once by analytic_bound(0.0, delta), in the order of the
+    # per-model search
+    expected = [(0.0, delta) for delta in reference_maximize(grid_steps, refine_iters, rng_seed)[2]]
     scored = []
     bound = chsh.analytic_bound
 
@@ -282,7 +294,7 @@ def test_maximizer_scores_the_pairs_of_the_per_model_search(monkeypatch, grid_st
 
     monkeypatch.setattr(chsh, "analytic_bound", recording)
     maximize_bell(grid_steps, refine_iters, rng_seed)
-    assert len(scored) == grid_steps ** 2 + 5 * refine_iters
+    assert len(scored) == grid_steps + 3 * refine_iters
     assert scored == expected
 
 

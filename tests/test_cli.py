@@ -338,10 +338,12 @@ def test_chsh_verify_fails_when_bell_values_moves_only_multi_point_rows(monkeypa
 def test_chsh_verify_fails_when_the_per_model_combination_moves(monkeypatch):
     # bell_values combines its correlations itself, so the replay through
     # bell_expression is a second route to each value
-    def scaled(e_ab, e_abp, e_apb, e_apbp):
-        return abs(e_ab - e_abp) + 0.9 * abs(e_apb + e_apbp)
+    correlation = chsh.correlation
 
-    monkeypatch.setattr(chsh, "_bell_combination", scaled)
+    def scaled(model, alice, bob):
+        return correlation(model, alice, bob) * (0.9 if alice == "a'" else 1.0)
+
+    monkeypatch.setattr(chsh, "correlation", scaled)
     report = cli.run("chsh-verify", {"samples": 200, "seed": 7})
     assert [c["name"] for c in report["checks"] if not c["pass"]] == ["witness_replays"]
 
