@@ -15,8 +15,10 @@ with zeros past each model's support, thetas (N, 4) and int8 bits
 of uniforms and bell_values evaluates it, under one set of phases or
 under S stacked as (S, N, 4); ChshModel is one unpadded row, used by the
 per-model API and serialization, whose weights and phases follow the real
-rule of qlhv.tolerances (bell_values applies it as a dtype rule), and
-sample_model is the ChshModel view of a population of one.
+rule of qlhv.tolerances (bell_values applies it as a dtype rule).
+sample_model decodes one row of the same layout in plain Python, which on
+a single row is faster than numpy, into the ChshModel that is row 0 of
+sample_models bit for bit.
 
 A model's value depends only on its four parity sums s_xy and on Bob's
 phase difference t4 - t2: E(x,y) = s_xy e^{i(theta_x + theta_y)}, so
@@ -28,14 +30,15 @@ while bell_expression multiplies out the four correlations, so the batch
 route and the replay of a row through bell_expression differ by formula,
 and agree to the rounding of the phases.
 
-bell_sweep draws each block of a sweep once and evaluates it under complex
-and real phases, the two regimes the paper compares, returning a witness
-row for each maximum and two fixed spot rows.
+bell_sweep draws each block of a sweep once through sample_models and
+evaluates it under complex and real phases, the two regimes the paper
+compares, returning a witness row for each maximum and two fixed spot rows.
 
 numpy is imported, when called, by the population functions
-(sample_model, sample_models, bell_values, bell_sweep) and by analytic_bound
-given arrays.  maximize_bell, which draws from random.Random, and the
-ChshModel record path are plain Python.
+(sample_models, bell_values, bell_sweep) and by analytic_bound given
+arrays; sample_model uses only the numpy Generator it is given.
+maximize_bell, which draws from random.Random, and the ChshModel record
+path are plain Python.
 """
 
 from __future__ import annotations
@@ -268,10 +271,22 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
 def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None = None) -> ChshModel:
     """Draw a random valid model: up to MAX_POINTS points with normalized
     weights, independent random bits, and phases either uniform on
-    [0, 2pi) or drawn from phase_choices.  The ChshModel view of
-    sample_models(rng, 1, phase_choices)."""
-    weights, thetas, bits = sample_models(rng, 1, phase_choices)
-    return _row_model(weights, thetas, bits, 0)
+    [0, 2pi) or drawn from phase_choices.  One rng.random(85) call,
+    decoded by the row layout of sample_models in plain Python, which on
+    one row is faster than numpy: the model is row 0 of
+    sample_models(rng, 1, phase_choices) bit for bit."""
+    choices = _phase_choices(phase_choices)
+    u = rng.random(_ROW).tolist()
+    n = int(u[0] * MAX_POINTS) + 1
+    raw = [x + 1e-9 for x in u[1:1 + n]]
+    # left to right, as _decode_rows sums; sum() is compensated from CPython 3.12
+    total = 0.0
+    for w in raw:
+        total += w
+    thetas = [2.0 * math.pi * x if choices is None else choices[int(x * len(choices))]
+              for x in u[1 + MAX_POINTS:5 + MAX_POINTS]]
+    bits = [[1 if x < 0.5 else 0 for x in u[k:k + n]] for k in range(5 + MAX_POINTS, _ROW, MAX_POINTS)]
+    return ChshModel([w / total for w in raw], thetas, bits)
 
 
 def sample_models(rng: np.random.Generator, count: int,
@@ -285,18 +300,23 @@ def sample_models(rng: np.random.Generator, count: int,
     count is a nonnegative integer; phase_choices, if given, is a nonempty
     sequence of reals."""
     count = tolerances.count(count, "count", 0)
+    choices = _phase_choices(phase_choices)
+    return _decode_rows(rng.random((count, _ROW)), choices)
+
+
+def _phase_choices(phase_choices):
+    # None, or the nonempty tuple of floats that phase_choices must be
     if phase_choices is not None:
         message = "phase_choices must be a nonempty sequence of reals"
         if not (phase_choices := reals(phase_choices, message)):
             raise ValueError(message)
-    weights, (thetas,), bits = _decode_rows(rng.random((count, _ROW)), (phase_choices,))
-    return weights, thetas, bits
+    return phase_choices
 
 
-def _decode_rows(u, phase_regimes):
-    """The models of the rows of u (N, _ROW): weights, one thetas (N, 4)
-    per phase_choices of phase_regimes, all from the same phase uniforms,
-    and bits.  The one home of the row layout."""
+def _decode_rows(u, choices):
+    """The models of the rows of u (N, _ROW) as padded arrays, by the row
+    layout that sample_model decodes one row of: weights, thetas (N, 4)
+    uniform on [0, 2pi) or drawn from the tuple choices, and bits."""
     import numpy as np
     size_u, weight_u = u[:, :1], u[:, 1:1 + MAX_POINTS]
     theta_u, bit_u = u[:, 1 + MAX_POINTS:5 + MAX_POINTS], u[:, 5 + MAX_POINTS:]
@@ -304,13 +324,13 @@ def _decode_rows(u, phase_regimes):
     support = np.arange(MAX_POINTS) <= size_u * MAX_POINTS
     weights = weight_u + 1e-9
     weights *= support
-    weights /= weights.sum(axis=1, keepdims=True)
-    thetas = []
-    for choices in phase_regimes:
-        if choices is None:
-            thetas.append(2.0 * math.pi * theta_u)
-        else:
-            thetas.append(np.asarray(choices, dtype=float)[(theta_u * len(choices)).astype(np.intp)])
+    # summed left to right, as sample_model sums, not pairwise as weights.sum
+    total = weights[:, 0].copy()
+    for column in weights.T[1:]:
+        total += column
+    weights /= total[:, None]
+    thetas = (2.0 * math.pi * theta_u if choices is None
+              else np.asarray(choices)[(theta_u * len(choices)).astype(np.intp)])
     bits = bit_u.reshape(len(u), 4, MAX_POINTS) < 0.5
     bits &= support[:, None, :]
     # a fresh bool array: its bytes are already the int8 bits 0 and 1
@@ -328,8 +348,6 @@ def _row_model(weights, thetas, bits, row: int) -> ChshModel:
 # models per block of bell_sweep: bounds its memory for any sample count
 # without changing the stream
 _BLOCK = 1024
-# the phase regimes of bell_sweep: uniform on [0, 2pi), and real (0 or pi)
-_SWEEP_REGIMES = (None, (0.0, math.pi))
 # complex rows that bell_sweep returns whatever their value: 15 in 16 rows
 # have more than one point, where the maxima nearly always have one
 _SPOT_ROWS = 2
@@ -354,14 +372,18 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness
     the witnesses of the complex and of the real maximum, the largest
     excess of a complex value over its analytic_bound, and the first
     _SPOT_ROWS rows (fewer if samples is smaller) under complex phases."""
+    import numpy as np
     samples = tolerances.count(samples, "samples", 1)
-    best: list[Witness | None] = [None] * len(_SWEEP_REGIMES)
+    best: list[Witness | None] = [None, None]
     gap, spots = -math.inf, []
     for start in range(0, samples, _BLOCK):
-        # no name holds the uniforms, so they are freed before evaluation: a
-        # block held through bell_values made malloc return and re-fault
-        # about 360 heap pages per call
-        weights, thetas, bits = _decode_rows(rng.random((min(_BLOCK, samples - start), _ROW)), _SWEEP_REGIMES)
+        # the uniforms live only inside sample_models, so they are freed
+        # before evaluation: a block held through bell_values made malloc
+        # return and re-fault about 360 heap pages per call
+        weights, thetas, bits = sample_models(rng, min(_BLOCK, samples - start))
+        # the real phase (0.0, pi)[floor(2u)] of each phase uniform u: the
+        # phase 2pi*u rounds below pi exactly when u < 1/2
+        thetas = np.stack((thetas, np.where(thetas < math.pi, 0.0, math.pi)))
         values = bell_values(weights, thetas, bits)
         gap = max(gap, float((values[0] - analytic_bound(thetas[0][:, 1], thetas[0][:, 3])).max()))
         spots += [Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], bits, row))

@@ -402,15 +402,17 @@ def test_model_and_batch_validators_agree(weights, thetas, bits, reason):
 
 # ---------------------------------------------------------------- batches
 
-@pytest.mark.parametrize("phase_choices", [None, (0.0, math.pi)])
+@pytest.mark.parametrize("phase_choices", [None, (0.0, math.pi), (0, 1, 2)])
 def test_sample_models_rows_are_sample_model_calls(phase_choices):
+    # two decoders, numpy's for blocks and plain Python's for one row, must
+    # give the same models bit for bit
     for seed in (0, 1, 2024):
         rng = np.random.default_rng(seed)
-        models = [sample_model(rng, phase_choices) for _ in range(1100)]
+        models = [sample_model(rng, phase_choices) for _ in range(2000)]
         batch_rng = np.random.default_rng(seed)
-        weights, thetas, bits = sample_models(batch_rng, 1100, phase_choices)
-        assert weights.shape == (1100, MAX_POINTS) and thetas.shape == (1100, 4)
-        assert bits.shape == (1100, 4, MAX_POINTS)
+        weights, thetas, bits = sample_models(batch_rng, 2000, phase_choices)
+        assert weights.shape == (2000, MAX_POINTS) and thetas.shape == (2000, 4)
+        assert bits.shape == (2000, 4, MAX_POINTS)
         assert bits.dtype == np.int8 and np.all((bits == 0) | (bits == 1))
         for row, model in enumerate(models):
             n = len(model.weights)
@@ -420,12 +422,12 @@ def test_sample_models_rows_are_sample_model_calls(phase_choices):
             assert not weights[row, n:].any() and not bits[row, :, n:].any()
         assert {len(model.weights) for model in models} == set(range(1, MAX_POINTS + 1))
         if phase_choices is not None:
-            assert set(thetas.flat) == {0.0, math.pi}
+            assert set(thetas.flat) == set(map(float, phase_choices))
 
         # two consecutive batches, as a chunked sweep draws them
         chunk_rng = np.random.default_rng(seed)
         first = sample_models(chunk_rng, 1030, phase_choices)
-        second = sample_models(chunk_rng, 70, phase_choices)
+        second = sample_models(chunk_rng, 970, phase_choices)
         for whole, part, rest in zip((weights, thetas, bits), first, second):
             assert np.array_equal(np.concatenate([part, rest]), whole)
         assert rng.bit_generator.state == batch_rng.bit_generator.state == chunk_rng.bit_generator.state
@@ -441,17 +443,22 @@ def reference_row(u, phase_choices):
     else:
         thetas = [phase_choices[math.floor(x * len(phase_choices))] for x in u[17:21]]
     bits = [[int(x < 0.5) for x in u[21 + 16 * k:21 + 16 * k + n]] for k in range(4)]
-    return [x / sum(raw) for x in raw], thetas, bits
+    # left to right: sum() of floats is compensated from CPython 3.12
+    total = 0.0
+    for x in raw:
+        total += x
+    return [x / total for x in raw], thetas, bits
 
 
 class FixedUniforms:
-    """Stands in for a Generator: random(shape) returns the given rows."""
+    """Stands in for a Generator: random(shape) returns the given rows, a
+    (N, 85) block or one row of 85."""
 
     def __init__(self, rows):
         self.rows = rows
 
     def random(self, shape):
-        assert shape == self.rows.shape
+        assert np.shape(np.empty(shape)) == self.rows.shape
         return self.rows.copy()
 
 
@@ -468,10 +475,13 @@ def test_sample_models_follow_the_documented_row_layout(phase_choices):
     for row, u in enumerate(uniforms.tolist()):
         ref_weights, ref_thetas, ref_bits = reference_row(u, phase_choices)
         n = len(ref_weights)
-        assert weights[row, :n].tolist() == pytest.approx(ref_weights, rel=1e-15, abs=0.0)
+        assert weights[row, :n].tolist() == ref_weights
         assert not weights[row, n:].any() and not bits[row, :, n:].any()
         assert thetas[row].tolist() == ref_thetas
         assert bits[row, :, :n].tolist() == ref_bits
+        # the one-row decoder of sample_model reads the same layout
+        model = sample_model(FixedUniforms(uniforms[row]), phase_choices)
+        assert model == ChshModel(ref_weights, ref_thetas, ref_bits)
 
 
 def as_batch(models):
@@ -702,6 +712,40 @@ def test_bell_values_on_stacked_phases_equal_one_call_per_regime():
     assert stacked.shape == (2, 500)
     assert np.array_equal(stacked[0], bell_values(weights, thetas, bits))
     assert np.array_equal(stacked[1], bell_values(weights, real, bits))
+
+
+def test_real_phase_from_the_complex_phase_is_the_floor_of_two_u():
+    """bell_sweep takes the real phase of a phase uniform u from its complex
+    phase, as np.where(2pi*u < pi, 0, pi), where sample_models(..., (0.0, pi))
+    takes (0, pi)[floor(2u)].  With P = math.pi, 2P is a double, so the
+    complex phase is the product 2P*u rounded once.  For u >= 1/2 the exact
+    product is at least P, a double, and rounding is monotone, so the phase
+    is at least P.  For u < 1/2, u <= 1/2 - 2^-54, the next double down, so
+    the exact product is at most P - P*2^-53, about 0.785 of an ulp of P
+    (2^-51) below P; the nearest double is then at most P - 2^-51, and the
+    phase is below P.  So the two mappings agree for every u in [0, 1)."""
+    u = np.concatenate([
+        0.5 - 2.0 ** -54 * np.arange(1, 100_001),     # the 10^5 doubles below 1/2
+        0.5 + 2.0 ** -53 * np.arange(100_001),        # 1/2 and the 10^5 above it
+        np.random.default_rng(17).random(1_000_000),
+        [0.0, 1.0 - 2.0 ** -53],
+    ])
+    real = np.where(2.0 * math.pi * u < math.pi, 0.0, math.pi)
+    assert np.array_equal(real, np.array([0.0, math.pi])[np.floor(2.0 * u).astype(np.intp)])
+
+
+def test_bell_sweep_evaluates_the_phases_that_sample_models_draws(monkeypatch):
+    # phase uniforms: the 1,000 doubles below 1/2, 1/2 and the 999 above it,
+    # 0, 1 - 2^-53, 1/4 and 3/4
+    rows = np.random.default_rng(19).random((501, 85))
+    rows[:, 17:21] = np.concatenate([0.5 - 2.0 ** -54 * np.arange(1, 1001), 0.5 + 2.0 ** -53 * np.arange(1000),
+                                     [0.0, 1.0 - 2.0 ** -53, 0.25, 0.75]]).reshape(501, 4)
+    evaluated = []
+    monkeypatch.setattr(chsh, "bell_values", lambda w, t, b: evaluated.append(t) or bell_values(w, t, b))
+    bell_sweep(FixedUniforms(rows), 501)
+    (phases,) = evaluated
+    for regime, choices in enumerate((None, (0.0, math.pi))):
+        assert np.array_equal(phases[regime], sample_models(FixedUniforms(rows), 501, choices)[1])
 
 
 def test_bell_sweep_returns_the_first_two_rows_as_spot_rows(monkeypatch):
