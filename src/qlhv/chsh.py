@@ -33,6 +33,8 @@ and agree to the rounding of the phases.
 bell_sweep draws each block of a sweep once through sample_models and
 evaluates it under complex and real phases, the two regimes the paper
 compares, returning a witness row for each maximum and two fixed spot rows.
+The real maximum ties among many rows, so its witness is the lowest row
+within EXACT_TOL of it, and the sweep counts those rows.
 
 numpy is imported, when called, by the population functions
 (sample_models, bell_values, bell_sweep) and by analytic_bound given
@@ -60,8 +62,12 @@ BOB_SETTINGS = ("b", "b'")
 # support size bound of sample_models
 MAX_POINTS = 16
 # uniforms per model of sample_models: the support size, MAX_POINTS raw
-# weights, four phases and 4 * MAX_POINTS bits, in this order
-_ROW = 5 + 5 * MAX_POINTS
+# weights, four phases and four bit uniforms, one per setting, in this order.
+# Setting k's bit at point p is bit p of floor(u * 2^MAX_POINTS), u its bit
+# uniform: the product is exact, a power of two times a double
+_BITS = 1 + MAX_POINTS + 4   # the first bit uniform's column
+_ROW = _BITS + 4
+_WORD = 2.0 ** MAX_POINTS
 
 _BIT_KEYS = ("f1", "f2", "f3", "f4")
 # setting -> slot into the (f1, f2, f3, f4) / (theta1..theta4) layout
@@ -271,7 +277,7 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
 def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None = None) -> ChshModel:
     """Draw a random valid model: up to MAX_POINTS points with normalized
     weights, independent random bits, and phases either uniform on
-    [0, 2pi) or drawn from phase_choices.  One rng.random(85) call,
+    [0, 2pi) or drawn from phase_choices.  One rng.random(25) call,
     decoded by the row layout of sample_models in plain Python, which on
     one row is faster than numpy: the model is row 0 of
     sample_models(rng, 1, phase_choices) bit for bit."""
@@ -284,8 +290,9 @@ def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None
     for w in raw:
         total += w
     thetas = [2.0 * math.pi * x if choices is None else choices[int(x * len(choices))]
-              for x in u[1 + MAX_POINTS:5 + MAX_POINTS]]
-    bits = [[1 if x < 0.5 else 0 for x in u[k:k + n]] for k in range(5 + MAX_POINTS, _ROW, MAX_POINTS)]
+              for x in u[1 + MAX_POINTS:_BITS]]
+    words = [int(x * _WORD) for x in u[_BITS:]]
+    bits = [[word >> p & 1 for p in range(n)] for word in words]
     return ChshModel([w / total for w in raw], thetas, bits)
 
 
@@ -293,7 +300,7 @@ def sample_models(rng: np.random.Generator, count: int,
                   phase_choices: Sequence[float] | None = None):
     """Draw count models as padded arrays (weights (count, MAX_POINTS),
     thetas (count, 4), bits int8 (count, 4, MAX_POINTS)), zero past each
-    model's support, in one rng.random((count, 85)) call.  A row-major draw
+    model's support, in one rng.random((count, 25)) call.  A row-major draw
     consumes the stream as count draws of one row do, so row i is the model
     that the i-th of count sample_model calls on the same generator would
     return, and splitting a sweep into chunks does not change its models.
@@ -319,9 +326,10 @@ def _decode_rows(u, choices):
     uniform on [0, 2pi) or drawn from the tuple choices, and bits."""
     import numpy as np
     size_u, weight_u = u[:, :1], u[:, 1:1 + MAX_POINTS]
-    theta_u, bit_u = u[:, 1 + MAX_POINTS:5 + MAX_POINTS], u[:, 5 + MAX_POINTS:]
-    # column k is in a support of floor(16 u) + 1 points iff k <= 16 u
-    support = np.arange(MAX_POINTS) <= size_u * MAX_POINTS
+    theta_u, bit_u = u[:, 1 + MAX_POINTS:_BITS], u[:, _BITS:]
+    # a support of n = floor(16 u) + 1 points: columns 0 to n - 1
+    n = (size_u * MAX_POINTS).astype(np.intp) + 1
+    support = np.arange(MAX_POINTS) < n
     weights = weight_u + 1e-9
     weights *= support
     # summed left to right, as sample_model sums, not pairwise as weights.sum
@@ -331,10 +339,14 @@ def _decode_rows(u, choices):
     weights /= total[:, None]
     thetas = (2.0 * math.pi * theta_u if choices is None
               else np.asarray(choices)[(theta_u * len(choices)).astype(np.intp)])
-    bits = bit_u.reshape(len(u), 4, MAX_POINTS) < 0.5
-    bits &= support[:, None, :]
-    # a fresh bool array: its bytes are already the int8 bits 0 and 1
-    return weights, thetas, bits.view(np.int8)
+    # each setting's word as a little-endian uint16 (MAX_POINTS is 16), its
+    # bits past the support cleared; unpacking the two bytes of a word low
+    # byte first, each least significant bit first, puts bit p at point p
+    words = (bit_u * _WORD).astype("<u2")
+    words &= ((1 << n) - 1).astype("<u2")
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    # a fresh uint8 array of 0 and 1: its bytes are already the int8 bits
+    return weights, thetas, bits.reshape(len(u), 4, MAX_POINTS).view(np.int8)
 
 
 def _row_model(weights, thetas, bits, row: int) -> ChshModel:
@@ -349,33 +361,54 @@ def _row_model(weights, thetas, bits, row: int) -> ChshModel:
 # without changing the stream
 _BLOCK = 1024
 # complex rows that bell_sweep returns whatever their value: 15 in 16 rows
-# have more than one point, where the maxima nearly always have one
+# have more than one point, where the complex maximum nearly always has one
 _SPOT_ROWS = 2
 
 
 class Witness(NamedTuple):
-    """A row of a sweep: the lowest-indexed model that reaches a maximum,
-    or a spot row."""
+    """A row of a sweep: the lowest-indexed model that reaches a maximum, or
+    is within EXACT_TOL of it, or a spot row."""
 
     index: int      # row of the sweep, counted from 0 across blocks
     value: float    # its Bell value through bell_values
     model: ChshModel
 
 
-def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness, float, list[Witness]]:
+class Sweep(NamedTuple):
+    """What bell_sweep finds in its complex and real regimes."""
+
+    complex_witness: Witness    # the lowest row at the complex maximum
+    real_max: float
+    real_witness: Witness       # the lowest row within EXACT_TOL of real_max
+    real_ties: int              # the rows within EXACT_TOL of real_max
+    gap: float                  # the largest excess of a complex value over its analytic_bound
+    spots: list[Witness]        # the first _SPOT_ROWS rows under complex phases
+
+
+def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
     """Draw samples models from rng, as sample_models draws them, and
     evaluate each under complex phases (uniform on [0, 2pi)) and under real
     phases (0 or pi) mapped from the same phase uniforms: the real models
     are those that sample_models(rng, samples, (0.0, math.pi)) would draw
     from a generator in the same state.  Works in blocks of up to _BLOCK
-    models, one rng.random call and one bell_values call each.  Returns
-    the witnesses of the complex and of the real maximum, the largest
-    excess of a complex value over its analytic_bound, and the first
-    _SPOT_ROWS rows (fewer if samples is smaller) under complex phases."""
+    models, one rng.random call and one bell_values call each.  The real
+    maximum is a tie among many rows, so its witness is the lowest row
+    whose value v has v >= real_max - EXACT_TOL, which a last-place change
+    of the values does not move; the complex witness is the lowest row at
+    the complex maximum.  Returns a Sweep, whose spot rows are fewer than
+    _SPOT_ROWS if samples is smaller."""
     import numpy as np
     samples = tolerances.count(samples, "samples", 1)
-    best: list[Witness | None] = [None, None]
-    gap, spots = -math.inf, []
+    best = None
+    real_max, gap, spots = -math.inf, -math.inf, []
+    # the real values within EXACT_TOL of the real maximum so far with their
+    # numbers of rows, and the rows among them that beat every row before
+    # them, the only ones that can be the witness, each with its block, so
+    # that only the witness becomes a ChshModel.  That maximum only rises, so
+    # a row that falls out never comes back.  The rows are many, their
+    # values a few doubles, so near keeps each value once when it outgrows
+    # a block
+    near, ties, records = np.empty(0), np.empty(0), []
     for start in range(0, samples, _BLOCK):
         # the uniforms live only inside sample_models, so they are freed
         # before evaluation: a block held through bell_values made malloc
@@ -388,12 +421,25 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> tuple[Witness, Witness
         gap = max(gap, float((values[0] - analytic_bound(thetas[0][:, 1], thetas[0][:, 3])).max()))
         spots += [Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], bits, row))
                   for row in range(min(len(bits), _SPOT_ROWS - start))]
-        for regime, row in enumerate(values.argmax(axis=1).tolist()):
-            value = float(values[regime, row])
-            # a tie keeps the earlier witness, as argmax does within a block
-            if best[regime] is None or value > best[regime].value:
-                best[regime] = Witness(start + row, value, _row_model(weights, thetas[regime], bits, row))
-    return best[0], best[1], gap, spots
+        row = int(values[0].argmax())
+        # a tie keeps the earlier witness, as argmax does within a block
+        if best is None or values[0, row] > best.value:
+            best = Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], bits, row))
+        before, real_max = real_max, max(real_max, float(values[1].max()))
+        floor = real_max - EXACT_TOL
+        rows = np.flatnonzero(values[1] >= floor)
+        real = values[1, rows]
+        beats = real > np.maximum.accumulate(np.concatenate(([before], real[:-1])))
+        records += [(start + row, value, weights, thetas[1], bits, row)
+                    for row, value in zip(rows[beats].tolist(), real[beats].tolist())]
+        records = [record for record in records if record[1] >= floor]
+        kept = near >= floor
+        near, ties = np.concatenate((near[kept], real)), np.concatenate((ties[kept], np.ones(len(real))))
+        if len(near) > _BLOCK:
+            near, inverse = np.unique(near, return_inverse=True)
+            ties = np.bincount(inverse, ties)
+    index, value, *row = records[0]
+    return Sweep(best, real_max, Witness(index, value, _row_model(*row)), int(ties.sum()), gap, spots)
 
 
 def model_to_dict(model: ChshModel) -> dict:

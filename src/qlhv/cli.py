@@ -56,6 +56,7 @@ from .tolerances import (
     EXACT_TOL,
     NEGATIVE_WEIGHT_FLOOR,
     TSIRELSON,
+    bloch_vector,
     count,
 )
 
@@ -123,21 +124,23 @@ def _chsh_verify(config):
     import numpy as np
     from . import chsh
     rng = np.random.default_rng(count(config["seed"], "seed", 0))
-    complex_max, real_max, gap, spots = chsh.bell_sweep(rng, config["samples"])
+    sweep = chsh.bell_sweep(rng, config["samples"])
     witnesses = {name: {"index": w.index, "value": w.value, "model": chsh.model_to_dict(w.model)}
-                 for name, w in (("complex_witness", complex_max), ("real_witness", real_max))}
+                 for name, w in (("complex_witness", sweep.complex_witness),
+                                 ("real_witness", sweep.real_witness))}
+    witnesses["real_witness"]["ties"] = sweep.real_ties
     # the scalar route replays each witness from its printed record, and each
     # spot row, which --seed and its index replay, in process
     replayed = [(chsh.model_from_dict(w["model"]), w["value"]) for w in witnesses.values()]
-    replayed += [(w.model, w.value) for w in spots]
+    replayed += [(w.model, w.value) for w in sweep.spots]
     replay = max(abs(chsh.bell_expression(model) - value) for model, value in replayed)
     claims = [
-        ("max_bell_complex_leq_tsirelson", TSIRELSON, complex_max.value, "at_most", BOUND_TOL),
-        ("max_bell_real_leq_classical", CLASSICAL, real_max.value, "at_most", BOUND_TOL),
-        ("analytic_bound_dominance_gap", 0.0, gap, "at_most", BOUND_TOL),
+        ("max_bell_complex_leq_tsirelson", TSIRELSON, sweep.complex_witness.value, "at_most", BOUND_TOL),
+        ("max_bell_real_leq_classical", CLASSICAL, sweep.real_max, "at_most", BOUND_TOL),
+        ("analytic_bound_dominance_gap", 0.0, sweep.gap, "at_most", BOUND_TOL),
         ("witness_replays", 0.0, replay, "close", EXACT_TOL),
     ]
-    return claims, {**witnesses, "spot_rows": [{"index": w.index, "value": w.value} for w in spots]}
+    return claims, {**witnesses, "spot_rows": [{"index": w.index, "value": w.value} for w in sweep.spots]}
 
 
 def _chsh_optimize(config):
@@ -177,10 +180,15 @@ def _ghz_verify(config):
 
 def _qubit_dist(config):
     from . import qubit
-    dist = qubit.state_distribution(config["bloch"])
+    r = bloch_vector(config["bloch"])
+    dist = qubit.state_distribution(r)
+    # the least of the eight (1 + eps.r)/8 is at eps = -sign(r): (1 - |r|_1)/8,
+    # added left to right, as sum() adds only up to CPython 3.11
+    l1_floor = (1.0 - (abs(r[0]) + abs(r[1]) + abs(r[2]))) / 8.0
     claims = [
         ("retroaction", True, qubit.retroaction_check(dist), "equal", None),
         ("min_weight_floor", NEGATIVE_WEIGHT_FLOOR, min(dist.weights), "at_least", EXACT_TOL),
+        ("min_weight_l1", l1_floor, min(dist.weights), "close", EXACT_TOL),
     ]
     return claims, {"distribution": list(dist.weights)}
 

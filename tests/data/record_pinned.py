@@ -1,12 +1,14 @@
 """Re-record named cases of pinned_reports.json from the current code.
 
     python tests/data/record_pinned.py "chsh-verify --samples 200 --seed 7" ...
+    python tests/data/record_pinned.py --all
 
 A case is named by its argv joined with spaces, as test_report_matches_pinned
-prints it.  Each named case gets the exit code and the report (elapsed_ms
-removed; CSV as rows) that qlhv.cli.main prints now; every other case is
-written back byte for byte as it was.  Exits 2, writing nothing, when a name
-matches no case or the file is not in the layout this script writes.
+prints it; --all names every case, as a version change needs.  Each named
+case gets the exit code and the report (elapsed_ms removed; CSV as rows)
+that qlhv.cli.main prints now; every other case is written back byte for
+byte as it was.  Exits 2, writing nothing, when a name matches no case or
+the file is not in the layout this script writes.
 """
 
 import contextlib
@@ -45,6 +47,8 @@ def main(names: list) -> int:
         print(f"error: {PINNED.name} is not in the layout this script writes", file=sys.stderr)
         return 2
     index = {" ".join(case["argv"]): number for number, case in enumerate(cases)}
+    if names == ["--all"]:
+        names = list(index)
     unknown = [name for name in names if name not in index]
     if unknown or not names:
         print("error: name one or more of these cases", *index, sep="\n  ", file=sys.stderr)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import random
@@ -434,15 +435,17 @@ def test_sample_models_rows_are_sample_model_calls(phase_choices):
 
 
 def reference_row(u, phase_choices):
-    """One model from a row of 85 uniforms by the documented layout, in plain
-    Python: (weights, thetas, bits) over the support."""
+    """One model from a row of 25 uniforms by the documented layout, in plain
+    Python: (weights, thetas, bits) over the support.  Setting k's bits are
+    the binary digits of floor(u[21 + k] * 2^16), point p reading the p-th
+    least significant one."""
     n = math.floor(u[0] * 16) + 1
     raw = [x + 1e-9 for x in u[1:1 + n]]
     if phase_choices is None:
         thetas = [2.0 * math.pi * x for x in u[17:21]]
     else:
         thetas = [phase_choices[math.floor(x * len(phase_choices))] for x in u[17:21]]
-    bits = [[int(x < 0.5) for x in u[21 + 16 * k:21 + 16 * k + n]] for k in range(4)]
+    bits = [[int(digit) for digit in reversed(format(math.floor(x * 2 ** 16), "016b"))][:n] for x in u[21:25]]
     # left to right: sum() of floats is compensated from CPython 3.12
     total = 0.0
     for x in raw:
@@ -452,7 +455,7 @@ def reference_row(u, phase_choices):
 
 class FixedUniforms:
     """Stands in for a Generator: random(shape) returns the given rows, a
-    (N, 85) block or one row of 85."""
+    (N, 25) block or one row of 25."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -464,14 +467,17 @@ class FixedUniforms:
 
 @pytest.mark.parametrize("phase_choices", [None, (0.0, math.pi), (0.0, 1.0, 2.0)])
 def test_sample_models_follow_the_documented_row_layout(phase_choices):
-    uniforms = np.random.default_rng(5).random((300, 85))
+    uniforms = np.random.default_rng(5).random((300, 25))
     # the edges of each field: support sizes 1, 9, 16 and 16, the first and
-    # last phase choice, and a bit uniform of exactly 0.5
+    # last phase choice, and the bit uniforms 0, 1/2 (word 0x8000, only
+    # point 15) and 1 - 2^-53 (word 0xFFFF) on supports of 9 and 16
     top = 1.0 - 2.0 ** -53
     uniforms[:4, 0] = (0.0, 0.5, 15 / 16, top)
     uniforms[:2, 17:21] = ((0.0,) * 4, (top,) * 4)
-    uniforms[:4, 21] = 0.5
+    uniforms[1:3, 21:25] = ((0.5, top, 0.0, 0.5), (0.0, 0.5, top, 0.5))
     weights, thetas, bits = sample_models(FixedUniforms(uniforms), 300, phase_choices)
+    assert bits[1].tolist() == [[0] * 16, [1] * 9 + [0] * 7, [0] * 16, [0] * 16]
+    assert bits[2].tolist() == [[0] * 16, [0] * 15 + [1], [1] * 16, [0] * 15 + [1]]
     for row, u in enumerate(uniforms.tolist()):
         ref_weights, ref_thetas, ref_bits = reference_row(u, phase_choices)
         n = len(ref_weights)
@@ -482,6 +488,21 @@ def test_sample_models_follow_the_documented_row_layout(phase_choices):
         # the one-row decoder of sample_model reads the same layout
         model = sample_model(FixedUniforms(uniforms[row]), phase_choices)
         assert model == ChshModel(ref_weights, ref_thetas, ref_bits)
+
+
+def test_sample_models_bits_are_fair_and_independent_across_settings():
+    # over 50,000 seeded rows, each in-support bit of each setting has mean
+    # 1/2, and each pair of settings agrees at a point half the time, each to
+    # 6 sigma = 3 / sqrt(count): a point that reads a bit fixed in every word
+    # or two settings that read one word fail it
+    weights, _, bits = sample_models(np.random.default_rng(31), 50_000)
+    support = weights > 0.0
+    rows_per_point = support.sum(axis=0)
+    assert np.all(np.abs(bits.sum(axis=0) / rows_per_point - 0.5) <= 3.0 / np.sqrt(rows_per_point))
+    points = support.sum()
+    for k, l in itertools.combinations(range(4), 2):
+        agree = ((bits[:, k] == bits[:, l]) & support).sum() / points
+        assert abs(agree - 0.5) <= 3.0 / math.sqrt(points), (k, l)
 
 
 def as_batch(models):
@@ -737,7 +758,7 @@ def test_real_phase_from_the_complex_phase_is_the_floor_of_two_u():
 def test_bell_sweep_evaluates_the_phases_that_sample_models_draws(monkeypatch):
     # phase uniforms: the 1,000 doubles below 1/2, 1/2 and the 999 above it,
     # 0, 1 - 2^-53, 1/4 and 3/4
-    rows = np.random.default_rng(19).random((501, 85))
+    rows = np.random.default_rng(19).random((501, 25))
     rows[:, 17:21] = np.concatenate([0.5 - 2.0 ** -54 * np.arange(1, 1001), 0.5 + 2.0 ** -53 * np.arange(1000),
                                      [0.0, 1.0 - 2.0 ** -53, 0.25, 0.75]]).reshape(501, 4)
     evaluated = []
@@ -758,6 +779,31 @@ def test_bell_sweep_returns_the_first_two_rows_as_spot_rows(monkeypatch):
             assert [(spot.index, spot.model) for spot in spots] == list(enumerate(models))
             for spot in spots:
                 assert abs(spot.value - bell_expression(spot.model)) <= 1e-14
+
+
+def test_bell_sweep_real_witness_is_the_lowest_row_within_exact_tol_of_the_maximum(monkeypatch):
+    # crafted real values: the maximum 2 first comes at row 20.  Rows 5 and
+    # 12 are within EXACT_TOL of row 3's value, the maximum that a block of
+    # 7 sees until then, but not of 2, so they must drop out of the ties
+    real = np.full(30, 1.0)
+    real[[3, 5, 12, 20, 25, 27]] = (2.0 - 0.9e-12, 2.0 - 1.7e-12, 2.0 - 1.7e-12, 2.0, 2.0, 2.0 - 0.9e-12)
+    for block in (7, 1024):
+        monkeypatch.setattr(chsh, "_BLOCK", block)
+        done = []
+
+        def crafted(weights, thetas, bits):
+            values = bell_values(weights, thetas, bits)
+            values[1] = real[len(done):len(done) + len(weights)]
+            done.extend(range(len(weights)))
+            return values
+
+        monkeypatch.setattr(chsh, "bell_values", crafted)
+        sweep = bell_sweep(np.random.default_rng(0), 30)
+        assert (sweep.real_max, sweep.real_ties) == (2.0, 4)
+        assert sweep.real_witness[:2] == (3, 2.0 - 0.9e-12)
+        rng = np.random.default_rng(0)
+        sample_models(rng, 3)
+        assert sweep.real_witness.model == sample_model(rng, (0.0, math.pi))
 
 
 def test_bell_sweep_does_not_depend_on_the_block_size(monkeypatch):
