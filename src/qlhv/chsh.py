@@ -11,7 +11,7 @@ that pass.
 
 A population of models is three padded arrays: weights (N, MAX_POINTS)
 with zeros past each model's support, thetas (N, 4) and int8 bits
-(N, 4, MAX_POINTS).  sample_models draws one from a single (N, 85) block
+(N, 4, MAX_POINTS).  sample_models draws one from a single (N, 25) block
 of uniforms and bell_values evaluates it, under one set of phases or
 under S stacked as (S, N, 4); ChshModel is one unpadded row, used by the
 per-model API and serialization, whose weights and phases follow the real
@@ -46,9 +46,11 @@ path are plain Python.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import tolerances
 from .tolerances import EXACT_TOL, CheckedRecord, reals
@@ -69,11 +71,18 @@ _BITS = 1 + MAX_POINTS + 4   # the first bit uniform's column
 _ROW = _BITS + 4
 _WORD = 2.0 ** MAX_POINTS
 
+# the bits of each byte, least significant first: _BYTE_BITS[i][p] is
+# (i >> p) & 1, so sample_model reads a word's bits two bytes at a time
+_BYTE_BITS = tuple(t[::-1] for t in itertools.product((0, 1), repeat=8))
+
 _BIT_KEYS = ("f1", "f2", "f3", "f4")
 # setting -> slot into the (f1, f2, f3, f4) / (theta1..theta4) layout
 _SLOT = {"a": 0, "b": 1, "a'": 2, "b'": 3}
-# Alice's and Bob's slots of E(a,b), E(a,b'), E(a',b), E(a',b')
-_ALICE, _BOB = zip(*((_SLOT[a], _SLOT[b]) for a in ALICE_SETTINGS for b in BOB_SETTINGS))
+# (Alice, Bob) settings of E(a,b), E(a,b'), E(a',b), E(a',b'), the order of
+# _correlations: each pair's index, and Alice's and Bob's slots of each
+_PAIRS = tuple(itertools.product(ALICE_SETTINGS, BOB_SETTINGS))
+_INDEX = {pair: k for k, pair in enumerate(_PAIRS)}
+_ALICE, _BOB = zip(*((_SLOT[a], _SLOT[b]) for a, b in _PAIRS))
 
 
 class ChshModel(CheckedRecord, namedtuple("ChshModel", "weights thetas bits")):
@@ -91,7 +100,9 @@ class ChshModel(CheckedRecord, namedtuple("ChshModel", "weights thetas bits")):
         # tuples, so that no caller keeps a mutable field of the record
         weights = reals(weights, "weights and phases must be numbers")
         thetas = reals(thetas, "weights and phases must be numbers")
-        if not (all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= EXACT_TOL):
+        # no points, a negative weight or a leading NaN fails min; a later NaN
+        # or an infinity fails the sum
+        if not (weights and min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= EXACT_TOL):
             raise ValueError("invalid distribution")
         try:
             bits = tuple(map(tuple, bits))
@@ -114,11 +125,16 @@ def correlation(model: ChshModel, alice: str, bob: str) -> complex:
     """Weighted sum over hidden points of the product of Alice's and Bob's
     outcome values for the given settings: one of the four correlations
     that _correlations computes in one pass."""
-    if alice not in ALICE_SETTINGS:
-        raise ValueError(f"unknown Alice setting: {alice!r}")
-    if bob not in BOB_SETTINGS:
-        raise ValueError(f"unknown Bob setting: {bob!r}")
-    return _correlations(model)[2 * ALICE_SETTINGS.index(alice) + BOB_SETTINGS.index(bob)]
+    try:
+        index = _INDEX[alice, bob]
+    except (KeyError, TypeError):
+        # an unknown setting, named here, or an unhashable one equal to a known one
+        if alice not in ALICE_SETTINGS:
+            raise ValueError(f"unknown Alice setting: {alice!r}") from None
+        if bob not in BOB_SETTINGS:
+            raise ValueError(f"unknown Bob setting: {bob!r}") from None
+        index = 2 * ALICE_SETTINGS.index(alice) + BOB_SETTINGS.index(bob)
+    return _correlations(model)[index]
 
 
 # the last model given to _correlations and its four values: a model is an
@@ -280,7 +296,8 @@ def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None
     [0, 2pi) or drawn from phase_choices.  One rng.random(25) call,
     decoded by the row layout of sample_models in plain Python, which on
     one row is faster than numpy: the model is row 0 of
-    sample_models(rng, 1, phase_choices) bit for bit."""
+    sample_models(rng, 1, phase_choices) bit for bit.  Point p's bit is
+    still (word >> p) & 1, read two bytes at a time through _BYTE_BITS."""
     choices = _phase_choices(phase_choices)
     u = rng.random(_ROW).tolist()
     n = int(u[0] * MAX_POINTS) + 1
@@ -291,8 +308,10 @@ def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None
         total += w
     thetas = [2.0 * math.pi * x if choices is None else choices[int(x * len(choices))]
               for x in u[1 + MAX_POINTS:_BITS]]
-    words = [int(x * _WORD) for x in u[_BITS:]]
-    bits = [[word >> p & 1 for p in range(n)] for word in words]
+    bits = []
+    for x in u[_BITS:]:
+        word = int(x * _WORD)
+        bits.append((_BYTE_BITS[word & 255] + _BYTE_BITS[word >> 8])[:n])
     return ChshModel([w / total for w in raw], thetas, bits)
 
 
@@ -454,9 +473,19 @@ def model_from_dict(record: Mapping) -> ChshModel:
     """Inverse of model_to_dict.  Labels are only counted: there must be
     one per weight.  ChshModel judges the numbers, so a string or a bool
     (JSON true/false) as a weight or phase is corrupt, while a bit is
-    read as 0 or 1 by ==, true/false as 1/0."""
-    if len(record["points"]) != len(record["weights"]):
-        raise ValueError("invalid distribution: one label per weight")
-    # a bit that is not 0 or 1 stays as it is, for ChshModel to reject
-    bits = tuple(tuple(int(b) if b in (0, 1) else b for b in record[key]) for key in _BIT_KEYS)
+    read as 0 or 1 by ==, true/false as 1/0.  Any malformed record raises
+    ValueError: one that is not a mapping, lacks a key, or holds a number
+    or None in place of a list."""
+    if not isinstance(record, Mapping):
+        raise ValueError(f"a model record must be a mapping, got {type(record).__name__}")
+    missing = [key for key in ("points", "weights", "theta", *_BIT_KEYS) if key not in record]
+    if missing:
+        raise ValueError(f"model record lacks {', '.join(missing)}")
+    try:
+        if len(record["points"]) != len(record["weights"]):
+            raise ValueError("invalid distribution: one label per weight")
+        # a bit that is not 0 or 1 stays as it is, for ChshModel to reject
+        bits = tuple(tuple(int(b) if b in (0, 1) else b for b in record[key]) for key in _BIT_KEYS)
+    except TypeError:   # a number or None in place of a list
+        raise ValueError("points, weights and bits must be lists") from None
     return ChshModel(record["weights"], record["theta"], bits)

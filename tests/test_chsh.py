@@ -50,21 +50,37 @@ def test_correlation_cancellation():
     assert correlation(model, "a", "b") == pytest.approx(0.0, abs=1e-12)
 
 
-def test_correlation_rejects_unknown_settings():
-    model = make_achieving_model()
-    with pytest.raises(ValueError):
-        correlation(model, "b", "a")
-    with pytest.raises(ValueError, match="unknown Bob setting: 'c'"):
-        correlation(model, "a", "c")
+@pytest.mark.parametrize("alice, bob, message", [
+    pytest.param("c", "b", "unknown Alice setting: 'c'", id="alice-unknown"),
+    pytest.param(["a"], "b", "unknown Alice setting: \\['a'\\]", id="alice-unhashable"),
+    pytest.param(None, "b", "unknown Alice setting: None", id="alice-none"),
+    pytest.param("a", ["b"], "unknown Bob setting: \\['b'\\]", id="bob-unhashable"),
+    pytest.param("a", "c", "unknown Bob setting: 'c'", id="bob-unknown"),
+    pytest.param("a'", None, "unknown Bob setting: None", id="bob-none"),
+    pytest.param("b", "a", "unknown Alice setting: 'b'", id="swapped"),
+])
+def test_correlation_rejects_unknown_settings(alice, bob, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        correlation(make_achieving_model(), alice, bob)
 
 
-def test_invalid_distribution_rejected():
-    with pytest.raises(ValueError, match="invalid distribution"):
-        ChshModel((0.6, 0.6), (0.0,) * 4, ((0, 0),) * 4)
-    with pytest.raises(ValueError, match="invalid distribution"):
-        ChshModel((1.2, -0.2), (0.0,) * 4, ((0, 0),) * 4)
-    with pytest.raises(ValueError, match="invalid distribution"):
-        ChshModel((math.nan, 1.0), (0.0,) * 4, ((0, 0),) * 4)
+@pytest.mark.parametrize("weights", [
+    pytest.param((0.6, 0.6), id="sum-above-1"),
+    pytest.param((1.2, -0.2), id="negative-weight"),
+    pytest.param((), id="no-points"),
+    pytest.param((math.nan, 1.0), id="nan-first"),
+    pytest.param((1.0, math.nan), id="nan-last"),
+    pytest.param((math.inf,), id="inf"),
+    pytest.param((-1e-300, 1.0), id="tiny-negative"),
+])
+def test_invalid_distribution_rejected(weights):
+    with pytest.raises(ValueError, match="^invalid distribution$"):
+        ChshModel(weights, (0.0,) * 4, (tuple(0 for _ in weights),) * 4)
+
+
+def test_model_accepts_a_negative_zero_weight():
+    model = ChshModel((-0.0, 1.0), (0.0,) * 4, ((0, 0),) * 4)
+    assert bell_expression(model) == 2.0
 
 
 def test_achieving_model_correlations():
@@ -349,6 +365,28 @@ def test_model_from_dict_rejects_weights_and_phases_that_are_not_numbers(key, va
         model_from_dict(record)
 
 
+@pytest.mark.parametrize("record", [None, [], "model", 3], ids=["none", "list", "str", "int"])
+def test_model_from_dict_rejects_a_record_that_is_not_a_mapping(record):
+    with pytest.raises(ValueError, match="a model record must be a mapping"):
+        model_from_dict(record)
+
+
+@pytest.mark.parametrize("key", ["points", "weights", "theta", "f4"])
+def test_model_from_dict_names_a_missing_key(key):
+    record = model_to_dict(make_achieving_model())
+    del record[key]
+    with pytest.raises(ValueError, match=f"^model record lacks {key}$"):
+        model_from_dict(record)
+
+
+@pytest.mark.parametrize("key, value", [("points", 3), ("points", None), ("weights", 1), ("f2", 1)])
+def test_model_from_dict_rejects_a_number_in_place_of_a_list(key, value):
+    record = model_to_dict(make_achieving_model())
+    record[key] = value
+    with pytest.raises(ValueError, match="points, weights and bits must be lists"):
+        model_from_dict(record)
+
+
 def test_model_to_dict_is_canonical_for_a_directly_built_model():
     record = model_to_dict(ChshModel((1,), (0.0,) * 4, ((True,), (1.0,), (0,), (0,))))
     # json tells 1 from 1.0 and True, where == does not
@@ -475,9 +513,23 @@ def test_sample_models_follow_the_documented_row_layout(phase_choices):
     uniforms[:4, 0] = (0.0, 0.5, 15 / 16, top)
     uniforms[:2, 17:21] = ((0.0,) * 4, (top,) * 4)
     uniforms[1:3, 21:25] = ((0.5, top, 0.0, 0.5), (0.0, 0.5, top, 0.5))
+    # the byte boundary: words 0x00FF, 0xFF00, 0x0100, 0x5555 and 0xAAAA,
+    # each read by some setting on supports of 8, 9 and 16 (rows 4 to 9)
+    edge_words = ((0x00FF, 0xFF00, 0x0100, 0x5555), (0xAAAA, 0x5555, 0x00FF, 0xFF00))
+    edge_rows = [(size, words) for size in (8, 9, 16) for words in edge_words]
+    for row, (size, words) in enumerate(edge_rows, start=4):
+        uniforms[row, 0] = (size - 1) / 16
+        uniforms[row, 21:25] = [word / 2 ** 16 for word in words]
     weights, thetas, bits = sample_models(FixedUniforms(uniforms), 300, phase_choices)
     assert bits[1].tolist() == [[0] * 16, [1] * 9 + [0] * 7, [0] * 16, [0] * 16]
     assert bits[2].tolist() == [[0] * 16, [0] * 15 + [1], [1] * 16, [0] * 15 + [1]]
+    literal = {0x00FF: [1] * 8 + [0] * 8, 0xFF00: [0] * 8 + [1] * 8, 0x0100: [0] * 8 + [1] + [0] * 7,
+               0x5555: [1, 0] * 8, 0xAAAA: [0, 1] * 8}
+    for row, (size, words) in enumerate(edge_rows, start=4):
+        table = [literal[word][:size] for word in words]
+        assert bits[row].tolist() == [vec + [0] * (16 - size) for vec in table]
+        model = sample_model(FixedUniforms(uniforms[row]), phase_choices)
+        assert [list(vec) for vec in model.bits] == table
     for row, u in enumerate(uniforms.tolist()):
         ref_weights, ref_thetas, ref_bits = reference_row(u, phase_choices)
         n = len(ref_weights)
