@@ -70,6 +70,10 @@ MAX_POINTS = 16
 _BITS = 1 + MAX_POINTS + 4   # the first bit uniform's column
 _ROW = _BITS + 4
 _WORD = 2.0 ** MAX_POINTS
+# added to each raw weight uniform, so that no support point has weight 0
+# (_row_model reads the support as the nonzero weights); sample_model and
+# _decode_rows must add the same double
+_WEIGHT_OFFSET = 1e-9
 
 # the bits of each byte, least significant first: _BYTE_BITS[i][p] is
 # (i >> p) & 1, so sample_model reads a word's bits two bytes at a time
@@ -301,7 +305,7 @@ def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None
     choices = _phase_choices(phase_choices)
     u = rng.random(_ROW).tolist()
     n = int(u[0] * MAX_POINTS) + 1
-    raw = [x + 1e-9 for x in u[1:1 + n]]
+    raw = [x + _WEIGHT_OFFSET for x in u[1:1 + n]]
     # left to right, as _decode_rows sums; sum() is compensated from CPython 3.12
     total = 0.0
     for w in raw:
@@ -349,7 +353,7 @@ def _decode_rows(u, choices):
     # a support of n = floor(16 u) + 1 points: columns 0 to n - 1
     n = (size_u * MAX_POINTS).astype(np.intp) + 1
     support = np.arange(MAX_POINTS) < n
-    weights = weight_u + 1e-9
+    weights = weight_u + _WEIGHT_OFFSET
     weights *= support
     # summed left to right, as sample_model sums, not pairwise as weights.sum
     total = weights[:, 0].copy()
@@ -420,14 +424,13 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
     samples = tolerances.count(samples, "samples", 1)
     best = None
     real_max, gap, spots = -math.inf, -math.inf, []
-    # the real values within EXACT_TOL of the real maximum so far with their
-    # numbers of rows, and the rows among them that beat every row before
-    # them, the only ones that can be the witness, each with its block, so
-    # that only the witness becomes a ChshModel.  That maximum only rises, so
-    # a row that falls out never comes back.  The rows are many, their
-    # values a few doubles, so near keeps each value once when it outgrows
-    # a block
-    near, ties, records = np.empty(0), np.empty(0), []
+    # near counts the rows within EXACT_TOL of the real maximum so far by
+    # value: the rows are many, their values a few doubles.  records holds
+    # the rows among them that beat every row before them, the only ones
+    # that can be the witness, each with its block, so that only the
+    # witness becomes a ChshModel.  That maximum only rises, so a row that
+    # falls out never comes back
+    near, records = {}, []
     for start in range(0, samples, _BLOCK):
         # the uniforms live only inside sample_models, so they are freed
         # before evaluation: a block held through bell_values made malloc
@@ -444,21 +447,18 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
         # a tie keeps the earlier witness, as argmax does within a block
         if best is None or values[0, row] > best.value:
             best = Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], bits, row))
-        before, real_max = real_max, max(real_max, float(values[1].max()))
+        real_max = max(real_max, float(values[1].max()))
         floor = real_max - EXACT_TOL
         rows = np.flatnonzero(values[1] >= floor)
-        real = values[1, rows]
-        beats = real > np.maximum.accumulate(np.concatenate(([before], real[:-1])))
-        records += [(start + row, value, weights, thetas[1], bits, row)
-                    for row, value in zip(rows[beats].tolist(), real[beats].tolist())]
+        for row, value in zip(rows.tolist(), values[1, rows].tolist()):
+            near[value] = near.get(value, 0) + 1
+            # the last record is the largest value so far
+            if not records or value > records[-1][1]:
+                records.append((start + row, value, weights, thetas[1], bits, row))
+        near = {value: n for value, n in near.items() if value >= floor}
         records = [record for record in records if record[1] >= floor]
-        kept = near >= floor
-        near, ties = np.concatenate((near[kept], real)), np.concatenate((ties[kept], np.ones(len(real))))
-        if len(near) > _BLOCK:
-            near, inverse = np.unique(near, return_inverse=True)
-            ties = np.bincount(inverse, ties)
     index, value, *row = records[0]
-    return Sweep(best, real_max, Witness(index, value, _row_model(*row)), int(ties.sum()), gap, spots)
+    return Sweep(best, real_max, Witness(index, value, _row_model(*row)), sum(near.values()), gap, spots)
 
 
 def model_to_dict(model: ChshModel) -> dict:
@@ -474,18 +474,20 @@ def model_from_dict(record: Mapping) -> ChshModel:
     one per weight.  ChshModel judges the numbers, so a string or a bool
     (JSON true/false) as a weight or phase is corrupt, while a bit is
     read as 0 or 1 by ==, true/false as 1/0.  Any malformed record raises
-    ValueError: one that is not a mapping, lacks a key, or holds a number
-    or None in place of a list."""
+    ValueError: one that is not a mapping, lacks a key, or holds anything
+    but a list or tuple (a number, None, a string or a mapping) as its
+    points, weights or bits."""
     if not isinstance(record, Mapping):
         raise ValueError(f"a model record must be a mapping, got {type(record).__name__}")
     missing = [key for key in ("points", "weights", "theta", *_BIT_KEYS) if key not in record]
     if missing:
         raise ValueError(f"model record lacks {', '.join(missing)}")
-    try:
-        if len(record["points"]) != len(record["weights"]):
-            raise ValueError("invalid distribution: one label per weight")
-        # a bit that is not 0 or 1 stays as it is, for ChshModel to reject
-        bits = tuple(tuple(int(b) if b in (0, 1) else b for b in record[key]) for key in _BIT_KEYS)
-    except TypeError:   # a number or None in place of a list
-        raise ValueError("points, weights and bits must be lists") from None
+    # a str, bytes or mapping has a length too, but is no list
+    if not all(isinstance(record[key], (list, tuple)) for key in ("points", "weights", *_BIT_KEYS)):
+        raise ValueError("points, weights and bits must be lists")
+    if len(record["points"]) != len(record["weights"]):
+        raise ValueError("invalid distribution: one label per weight")
+    # a bit equal to 0 or 1 becomes that int; any other stays as it is, for
+    # ChshModel to reject
+    bits = tuple(tuple(int(b == 1) if b in (0, 1) else b for b in record[key]) for key in _BIT_KEYS)
     return ChshModel(record["weights"], record["theta"], bits)

@@ -12,6 +12,9 @@ state, so evolution accepts no other.
 Weights are reals, and permutation entries integers, by the number rules
 of qlhv.tolerances.  Plain Python throughout (no numpy, no quaternions): the
 model is exact combinatorics over eight points and their sign table.
+An axis expectation adds its eight terms left to right from 0.0, not by
+sum(), which compensates float sums from CPython 3.12: so its value, and
+every report built on it, is the same bit for bit on every interpreter.
 """
 
 from __future__ import annotations
@@ -62,12 +65,17 @@ def state_distribution(r: Sequence[float]) -> SignedDistribution:
 
 
 def axis_expectation(dist: SignedDistribution, axis: str) -> float:
-    """Sum over hidden values of weight times the axis sign."""
+    """Sum over hidden values of weight times the axis sign, added left to
+    right from 0.0."""
     try:
         signs = _AXIS_SIGNS[axis]
     except KeyError:
         raise ValueError(f"unknown axis: {axis!r}") from None
-    return sum(w * s for w, s in zip(dist.weights, signs))
+    # not sum(), which compensates from CPython 3.12
+    total = 0.0
+    for w, s in zip(dist.weights, signs):
+        total += w * s
+    return total
 
 
 def retroaction_check(dist: SignedDistribution) -> bool:

@@ -344,8 +344,10 @@ def test_model_from_dict_rejects_bits_that_are_not_0_or_1(bit):
 def test_model_from_dict_reads_booleans_and_counts_labels():
     record = model_to_dict(make_achieving_model())
     record["f1"], record["f3"], record["points"] = [False], [True], ["any label"]
+    # numbers equal to a bit read as it, a complex one too, which int() refuses
+    record["f2"], record["f4"] = [1.0], [0j]
     model = model_from_dict(record)
-    assert model.bits == ((0,), (0,), (1,), (0,))
+    assert model.bits == ((0,), (1,), (1,), (0,))
     assert all(type(b) is int for vec in model.bits for b in vec)
     record["points"] = ["l0", "l1"]
     with pytest.raises(ValueError, match="distribution"):
@@ -379,7 +381,13 @@ def test_model_from_dict_names_a_missing_key(key):
         model_from_dict(record)
 
 
-@pytest.mark.parametrize("key, value", [("points", 3), ("points", None), ("weights", 1), ("f2", 1)])
+@pytest.mark.parametrize("key, value", [
+    ("points", 3), ("points", None), ("weights", 1), ("f2", 1),
+    # each has the length of the one weight, so that a length test alone passes it
+    pytest.param("points", "l", id="points-str"), pytest.param("points", b"l", id="points-bytes"),
+    pytest.param("points", {"l0": 1.0}, id="points-dict"), pytest.param("weights", "1", id="weights-str"),
+    pytest.param("f2", {0: "x"}, id="f2-dict"),
+])
 def test_model_from_dict_rejects_a_number_in_place_of_a_list(key, value):
     record = model_to_dict(make_achieving_model())
     record[key] = value
@@ -833,29 +841,52 @@ def test_bell_sweep_returns_the_first_two_rows_as_spot_rows(monkeypatch):
                 assert abs(spot.value - bell_expression(spot.model)) <= 1e-14
 
 
-def test_bell_sweep_real_witness_is_the_lowest_row_within_exact_tol_of_the_maximum(monkeypatch):
-    # crafted real values: the maximum 2 first comes at row 20.  Rows 5 and
-    # 12 are within EXACT_TOL of row 3's value, the maximum that a block of
-    # 7 sees until then, but not of 2, so they must drop out of the ties
+# crafted real values of 30 rows, {row: value} over a floor of 1.0, with the
+# witness row and the number of rows within EXACT_TOL of the maximum
+@pytest.mark.parametrize("pattern, witness, ties", [
+    # the maximum 2 first comes at row 20.  Rows 5 and 12 are within
+    # EXACT_TOL of row 3's value, the maximum that a block of 7 sees until
+    # then, but not of 2, so they must drop out of the ties
+    pytest.param({3: 2.0 - 0.9e-12, 5: 2.0 - 1.7e-12, 12: 2.0 - 1.7e-12, 20: 2.0, 25: 2.0, 27: 2.0 - 0.9e-12},
+                 3, 4, id="earlier-ties-fall-out"),
+    # three doubles one ulp apart, each its own value: the maximum at rows 9
+    # and 22 is not the witness
+    pytest.param({4: math.nextafter(2.0, 0.0), 9: math.nextafter(2.0, 3.0), 15: 2.0,
+                  22: math.nextafter(2.0, 3.0)}, 4, 4, id="one-ulp-apart"),
+    # the maximum rises in row 10 and again in row 20, each time by more
+    # than EXACT_TOL, so each earlier maximum and its near row drop out
+    pytest.param({2: 1.5, 3: 1.5 - 0.5e-12, 10: 1.8, 11: 1.8 - 0.5e-12, 20: 2.0, 29: 2.0 - 0.5e-12},
+                 20, 2, id="rises-twice"),
+    # rows 8 and 26 sit exactly at 2 - EXACT_TOL and are kept; row 3, one ulp
+    # below, leads until the maximum comes in row 12, then drops out
+    pytest.param({3: math.nextafter(2.0 - EXACT_TOL, 0.0), 8: 2.0 - EXACT_TOL, 12: 2.0,
+                  26: 2.0 - EXACT_TOL}, 8, 3, id="band-edge"),
+])
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_bell_sweep_real_witness_is_the_lowest_row_within_exact_tol_of_the_maximum(
+        monkeypatch, pattern, witness, ties, block):
     real = np.full(30, 1.0)
-    real[[3, 5, 12, 20, 25, 27]] = (2.0 - 0.9e-12, 2.0 - 1.7e-12, 2.0 - 1.7e-12, 2.0, 2.0, 2.0 - 0.9e-12)
-    for block in (7, 1024):
-        monkeypatch.setattr(chsh, "_BLOCK", block)
-        done = []
+    real[list(pattern)] = list(pattern.values())
+    # the rule by brute force over all values
+    floor = real.max() - EXACT_TOL
+    near = [row for row, value in enumerate(real.tolist()) if value >= floor]
+    assert (near[0], len(near)) == (witness, ties)
+    monkeypatch.setattr(chsh, "_BLOCK", block)
+    done = []
 
-        def crafted(weights, thetas, bits):
-            values = bell_values(weights, thetas, bits)
-            values[1] = real[len(done):len(done) + len(weights)]
-            done.extend(range(len(weights)))
-            return values
+    def crafted(weights, thetas, bits):
+        values = bell_values(weights, thetas, bits)
+        values[1] = real[len(done):len(done) + len(weights)]
+        done.extend(range(len(weights)))
+        return values
 
-        monkeypatch.setattr(chsh, "bell_values", crafted)
-        sweep = bell_sweep(np.random.default_rng(0), 30)
-        assert (sweep.real_max, sweep.real_ties) == (2.0, 4)
-        assert sweep.real_witness[:2] == (3, 2.0 - 0.9e-12)
-        rng = np.random.default_rng(0)
-        sample_models(rng, 3)
-        assert sweep.real_witness.model == sample_model(rng, (0.0, math.pi))
+    monkeypatch.setattr(chsh, "bell_values", crafted)
+    sweep = bell_sweep(np.random.default_rng(0), 30)
+    assert (sweep.real_max, sweep.real_ties) == (real.max(), ties)
+    assert sweep.real_witness[:2] == (witness, real[witness])
+    rng = np.random.default_rng(0)
+    sample_models(rng, witness)
+    assert sweep.real_witness.model == sample_model(rng, (0.0, math.pi))
 
 
 def test_bell_sweep_does_not_depend_on_the_block_size(monkeypatch):

@@ -775,6 +775,24 @@ def test_report_matches_pinned(capsys, case):
         _assert_same(case["output"], report, "report")
 
 
+@pytest.mark.parametrize("argv", [
+    ("qubit-expect", "--bloch", "0.3,-0.2,0.4"),
+    ("qubit-evolve", "--bloch", "0.3,-0.2,0.4", "--perm", "(1 5)(2 6)(3 7)(4 8)"),
+], ids=["qubit-expect", "qubit-evolve"])
+def test_qubit_reports_do_not_depend_on_how_sum_adds(monkeypatch, capsys, argv):
+    # sum() compensates float sums from CPython 3.12, as math.fsum does: a
+    # report that went through it would differ by interpreter
+    reports = []
+    for compensated in (False, True):
+        if compensated:
+            monkeypatch.setattr(qubit, "sum", math.fsum, raising=False)
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        report.pop("elapsed_ms")
+        reports.append(report)
+    _assert_same(*reports, "report")
+
+
 def test_pinned_reports_are_in_the_layout_record_pinned_writes():
     # tests/data/record_pinned.py re-records nothing in a file of another layout
     assert json.dumps(json.loads(PINNED_TEXT), indent=1) == PINNED_TEXT
