@@ -94,8 +94,10 @@ class ChshModel(CheckedRecord, namedtuple("ChshModel", "weights thetas bits")):
     hidden point (nonnegative, sum 1; signed weights belong to the qubit
     model), four phases theta1..theta4 and four per-point bit vectors
     f1..f4, one per setting, each field a tuple.  Weights and phases are
-    reals by the rule of qlhv.tolerances, stored as floats; bits are 0 or 1
-    by ==.  Checks what bell_values checks, without numpy."""
+    reals by the rule of qlhv.tolerances, stored as floats; anything else,
+    such as a string, None or True, raises ValueError("weights and phases
+    must be numbers").  Bits are 0 or 1 by ==.  Checks what bell_values
+    checks, written for one row and without numpy."""
 
     __slots__ = ()
 
@@ -128,7 +130,9 @@ class ChshModel(CheckedRecord, namedtuple("ChshModel", "weights thetas bits")):
 def correlation(model: ChshModel, alice: str, bob: str) -> complex:
     """Weighted sum over hidden points of the product of Alice's and Bob's
     outcome values for the given settings: one of the four correlations
-    that _correlations computes in one pass."""
+    that _correlations computes in one pass.  Each parity sum adds its
+    signed weights left to right from 0.0, as sum() does only up to
+    CPython 3.11, so the values are the same on every interpreter."""
     try:
         index = _INDEX[alice, bob]
     except (KeyError, TypeError):
@@ -180,10 +184,15 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np
     phase difference once per regime.  A value reads only the four parity
     sums and t4 - t2, never t1 or t3, as |s_ab - s_ab' e^{i(t4 - t2)}| +
     |s_a'b + s_a'b' e^{i(t4 - t2)}|: a different formula from
-    bell_expression's, which it matches to the rounding of the phases.
-    Weights and phases must have an int, uint or float dtype, and bits may
-    have any dtype whose entries are 0 or 1.  Each row must be a valid
-    model: weights nonnegative summing to 1 within EXACT_TOL, finite
+    bell_expression's, one cosine and one sine per model and regime, so the
+    per-model route is an independent check of each batch value.  At large
+    phases the two agree to the rounding of the phases, not to 1e-14:
+    bell_expression rounds four sums theta_a + theta_b, this one difference.
+    Weights and phases must have an int, uint or float dtype, else
+    ValueError("weights and phases must be numbers") (a bool, str, bytes,
+    complex or object array), and bits may have any dtype whose entries
+    are 0 or 1.  The whole batch is validated once, and each row must be a
+    valid model: weights nonnegative summing to 1 within EXACT_TOL, finite
     phases, bits 0 or 1.  Zero-weight columns do not change a row's value,
     whatever their bits."""
     import numpy as np
@@ -268,12 +277,13 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
     equal bits): any maximizing model can be brought to that form, and its
     Bell value, analytic_bound(t2, t4), reads only delta, so only delta is
     searched, each candidate scored by analytic_bound(0.0, delta).  A
-    candidate replaces the best only by a strictly greater value, so among
-    equal grid maxima the lowest grid index wins.  Each refinement round
-    scores a step either way and one random candidate from
-    random.Random(rng_seed), and halves the step when none of them
+    candidate replaces the best only by a strictly greater value, in the
+    grid scan and in every refinement round, so among equal values the
+    first wins: among equal grid maxima, the lowest grid index.  Each
+    refinement round scores a step either way and one random candidate
+    from random.Random(rng_seed), and halves the step when none of them
     improves.  grid_steps, refine_iters and rng_seed are integers;
-    refine_iters and rng_seed must be nonnegative.
+    grid_steps must be at least 4, refine_iters and rng_seed nonnegative.
     Returns (the model theta = (0, 0, 0, delta mod 2pi), its Bell value
     through the correlations).
     """
@@ -297,11 +307,14 @@ def maximize_bell(grid_steps: int, refine_iters: int = 50,
 def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None = None) -> ChshModel:
     """Draw a random valid model: up to MAX_POINTS points with normalized
     weights, independent random bits, and phases either uniform on
-    [0, 2pi) or drawn from phase_choices.  One rng.random(25) call,
-    decoded by the row layout of sample_models in plain Python, which on
-    one row is faster than numpy: the model is row 0 of
-    sample_models(rng, 1, phase_choices) bit for bit.  Point p's bit is
-    still (word >> p) & 1, read two bytes at a time through _BYTE_BITS."""
+    [0, 2pi) or drawn from phase_choices, which, if given, is a nonempty
+    tuple, list or array of reals, else ValueError.  One rng.random(25)
+    call, decoded by the row layout of sample_models in plain Python, which
+    on one row is faster than numpy: the model is row 0 of
+    sample_models(rng, 1, phase_choices) bit for bit, since both decoders
+    divide the weights by their sum taken left to right.  Point p's bit is
+    still (word >> p) & 1, read two bytes at a time through _BYTE_BITS,
+    the 256-entry table of each byte's bits, least significant first."""
     choices = _phase_choices(phase_choices)
     u = rng.random(_ROW).tolist()
     n = int(u[0] * MAX_POINTS) + 1
@@ -323,12 +336,17 @@ def sample_models(rng: np.random.Generator, count: int,
                   phase_choices: Sequence[float] | None = None):
     """Draw count models as padded arrays (weights (count, MAX_POINTS),
     thetas (count, 4), bits int8 (count, 4, MAX_POINTS)), zero past each
-    model's support, in one rng.random((count, 25)) call.  A row-major draw
-    consumes the stream as count draws of one row do, so row i is the model
-    that the i-th of count sample_model calls on the same generator would
-    return, and splitting a sweep into chunks does not change its models.
-    count is a nonnegative integer; phase_choices, if given, is a nonempty
-    sequence of reals."""
+    model's support, in one rng.random((count, 25)) call.  Each row of 25
+    uniforms gives a support size, 16 raw weights, 4 phases and one
+    uniform u per setting, whose top 16 bits, word = floor(u * 2^16), are
+    that setting's bits: point p gets (word >> p) & 1, and bits past the
+    support are 0.  The product u * 2^16 is exact, so the numpy and the
+    plain-Python decoder read the same words.  A row-major draw consumes
+    the stream as count draws of one row do, so row i is the model that the
+    i-th of count sample_model calls on the same generator would return,
+    and splitting a sweep into chunks does not change its models.  count is
+    a nonnegative integer; phase_choices, if given, is a nonempty tuple,
+    list or array of reals."""
     count = tolerances.count(count, "count", 0)
     choices = _phase_choices(phase_choices)
     return _decode_rows(rng.random((count, _ROW)), choices)
@@ -390,7 +408,8 @@ _SPOT_ROWS = 2
 
 class Witness(NamedTuple):
     """A row of a sweep: the lowest-indexed model that reaches a maximum, or
-    is within EXACT_TOL of it, or a spot row."""
+    is within EXACT_TOL of it, or a spot row.  Witness and Sweep are plain
+    results, which only the library builds and which check nothing."""
 
     index: int      # row of the sweep, counted from 0 across blocks
     value: float    # its Bell value through bell_values
@@ -415,11 +434,13 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
     are those that sample_models(rng, samples, (0.0, math.pi)) would draw
     from a generator in the same state.  Works in blocks of up to _BLOCK
     models, one rng.random call and one bell_values call each.  The real
-    maximum is a tie among many rows, so its witness is the lowest row
-    whose value v has v >= real_max - EXACT_TOL, which a last-place change
-    of the values does not move; the complex witness is the lowest row at
-    the complex maximum.  Returns a Sweep, whose spot rows are fewer than
-    _SPOT_ROWS if samples is smaller."""
+    maximum, 2, is reached by about one row in six, whose values differ in
+    the last place, so a last-place change of the values would move a
+    witness taken at the maximum itself.  Its witness is the lowest row
+    whose value v has v >= real_max - EXACT_TOL, which such a change does
+    not move; the complex witness is the lowest row at the complex maximum.
+    samples is an integer of at least 1.  Returns a Sweep, whose spot rows
+    are fewer than _SPOT_ROWS if samples is smaller."""
     import numpy as np
     samples = tolerances.count(samples, "samples", 1)
     best = None
@@ -462,7 +483,8 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
 
 
 def model_to_dict(model: ChshModel) -> dict:
-    """Flat serialization {points, weights, theta, f1..f4}; points are l0, l1, ..."""
+    """Flat serialization {points, weights, theta, f1..f4}; points are l0, l1,
+    ..., weights and phases floats and bits ints."""
     record = {"points": [f"l{k}" for k in range(len(model.weights))],
               "weights": list(model.weights), "theta": list(model.thetas)}
     record.update((key, list(map(int, vec))) for key, vec in zip(_BIT_KEYS, model.bits))
@@ -476,7 +498,8 @@ def model_from_dict(record: Mapping) -> ChshModel:
     read as 0 or 1 by ==, true/false as 1/0.  Any malformed record raises
     ValueError: one that is not a mapping, lacks a key, or holds anything
     but a list or tuple (a number, None, a string or a mapping) as its
-    points, weights or bits."""
+    points, weights or bits, or anything but a list, tuple or array as its
+    theta, which ChshModel reads."""
     if not isinstance(record, Mapping):
         raise ValueError(f"a model record must be a mapping, got {type(record).__name__}")
     missing = [key for key in ("points", "weights", "theta", *_BIT_KEYS) if key not in record]

@@ -1,17 +1,25 @@
 """Command-line runner: one subcommand per experiment family.
 
 Every command emits a machine-readable report ({command, version, config,
-checks, elapsed_ms}, JSON by default, CSV as a flat check table) and exits
-0 only if every check passes.  Randomized commands require an explicit
-seed, so reports are reproducible by construction.
+checks, elapsed_ms}, and a result object for a command with a natural
+payload: distributions, models, the exported intersection), as strict JSON
+with no NaN or Infinity by default, or as a flat CSV check table, and
+exits 0 only if every check passes.  Randomized commands require an
+explicit seed, so reports are reproducible by construction.
 
 A command is one record of COMMANDS: help text, (flag, parse, required)
 triples and a handler.  argparse reads each flag as text; main converts the
 given flags once, each by its parse, into config, keyed by flag name without
 "--", which is both the handler's only argument and the report's config.
-A flag that does not parse raises ValueError naming it; the library judges
+A flag is read as an integer, comma-separated numbers or cycle notation,
+and one that does not parse raises ValueError naming it, as in
+"--bloch: could not convert string to float: 'a'".  The library judges
 every parsed value, counts and seeds by tolerances.count.  Either
-ValueError prints one "error: ..." line and exits 2.
+ValueError prints one "error: ..." line on stderr, prints no report and
+exits 2, as does a --out path that cannot be written.  A missing required
+flag or an unknown one is argparse's usage message, also exit 2.  The
+report's config prints a vector as a list of numbers and a permutation as
+the list of the images of 1..8.
 
 run(command, config) turns a config into its report and is the one place
 that judges claims: a handler returns its claims (name, expected, actual,
@@ -23,18 +31,20 @@ bad input, and rendering and writing the report.  The console script and
 
 chsh-verify's result names its maximal models, with their records, and two
 spot rows, which --seed and the index replay; one claim replays all of them
-by the per-model route.
+by the per-model route (see _chsh_verify).
 
 numpy is imported only by chsh-verify, for its generator and arrays, and by
 oracle-check, for the oracle's matrices and its random settings; the other
 eight commands, chsh-optimize and qubit-expect among them, run in plain
-Python.  Each handler imports the one qlhv module it runs: chsh-* load chsh,
-ghz-* load ghz (and its quaternions), qubit-* load qubit, and qubit-expect
-and oracle-check load oracle; csv is imported only by the CSV format.  So a
+Python, and import qlhv.cli loads neither numpy nor dataclasses.  Each
+handler imports the one qlhv module it runs: chsh-* load chsh, ghz-* load
+ghz (and its quaternions), qubit-* load qubit, and qubit-expect and
+oracle-check load oracle; csv is imported only by the CSV format.  So a
 command's process compiles no module that it does not run.
 
-main(argv) may be called repeatedly in one process: the parser is built on
-the first call and reused, and each call parses into a fresh namespace.
+main(argv) returns the exit code and may be called repeatedly in one
+process: the parser is built on the first call and reused, and each call
+parses into a fresh namespace, so nothing carries over.
 """
 
 from __future__ import annotations
@@ -121,6 +131,21 @@ def _chsh_achieve(config):
 
 
 def _chsh_verify(config):
+    """bell_sweep over --samples models from one generator seeded with
+    --seed; the batch size bounds memory and is not part of the stream.
+    The result holds complex_witness and real_witness, each {index, value,
+    model}: a sample counted from 0, its Bell value and its model_to_dict
+    record.  The real witness also counts its ties.  The check
+    max_bell_real_leq_classical still reads the real maximum itself.
+    spot_rows holds the {index, value} of samples 0 and 1 under complex
+    phases (sample 0 alone for --samples 1), whose records are not printed.
+    witness_replays reads each witness record back with model_from_dict,
+    evaluates it and both spot rows with bell_expression, and passes when
+    every value equals the reported one within EXACT_TOL.  The complex
+    witness nearly always has one point (71 of 80 reports over seeds 0-39
+    with 200 and 10,000 samples), while most rows have several (samples 0
+    and 1 of --seed 7 have 11 and 9), so through the spot rows a batch-route
+    bug that moves only multi-point rows fails the report."""
     import numpy as np
     from . import chsh
     rng = np.random.default_rng(count(config["seed"], "seed", 0))
@@ -179,6 +204,11 @@ def _ghz_verify(config):
 
 
 def _qubit_dist(config):
+    """The paper's floor, min_weight_floor, and min_weight_l1: the least of
+    the eight weights equals (1 - |x| - |y| - |z|)/8, the weight (1 + eps.r)/8
+    at eps = -sign(r).  The enumerated weights and the closed form are two
+    routes, so a model that shrinks every state toward the maximally mixed
+    one, which the one-sided floor lets pass, fails min_weight_l1."""
     from . import qubit
     r = bloch_vector(config["bloch"])
     dist = qubit.state_distribution(r)
@@ -217,6 +247,13 @@ def _qubit_search_sign(config):
 
 
 def _qubit_evolve(config):
+    """Every accepted permutation keeps the pair sums, so every report
+    claims retroaction_preserved.  state_preserved claims that the evolved
+    weights equal state_distribution(r') within EXACT_TOL, where r', the
+    result's bloch_after, is their own axis expectations.  A permutation
+    that keeps the pair sums can still leave the state space: for --bloch
+    0.5,0.3,0.1 only 48 of the 384 pass, and --perm "(1 2)(7 8)" exits 1
+    with the weights 0.0125 away."""
     from . import qubit
     dist = qubit.state_distribution(config["bloch"])
     evolved = qubit.evolve_permutation(dist, config["perm"])
@@ -232,6 +269,11 @@ def _qubit_evolve(config):
 
 
 def _oracle_check(config):
+    """The GHZ eigenrelations and Tsirelson's bound at the optimal settings;
+    with --samples N, the largest value over N random settings, drawn in
+    one standard_normal((N, 4, 3)) call, the stream of N draws of (4, 3).
+    --samples and --seed are nonnegative, and --samples needs --seed; both
+    are judged before numpy is imported."""
     samples = count(config.get("samples", 0), "samples", 0)
     seed = count(config.get("seed", 0), "seed", 0)
     if samples and "seed" not in config:
@@ -306,8 +348,13 @@ def run(command: str, config: dict) -> dict:
     timed with the handler in elapsed_ms.  The config's keys must be the
     command's flags, every required one among them: an unknown command, an
     unknown key or a missing required key raises ValueError naming it, as
-    does a command that is not a str or a config that is not a dict.  The
-    library's ValueError on a bad value propagates; run prints nothing."""
+    does a command that is not a str or a config that is not a dict, as
+    run("chsh-verify", {"samples": 200}) raises ValueError("chsh-verify:
+    missing config key 'seed'") and run("ghz-verify", None) raises
+    ValueError("ghz-verify: config must be a dict, got None").  The
+    library's ValueError on a bad value propagates, as run("qubit-dist",
+    {"bloch": [2, 0, 0]}) raises ValueError("outside Bloch ball"); run
+    prints nothing."""
     if not isinstance(command, str) or command not in COMMANDS:
         raise ValueError(f"unknown command: {command!r}")
     if not isinstance(config, dict):

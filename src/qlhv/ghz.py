@@ -2,14 +2,16 @@
 
 Each party carries a triple (±i, ±j, ±k).  An assignment of the nine signs
 is an int in range(512): bit 8 - (3*party + axis) is set when that party's
-unit for that axis (x -> i, y -> j, z -> k) carries -1.  xxx_product and
+unit for that axis (x -> i, y -> j, z -> k) carries -1; labels such as
+"+i" come only from export_assignments.  xxx_product and
 export_assignments take an assignment only if it is an integer by the rule
-of qlhv.tolerances and in range(512).  Each of the three product
-constraints (xyy, yxy, yyx) is the parity of the assignment under a mask,
-and condition_set lists the assignments that meet one; the punchline
-product over the three x components is evaluated as an exact quaternion
-product.  classical_parity_check brute-forces the all-real counterpart and
-returns a plain ParityCheckReport.
+of qlhv.tolerances and in range(512); any other value, 512, -1, True or
+1.5 among them, raises ValueError("assignment outside 0..511: ...").
+Each of the three product constraints (xyy, yxy, yyx) is the parity of
+the assignment under a mask, and condition_set lists the assignments that
+meet one; the punchline product over the three x components is evaluated
+as an exact quaternion product.  classical_parity_check brute-forces the
+all-real counterpart and returns a plain ParityCheckReport.
 """
 
 from __future__ import annotations

@@ -11,9 +11,12 @@ of the table; the single-qubit path (density_matrix, qubit_expectation)
 takes the trace by explicit 2x2 complex arithmetic and needs no numpy.
 Tensor products are one broadcast product each, whose every entry is the
 single product x[i, j] * y[k, l] that np.kron computes, without its
-generic Python path.  pauli, ghz_state, three_party_operator,
-verify_eigenrelation, direction_operator and chsh_quantum_value build or
-take numpy arrays and import numpy when called.
+generic Python path: the package never calls np.kron.  pauli,
+ghz_state, three_party_operator, verify_eigenrelation, direction_operator
+and chsh_quantum_value build or take numpy arrays and import numpy when
+called.  Power iteration starts
+every call from one cached, read-only vector, so equal matrices give
+equal values.
 """
 
 from __future__ import annotations

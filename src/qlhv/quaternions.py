@@ -1,7 +1,8 @@
 """Exact arithmetic in the 8-element unit-quaternion group.
 
 The group {±1, ±i, ±j, ±k} is represented exactly (no floating point) so
-that identities proved over it hold with no tolerance.
+that identities proved over it hold with no tolerance.  The package has no
+floating-point quaternion type and no float helper.
 """
 
 from __future__ import annotations

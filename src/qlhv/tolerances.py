@@ -7,16 +7,27 @@ builds one.
 A real is a Python or numpy int or float, never a bool, str, bytes, None
 or complex.  An integer is what operator.index accepts, never a bool.  A
 count is an integer with a lower bound; the library, not the CLI, applies
-it to every count and seed argument.
+it to every count and seed argument.  Weights and phases (ChshModel,
+model_from_dict, SignedDistribution, PermutationMix) are reals; a
+Q8Element sign, a permutation entry and a GHZ assignment are integers.
 Checks are written so that NaN fails them (`not x <= tol`, never
-`x > tol`).  The rules return Python floats and ints and need no numpy."""
+`x > tol`).  The rules return Python floats and ints and need no numpy.
+
+The three claims at the proved optimum TSIRELSON, chsh-achieve's
+bell_expression, chsh-optimize's optimizer_reaches_tsirelson and
+oracle-check's tsirelson_optimal_settings, are each judged close within
+EXACT_TOL, so a value more than EXACT_TOL above the optimum fails as one
+below it does.  Near a maximum a value moves with the square of the error
+in its argument, so a looser tolerance admits a wrong argmax: a Bob phase
+2e-5 off pi/2 moves chsh-achieve's value by only 1.4e-10, which EXACT_TOL
+fails."""
 
 from __future__ import annotations
 
 import math
 import operator
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 CLASSICAL = 2.0
@@ -65,24 +76,23 @@ def count(value, name: str, minimum: int) -> int:
     return checked
 
 
-def reals(values: Iterable[float], message: str) -> tuple[float, ...]:
-    """values as a tuple of floats, if it is a sequence of reals; otherwise
-    ValueError(message).  A str or bytes is text, never a sequence of
-    numbers, although bytes iterate as ints.  A numpy array is read through
-    one tolist(), whose Python numbers, lists and str the rules then check."""
+def reals(values: Sequence[float], message: str) -> tuple[float, ...]:
+    """values as a tuple of floats, if it is a tuple, a list or a numpy
+    array of reals; otherwise ValueError(message).  Any other iterable is
+    refused: a dict would give its keys, a set its hash order, a str its
+    characters.  An array is read through one tolist(), whose Python
+    numbers, nested lists and str the real rule then checks; a 0-d array
+    gives a scalar there, which is no list."""
     if type(values) is not tuple and type(values) is not list:
         np = sys.modules.get("numpy")
-        if np is not None and isinstance(values, np.ndarray):
-            values = values.tolist()
-    try:
-        entries = tuple(values)
-    except TypeError:   # a number or None in place of the sequence
-        raise ValueError(message) from None
-    if entries and _FLOAT.issuperset(map(type, entries)):   # the common case, already floats
-        return entries
-    if isinstance(values, (str, bytes, bytearray)) or not all(map(is_real, entries)):
+        values = values.tolist() if np is not None and isinstance(values, np.ndarray) else None
+        if type(values) is not list:
+            raise ValueError(message)
+    if values and _FLOAT.issuperset(map(type, values)):   # the common case, already floats
+        return tuple(values)
+    if not all(map(is_real, values)):
         raise ValueError(message)
-    return tuple(map(float, entries))
+    return tuple(map(float, values))
 
 
 def _three_floats(v: Sequence[float], message: str) -> tuple[float, float, float]:
@@ -110,10 +120,13 @@ def unit_direction(n: Sequence[float]) -> tuple[float, float, float]:
 
 
 class CheckedRecord:
-    """Base of the package's records, listed before their namedtuple base.
+    """Base of the package's four records, ChshModel, Q8Element,
+    SignedDistribution and PermutationMix, listed before their namedtuple
+    base.  Each is an immutable named tuple: equal by value, also to the
+    plain tuple of its fields, hashable, with a Name(field=...) repr.
     namedtuple's _make, which _replace calls, builds the tuple without
     __new__; this _make goes through the class, so neither skips the
-    record's checks."""
+    record's checks and no record is built invalid."""
 
     __slots__ = ()
 

@@ -359,6 +359,8 @@ def test_model_from_dict_reads_booleans_and_counts_labels():
     ("weights", [True]),
     ("theta", ["0", "1e0", "0.5", "2"]),
     ("theta", [0.0, 0.0, None, 0.0]),
+    # a dict iterates as its keys, which are numbers here
+    ("theta", {0.0: "a", 1.0: "b", 2.0: "c", 3.0: "d"}),
 ])
 def test_model_from_dict_rejects_weights_and_phases_that_are_not_numbers(key, values):
     record = model_to_dict(make_achieving_model())
@@ -764,6 +766,7 @@ _CHOICES = "phase_choices must be a nonempty sequence of reals"
     pytest.param(lambda rng: sample_model(rng, (True, False)), _CHOICES, id="bool-choices"),
     pytest.param(lambda rng: sample_model(rng, ("0", "1")), _CHOICES, id="str-choices"),
     pytest.param(lambda rng: sample_models(rng, 2, ()), _CHOICES, id="no-choices"),
+    pytest.param(lambda rng: sample_model(rng, {0.0, math.pi}), _CHOICES, id="set-choices"),
 ])
 def test_population_inputs_follow_the_real_rule(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

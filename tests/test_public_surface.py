@@ -6,7 +6,11 @@ A name N of module M is reached only through M itself: a file loads N after
 `from ...M import N`, names N as an attribute of M or of a name bound to M
 (`chsh.sample_model`, `self.cli.main`, `chsh` after
 `chsh, oracle = self.chsh, self.oracle`), or M loads N itself.  An attribute
-of anything else that happens to be called N (`Basis.I`) reaches nothing."""
+of anything else that happens to be called N (`Basis.I`) reaches nothing.
+
+Every per-layer metric of BENCHMARK.json that counts the calls or the time
+of a function must name a public function of its module, which the harness
+would otherwise read as 0."""
 
 import ast
 import importlib

@@ -86,6 +86,9 @@ def test_distribution_invariants_rejected():
     pytest.param((0.25,) * 4, "need exactly 8 weights", id="four-weights"),
     pytest.param((0.1,) * 10, "need exactly 8 weights", id="ten-weights"),
     pytest.param(5, "weights must sum to 1", id="number"),
+    # eight distinct weights summing to 1, given as the keys of a dict
+    pytest.param(dict.fromkeys((0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.72)),
+                 "weights must sum to 1", id="dict"),
     pytest.param(((0.125,),) + (0.125,) * 7, "weights must sum to 1", id="nested"),
     pytest.param((None,) + (0.125,) * 7, "weights must sum to 1", id="none-weight"),
     pytest.param(("x",) + (0.125,) * 7, "weights must sum to 1", id="string-weight"),

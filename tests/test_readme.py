@@ -1,13 +1,17 @@
 """The README's library example runs as written and prints what its
-comments say."""
+comments say, its API references resolve, and each row of its claims table
+names checks that its command reports and passes."""
 
 import ast
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from qlhv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,6 +40,41 @@ def test_library_example_prints_its_comments():
         assert ast.literal_eval(out) == expected, lines[call.end_lineno - 1]
         compared += 1
     assert compared >= 4
+
+
+# the north star's headline claims, each of which needs a row
+HEADLINE_CLAIMS = {"Phase bound", "Real bound", "GHZ product", "Negative weight", "Six axes", "Tsirelson"}
+
+
+def claims_table(readme):
+    """(claim, argv, checks) per row of the table under ## Claims: the
+    bold name that opens the claim cell, the command's words after qlhv,
+    and the check names of the last cell."""
+    section = readme.split("\n## Claims\n")[1].split("\n## ")[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| **")]
+    table = []
+    for claim, command, checks in rows:
+        name = re.match(r"\s*\*\*(.+?)\.\*\*", claim).group(1)
+        argv = shlex.split(re.fullmatch(r"\s*`qlhv ([^`]+)`\s*", command).group(1))
+        table.append((name, argv, re.findall(r"`(\w+)`", checks)))
+    return table
+
+
+def config_of(argv):
+    # the config that main builds from argv: each given flag parsed once
+    args = cli.build_parser().parse_args(argv)
+    return {flag[2:]: parse(getattr(args, flag[2:])) for flag, parse, _ in cli.COMMANDS[argv[0]].args
+            if getattr(args, flag[2:]) is not None}
+
+
+def test_claims_table_names_checks_that_pass():
+    table = claims_table((ROOT / "README.md").read_text())
+    assert {name for name, _, _ in table} >= HEADLINE_CLAIMS
+    for name, argv, checks in table:
+        passed = {check["name"]: check["pass"] for check in cli.run(argv[0], config_of(argv))["checks"]}
+        assert checks, name
+        for check in checks:
+            assert passed.get(check) is True, f"{name}: {' '.join(argv)} reports no passing {check}"
 
 
 def test_readme_api_references_resolve():

@@ -79,8 +79,17 @@ def test_each_boundary_accepts_exactly_what_its_number_rule_accepts(rule, bounda
             boundary(value, number)
 
 
+class Generated:
+    """Iterates as a fresh generator of (0.6, 0.8, 0.0) each time, so that
+    every test that takes it sees the three numbers."""
+
+    def __iter__(self):
+        yield from (0.6, 0.8, 0.0)
+
+
 # Each would pass the range check if its shape or its components were not
-# checked: (0.6, 0.8) is a unit vector inside the ball.
+# checked: (0.6, 0.8) is a unit vector inside the ball.  Only a tuple, a list
+# or an array is a vector: a set iterates in hash order, a dict as its keys.
 NOT_THREE_NUMBERS = [
     pytest.param("abc", id="string"),
     pytest.param("100", id="string-of-three-digits"),
@@ -98,6 +107,9 @@ NOT_THREE_NUMBERS = [
     pytest.param(np.array([[0.6, 0.8, 0.0]]), id="numpy-2d-row"),
     pytest.param(np.array([[0.6], [0.8], [0.0]]), id="numpy-2d-column"),
     pytest.param(np.array(0.6), id="numpy-0d"),
+    pytest.param({0.6, 0.8, 0.0}, id="set"),
+    pytest.param(dict.fromkeys((0.6, 0.8, 0.0)), id="dict"),
+    pytest.param(Generated(), id="generator"),
 ]
 NON_FINITE = [pytest.param(math.nan, id="nan"), pytest.param(math.inf, id="inf"),
               pytest.param(-math.inf, id="-inf")]
