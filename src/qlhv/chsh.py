@@ -9,16 +9,19 @@ One pass over a model's points computes its four correlations; correlation
 returns one of them, and the four calls of bell_expression on a model share
 that pass.
 
-A population of models is three padded arrays: weights (N, MAX_POINTS)
-with zeros past each model's support, thetas (N, 4) and int8 bits
-(N, 4, MAX_POINTS).  sample_models draws one from a single (N, 25) block
-of uniforms and bell_values evaluates it, under one set of phases or
-under S stacked as (S, N, 4); ChshModel is one unpadded row, used by the
-per-model API and serialization, whose weights and phases follow the real
-rule of qlhv.tolerances (bell_values applies it as a dtype rule).
-sample_model decodes one row of the same layout in plain Python, which on
-a single row is faster than numpy, into the ChshModel that is row 0 of
-sample_models bit for bit.
+A population of models is three arrays: weights (N, MAX_POINTS) with
+zeros past each model's support, thetas (N, 4) and uint16 words (N, 4),
+one per setting, whose bit p is that setting's bit at point p and is 0
+past the support: the words that the row layout draws.  sample_models
+draws one from a single (N, 25) block of uniforms and bell_values
+evaluates it, under one set of phases or under S stacked as (S, N, 4);
+ChshModel is one unpadded row, used by the per-model API and
+serialization, whose weights and phases follow the real rule of
+qlhv.tolerances (bell_values applies it as a dtype rule).  sample_model
+decodes one row of the same layout in plain Python, which on a single row
+is faster than numpy, into the ChshModel that is row 0 of sample_models
+bit for bit; both per-model decoders read a word's bits through
+_word_bits.
 
 A model's value depends only on its four parity sums s_xy and on Bob's
 phase difference t4 - t2: E(x,y) = s_xy e^{i(theta_x + theta_y)}, so
@@ -34,7 +37,9 @@ bell_sweep draws each block of a sweep once through sample_models and
 evaluates it under complex and real phases, the two regimes the paper
 compares, returning a witness row for each maximum and two fixed spot rows.
 The real maximum ties among many rows, so its witness is the lowest row
-within EXACT_TOL of it, and the sweep counts those rows.
+within EXACT_TOL of it, and the sweep counts those rows.  Its check of each
+complex value against analytic_bound reads the bound's real closed form,
+which shares no code with bell_values.
 
 numpy is imported, when called, by the population functions
 (sample_models, bell_values, bell_sweep) and by analytic_bound given
@@ -76,8 +81,14 @@ _WORD = 2.0 ** MAX_POINTS
 _WEIGHT_OFFSET = 1e-9
 
 # the bits of each byte, least significant first: _BYTE_BITS[i][p] is
-# (i >> p) & 1, so sample_model reads a word's bits two bytes at a time
+# (i >> p) & 1, so _word_bits reads a word's bits two bytes at a time
 _BYTE_BITS = tuple(t[::-1] for t in itertools.product((0, 1), repeat=8))
+
+
+def _word_bits(word: int, n: int) -> tuple[int, ...]:
+    # the bits (word >> p) & 1 of points p = 0 .. n - 1 of a 16-bit word
+    return (_BYTE_BITS[word & 255] + _BYTE_BITS[word >> 8])[:n]
+
 
 _BIT_KEYS = ("f1", "f2", "f3", "f4")
 # setting -> slot into the (f1, f2, f3, f4) / (theta1..theta4) layout
@@ -176,47 +187,57 @@ def bell_expression(model: ChshModel) -> float:
             + abs(correlation(model, "a'", "b") + correlation(model, "a'", "b'")))
 
 
-def bell_values(weights: np.ndarray, thetas: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """bell_expression of each model of a padded population: weights
-    (N, P), thetas (N, 4), bits (N, 4, P); returns shape (N,).  thetas may
-    also stack S phase regimes of the same weights and bits as (S, N, 4),
-    which returns (S, N): the parity sums are computed once and only the
-    phase difference once per regime.  A value reads only the four parity
-    sums and t4 - t2, never t1 or t3, as |s_ab - s_ab' e^{i(t4 - t2)}| +
-    |s_a'b + s_a'b' e^{i(t4 - t2)}|: a different formula from
+def bell_values(weights: np.ndarray, thetas: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """bell_expression of each model of a population: weights (N, P) with
+    P at most MAX_POINTS, thetas (N, 4) and words (N, 4), whose bit p of
+    words[:, k] is setting k's bit at point p; returns shape (N,).  thetas
+    may also stack S phase regimes of the same weights and words as
+    (S, N, 4), which returns (S, N): the parity sums are computed once and
+    only the phase difference once per regime.  A value reads only the four
+    parity sums and t4 - t2, never t1 or t3, as |s_ab - s_ab' e^{i(t4 - t2)}|
+    + |s_a'b + s_a'b' e^{i(t4 - t2)}|: a different formula from
     bell_expression's, one cosine and one sine per model and regime, so the
     per-model route is an independent check of each batch value.  At large
     phases the two agree to the rounding of the phases, not to 1e-14:
     bell_expression rounds four sums theta_a + theta_b, this one difference.
     Weights and phases must have an int, uint or float dtype, else
     ValueError("weights and phases must be numbers") (a bool, str, bytes,
-    complex or object array), and bits may have any dtype whose entries
-    are 0 or 1.  The whole batch is validated once, and each row must be a
-    valid model: weights nonnegative summing to 1 within EXACT_TOL, finite
-    phases, bits 0 or 1.  Zero-weight columns do not change a row's value,
-    whatever their bits."""
+    complex or object array).  Words must have an int or uint dtype and
+    lie in [0, 2**16), else ValueError("bits must be words ...").  The
+    whole batch is validated once, and each row must be a valid model:
+    weights nonnegative summing to 1 within EXACT_TOL, finite phases.  Bits
+    at zero-weight points, and at points P and above, change no value.
+
+    The XOR of Alice's and Bob's words of each setting pair holds the four
+    pair parities, pair-major as (4, N); they are unpacked once to
+    (4, N, 16), the same +1/-1 terms in the same order as a gather of
+    unpacked bits, so the sums equal that route's bit for bit."""
     import numpy as np
-    weights, thetas, bits = np.asarray(weights), np.asarray(thetas), np.asarray(bits)
+    weights, thetas, words = np.asarray(weights), np.asarray(thetas), np.asarray(words)
     # the real rule as a dtype rule: no bool, str, bytes, complex or object
     if weights.dtype.kind not in "iuf" or thetas.dtype.kind not in "iuf":
         raise ValueError("weights and phases must be numbers")
     weights, thetas = weights.astype(float, copy=False), thetas.astype(float, copy=False)
-    if (weights.ndim != 2 or thetas.ndim not in (2, 3) or thetas.shape[-2:] != (len(weights), 4)
-            or bits.shape != (len(weights), 4, weights.shape[1])):
-        raise ValueError("need weights (N, P), thetas (N, 4) or (S, N, 4) and bits (N, 4, P)")
+    if (weights.ndim != 2 or weights.shape[1] > MAX_POINTS or thetas.ndim not in (2, 3)
+            or thetas.shape[-2:] != (len(weights), 4) or words.shape != (len(weights), 4)):
+        raise ValueError("need weights (N, P) with P <= 16, thetas (N, 4) or (S, N, 4) and words (N, 4)")
     # reductions, not elementwise masks: min and max carry a NaN into the
     # comparison, which it fails
     if not (weights.min(initial=0.0) >= 0.0
             and np.abs(weights.sum(axis=1) - 1.0).max(initial=0.0) <= EXACT_TOL):
         raise ValueError("invalid distribution")
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0 or 1")
+    if not (words.dtype.kind in "iu" and words.min(initial=0) >= 0 and words.max(initial=0) < _WORD):
+        raise ValueError("bits must be words of an int or uint dtype in [0, 2**16)")
     if not np.isfinite(thetas).all():
         raise ValueError("phases must be finite")
-    # int8 takes bits of any 0/1 dtype and keeps the parity out of float
-    b = bits.astype(np.int8, copy=False)
-    parity = 1 - 2 * (b[:, _ALICE] ^ b[:, _BOB])
-    s_ab, s_abp, s_apb, s_apbp = np.einsum("np,nkp->kn", weights, parity)
+    # the four pair words, pair-major; a little-endian word's bytes unpack
+    # low byte first, each least significant bit first, so bit p lands at
+    # point p.  int8 keeps the parity out of float
+    words = words.astype("<u2", copy=False)
+    pairs = words.T[list(_ALICE)] ^ words.T[list(_BOB)]
+    bits = np.unpackbits(pairs.view(np.uint8), bitorder="little").reshape(4, len(weights), MAX_POINTS)
+    s_ab, s_abp, s_apb, s_apbp = np.einsum("np,knp->kn", weights,
+                                           1 - 2 * bits[..., :weights.shape[1]].view(np.int8))
     # |E(a,b) - E(a,b')| = |s_ab - s_ab' e^{i delta}| with delta = t4 - t2, and
     # |E(a',b) + E(a',b')| likewise: Alice's phases cancel.  Real and imaginary
     # parts, not s^2 + s'^2 - 2 s s' cos delta, which cancels near a zero term
@@ -231,18 +252,20 @@ def analytic_bound(t2, t4):
     bell_expression for every model carrying these two Bob phases.  Takes
     floats or arrays of equal shape.
 
-    The squares of the two magnitudes always sum to 4, so the bound is at
-    most 2*sqrt(2), with equality exactly when the two phases differ by an
-    odd multiple of pi/2.  Two real numbers take cmath.exp, which agrees
-    with np.exp bit for bit, so only arrays import numpy.
+    With d = t4 - t2 the two magnitudes are 2|cos(d/2)| and 2|sin(d/2)|,
+    whose squares always sum to 4, so the bound is at most 2*sqrt(2), with
+    equality exactly when the two phases differ by an odd multiple of pi/2.
+    It is computed as that real closed form, 2 * (|cos(d/2)| + |sin(d/2)|):
+    two real numbers take math.cos and math.sin, which agree with np.cos
+    and np.sin bit for bit, so only arrays import numpy.
     """
     if isinstance(t2, (int, float)) and isinstance(t4, (int, float)):
-        exp = cmath.exp
+        cos, sin = math.cos, math.sin
     else:
         import numpy as np
-        exp = np.exp
-    z2, z4 = exp(1j * t2), exp(1j * t4)
-    return abs(z2 + z4) + abs(z2 - z4)
+        cos, sin = np.cos, np.sin
+    half = (t4 - t2) / 2
+    return 2 * (abs(cos(half)) + abs(sin(half)))
 
 
 def make_achieving_model() -> ChshModel:
@@ -313,8 +336,9 @@ def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None
     on one row is faster than numpy: the model is row 0 of
     sample_models(rng, 1, phase_choices) bit for bit, since both decoders
     divide the weights by their sum taken left to right.  Point p's bit is
-    still (word >> p) & 1, read two bytes at a time through _BYTE_BITS,
-    the 256-entry table of each byte's bits, least significant first."""
+    still (word >> p) & 1, read two bytes at a time by _word_bits through
+    _BYTE_BITS, the 256-entry table of each byte's bits, least significant
+    first."""
     choices = _phase_choices(phase_choices)
     u = rng.random(_ROW).tolist()
     n = int(u[0] * MAX_POINTS) + 1
@@ -325,28 +349,25 @@ def sample_model(rng: np.random.Generator, phase_choices: Sequence[float] | None
         total += w
     thetas = [2.0 * math.pi * x if choices is None else choices[int(x * len(choices))]
               for x in u[1 + MAX_POINTS:_BITS]]
-    bits = []
-    for x in u[_BITS:]:
-        word = int(x * _WORD)
-        bits.append((_BYTE_BITS[word & 255] + _BYTE_BITS[word >> 8])[:n])
+    bits = [_word_bits(int(x * _WORD), n) for x in u[_BITS:]]
     return ChshModel([w / total for w in raw], thetas, bits)
 
 
 def sample_models(rng: np.random.Generator, count: int,
                   phase_choices: Sequence[float] | None = None):
-    """Draw count models as padded arrays (weights (count, MAX_POINTS),
-    thetas (count, 4), bits int8 (count, 4, MAX_POINTS)), zero past each
-    model's support, in one rng.random((count, 25)) call.  Each row of 25
-    uniforms gives a support size, 16 raw weights, 4 phases and one
-    uniform u per setting, whose top 16 bits, word = floor(u * 2^16), are
-    that setting's bits: point p gets (word >> p) & 1, and bits past the
-    support are 0.  The product u * 2^16 is exact, so the numpy and the
-    plain-Python decoder read the same words.  A row-major draw consumes
-    the stream as count draws of one row do, so row i is the model that the
-    i-th of count sample_model calls on the same generator would return,
-    and splitting a sweep into chunks does not change its models.  count is
-    a nonnegative integer; phase_choices, if given, is a nonempty tuple,
-    list or array of reals."""
+    """Draw count models as arrays (weights (count, MAX_POINTS), thetas
+    (count, 4), words uint16 (count, 4)) in one rng.random((count, 25))
+    call, the population that bell_values takes.  Each row of 25 uniforms
+    gives a support size, 16 raw weights, 4 phases and one uniform u per
+    setting, whose top 16 bits, word = floor(u * 2^16), are that setting's
+    bits: point p gets (word >> p) & 1.  Weights past each model's support
+    are 0, and so are the words' bits there.  The product u * 2^16 is
+    exact, so the numpy and the plain-Python decoder read the same words.
+    A row-major draw consumes the stream as count draws of one row do, so
+    row i is the model that the i-th of count sample_model calls on the
+    same generator would return, and splitting a sweep into chunks does not
+    change its models.  count is a nonnegative integer; phase_choices, if
+    given, is a nonempty tuple, list or array of reals."""
     count = tolerances.count(count, "count", 0)
     choices = _phase_choices(phase_choices)
     return _decode_rows(rng.random((count, _ROW)), choices)
@@ -362,9 +383,11 @@ def _phase_choices(phase_choices):
 
 
 def _decode_rows(u, choices):
-    """The models of the rows of u (N, _ROW) as padded arrays, by the row
-    layout that sample_model decodes one row of: weights, thetas (N, 4)
-    uniform on [0, 2pi) or drawn from the tuple choices, and bits."""
+    """The models of the rows of u (N, _ROW) as arrays, by the row layout
+    that sample_model decodes one row of: weights (N, MAX_POINTS), thetas
+    (N, 4) uniform on [0, 2pi) or drawn from the tuple choices, and the
+    little-endian uint16 words (N, 4) as drawn, their bits past the
+    support cleared."""
     import numpy as np
     size_u, weight_u = u[:, :1], u[:, 1:1 + MAX_POINTS]
     theta_u, bit_u = u[:, 1 + MAX_POINTS:_BITS], u[:, _BITS:]
@@ -381,25 +404,22 @@ def _decode_rows(u, choices):
     thetas = (2.0 * math.pi * theta_u if choices is None
               else np.asarray(choices)[(theta_u * len(choices)).astype(np.intp)])
     # each setting's word as a little-endian uint16 (MAX_POINTS is 16), its
-    # bits past the support cleared; unpacking the two bytes of a word low
-    # byte first, each least significant bit first, puts bit p at point p
+    # bits past the support cleared
     words = (bit_u * _WORD).astype("<u2")
     words &= ((1 << n) - 1).astype("<u2")
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    # a fresh uint8 array of 0 and 1: its bytes are already the int8 bits
-    return weights, thetas, bits.reshape(len(u), 4, MAX_POINTS).view(np.int8)
+    return weights, thetas, words
 
 
-def _row_model(weights, thetas, bits, row: int) -> ChshModel:
+def _row_model(weights, thetas, words, row: int) -> ChshModel:
     # a row of a drawn population as a ChshModel: its support is its nonzero
     # weights, which come first
     w = weights[row].tolist()
     n = len(w) - w.count(0.0)
-    return ChshModel(w[:n], thetas[row].tolist(), bits[row, :, :n].tolist())
+    return ChshModel(w[:n], thetas[row].tolist(), [_word_bits(word, n) for word in words[row].tolist()])
 
 
-# models per block of bell_sweep: bounds its memory for any sample count
-# without changing the stream
+# models per block of bell_sweep: bounds the memory of its model arrays for
+# any sample count without changing the stream
 _BLOCK = 1024
 # complex rows that bell_sweep returns whatever their value: 15 in 16 rows
 # have more than one point, where the complex maximum nearly always has one
@@ -440,46 +460,50 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
     whose value v has v >= real_max - EXACT_TOL, which such a change does
     not move; the complex witness is the lowest row at the complex maximum.
     samples is an integer of at least 1.  Returns a Sweep, whose spot rows
-    are fewer than _SPOT_ROWS if samples is smaller."""
+    are fewer than _SPOT_ROWS if samples is smaller.
+
+    The real bookkeeping is arrays: each block keeps the indexes and values
+    of its rows at or above the running floor real_max - EXACT_TOL, and its
+    best value.  The floor only rises, so a row below it never comes back,
+    and when the maximum rises, every kept block whose best falls below the
+    new floor is dropped.  Only a block that raised the maximum keeps its
+    model arrays, for only such a block can come first at the end: an
+    earlier kept block reaches at least as high.  At the end, the first
+    kept row at or above the floor is the witness, the only row that
+    becomes a ChshModel, and the kept rows at or above the floor are the
+    ties.  A kept row costs 16 bytes, about 2.7 MB per million samples."""
     import numpy as np
     samples = tolerances.count(samples, "samples", 1)
     best = None
-    real_max, gap, spots = -math.inf, -math.inf, []
-    # near counts the rows within EXACT_TOL of the real maximum so far by
-    # value: the rows are many, their values a few doubles.  records holds
-    # the rows among them that beat every row before them, the only ones
-    # that can be the witness, each with its block, so that only the
-    # witness becomes a ChshModel.  That maximum only rises, so a row that
-    # falls out never comes back
-    near, records = {}, []
+    # kept holds (start, rows, values, arrays or None, best) per block
+    real_max, gap, spots, kept = -math.inf, -math.inf, [], []
     for start in range(0, samples, _BLOCK):
         # the uniforms live only inside sample_models, so they are freed
         # before evaluation: a block held through bell_values made malloc
         # return and re-fault about 360 heap pages per call
-        weights, thetas, bits = sample_models(rng, min(_BLOCK, samples - start))
+        weights, thetas, words = sample_models(rng, min(_BLOCK, samples - start))
         # the real phase (0.0, pi)[floor(2u)] of each phase uniform u: the
         # phase 2pi*u rounds below pi exactly when u < 1/2
         thetas = np.stack((thetas, np.where(thetas < math.pi, 0.0, math.pi)))
-        values = bell_values(weights, thetas, bits)
-        gap = max(gap, float((values[0] - analytic_bound(thetas[0][:, 1], thetas[0][:, 3])).max()))
-        spots += [Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], bits, row))
-                  for row in range(min(len(bits), _SPOT_ROWS - start))]
+        values = bell_values(weights, thetas, words)
+        gap = max(gap, float((values[0] - analytic_bound(thetas[0, :, 1], thetas[0, :, 3])).max()))
+        spots += [Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], words, row))
+                  for row in range(min(len(words), _SPOT_ROWS - start))]
         row = int(values[0].argmax())
         # a tie keeps the earlier witness, as argmax does within a block
         if best is None or values[0, row] > best.value:
-            best = Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], bits, row))
-        real_max = max(real_max, float(values[1].max()))
-        floor = real_max - EXACT_TOL
-        rows = np.flatnonzero(values[1] >= floor)
-        for row, value in zip(rows.tolist(), values[1, rows].tolist()):
-            near[value] = near.get(value, 0) + 1
-            # the last record is the largest value so far
-            if not records or value > records[-1][1]:
-                records.append((start + row, value, weights, thetas[1], bits, row))
-        near = {value: n for value, n in near.items() if value >= floor}
-        records = [record for record in records if record[1] >= floor]
-    index, value, *row = records[0]
-    return Sweep(best, real_max, Witness(index, value, _row_model(*row)), sum(near.values()), gap, spots)
+            best = Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], words, row))
+        top, arrays = float(values[1].max()), None
+        if top > real_max:
+            real_max, arrays = top, (weights, thetas[1], words)
+            kept = [block for block in kept if block[4] >= real_max - EXACT_TOL]
+        rows = np.flatnonzero(values[1] >= real_max - EXACT_TOL)
+        kept.append((start, rows, values[1, rows], arrays, top))
+    floor = real_max - EXACT_TOL
+    start, rows, near, arrays, _ = kept[0]
+    first = int((near >= floor).argmax())
+    witness = Witness(start + int(rows[first]), float(near[first]), _row_model(*arrays, int(rows[first])))
+    return Sweep(best, real_max, witness, sum(int((block[2] >= floor).sum()) for block in kept), gap, spots)
 
 
 def model_to_dict(model: ChshModel) -> dict:

@@ -68,6 +68,8 @@ from .tolerances import (
     TSIRELSON,
     bloch_vector,
     count,
+    integer,
+    is_real,
 )
 
 
@@ -342,6 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(command: str, key: str, value):
+    # a config value as run stores it: an int, a float or a list of them.
+    # tolist gives a numpy scalar or array as Python numbers
+    value = value.tolist() if hasattr(value, "tolist") else value
+    listed = isinstance(value, (list, tuple))
+    plain = [i if (i := integer(x)) is not None else float(x) if is_real(x) else None
+             for x in (value if listed else [value])]
+    if None in plain:
+        raise ValueError(f"{command}: config value {key!r} must be a number or a list of numbers, got {value!r}")
+    return plain if listed else plain[0]
+
+
 def run(command: str, config: dict) -> dict:
     """The report of command on config, a dict keyed by flag name without
     "--", as main prints it: the handler's claims, each judged by RULES,
@@ -354,7 +368,14 @@ def run(command: str, config: dict) -> dict:
     ValueError("ghz-verify: config must be a dict, got None").  The
     library's ValueError on a bad value propagates, as run("qubit-dist",
     {"bloch": [2, 0, 0]}) raises ValueError("outside Bloch ball"); run
-    prints nothing."""
+    prints nothing.
+
+    The report's config, which the handler also reads, holds each value as
+    a Python int (an integer by the rule of qlhv.tolerances, such as
+    np.int64(7)), a float (any other real, such as np.float64) or a list
+    of them (from a tuple, a list or a numpy array), so the report is JSON
+    whatever numbers the config held; any other value, such as a str, a
+    bool or a nested list, raises ValueError naming its key."""
     if not isinstance(command, str) or command not in COMMANDS:
         raise ValueError(f"unknown command: {command!r}")
     if not isinstance(config, dict):
@@ -366,6 +387,7 @@ def run(command: str, config: dict) -> dict:
     for key, required in flags.items():
         if required and key not in config:
             raise ValueError(f"{command}: missing config key {key!r}")
+    config = {key: _config_value(command, key, value) for key, value in config.items()}
     started = time.perf_counter()
     claims, result = COMMANDS[command].run(config)
     checks = [{"name": name, "expected": expected, "actual": actual, "tolerance": tol,

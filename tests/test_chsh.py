@@ -255,14 +255,18 @@ def test_maximizer_deterministic():
 
 
 def reference_maximize(grid_steps, refine_iters, rng_seed):
-    # the search over delta = t4 - t2 scored by bell_expression of a one-point
-    # model per candidate; returns the best model, its value and the scored
+    # the search over delta = t4 - t2, each candidate scored by the bound's
+    # closed form 2(|cos(delta/2)| + |sin(delta/2)|), written out here; it is
+    # the Bell value of the one-point model, which bell_expression gives to
+    # within 2 ulps.  Returns the best model, its value and the scored
     # deltas in order
     scored = []
 
     def score(delta):
         scored.append(delta)
-        return bell_expression(single_point_model((0.0, 0.0, 0.0, delta)))
+        value = 2.0 * (abs(math.cos(delta / 2.0)) + abs(math.sin(delta / 2.0)))
+        assert abs(value - bell_expression(single_point_model((0.0, 0.0, 0.0, delta)))) <= 2 * math.ulp(TSIRELSON)
+        return value
 
     step = 2.0 * math.pi / grid_steps
     best_val, best_delta = -math.inf, 0.0
@@ -440,13 +444,15 @@ def test_model_rejects_bits_that_are_not_vectors(bits):
 def test_model_and_batch_validators_agree(weights, thetas, bits, reason):
     with pytest.raises(ValueError, match=reason):
         ChshModel(weights, thetas, bits)
-    if any(len(vec) != len(weights) for vec in bits):
-        return  # a ragged model has no padded row
+    if any(len(vec) != len(weights) or not set(vec) <= {0, 1} for vec in bits):
+        # a ragged model has no padded row, and a bit other than 0 or 1 no
+        # word: test_bell_values_rejects_invalid_batches holds the word rule
+        return
     pad = MAX_POINTS - len(weights)
     row_weights = np.pad(np.array([weights], dtype=float), ((0, 0), (0, pad)))
-    row_bits = np.pad(np.array([bits]), ((0, 0), (0, 0), (0, pad)))
+    row_words = [[sum(bit << p for p, bit in enumerate(vec)) for vec in bits]]
     with pytest.raises(ValueError, match=reason):
-        bell_values(row_weights, np.array([thetas]), row_bits)
+        bell_values(row_weights, np.array([thetas]), row_words)
 
 
 # ---------------------------------------------------------------- batches
@@ -459,10 +465,11 @@ def test_sample_models_rows_are_sample_model_calls(phase_choices):
         rng = np.random.default_rng(seed)
         models = [sample_model(rng, phase_choices) for _ in range(2000)]
         batch_rng = np.random.default_rng(seed)
-        weights, thetas, bits = sample_models(batch_rng, 2000, phase_choices)
+        weights, thetas, words = sample_models(batch_rng, 2000, phase_choices)
         assert weights.shape == (2000, MAX_POINTS) and thetas.shape == (2000, 4)
-        assert bits.shape == (2000, 4, MAX_POINTS)
-        assert bits.dtype == np.int8 and np.all((bits == 0) | (bits == 1))
+        assert words.shape == (2000, 4) and words.dtype == np.dtype("<u2")
+        bits = word_bits(words)
+        assert np.all((bits == 0) | (bits == 1))
         for row, model in enumerate(models):
             n = len(model.weights)
             assert weights[row, :n].tolist() == list(model.weights)
@@ -477,9 +484,15 @@ def test_sample_models_rows_are_sample_model_calls(phase_choices):
         chunk_rng = np.random.default_rng(seed)
         first = sample_models(chunk_rng, 1030, phase_choices)
         second = sample_models(chunk_rng, 970, phase_choices)
-        for whole, part, rest in zip((weights, thetas, bits), first, second):
+        for whole, part, rest in zip((weights, thetas, words), first, second):
             assert np.array_equal(np.concatenate([part, rest]), whole)
         assert rng.bit_generator.state == batch_rng.bit_generator.state == chunk_rng.bit_generator.state
+
+
+def word_bits(words):
+    """The (N, 4, 16) bits of (N, 4) words, bit p of each word at point p,
+    by shifts rather than by unpacking bytes."""
+    return (np.asarray(words, dtype=np.int64)[..., None] >> np.arange(MAX_POINTS)) & 1
 
 
 def reference_row(u, phase_choices):
@@ -530,7 +543,8 @@ def test_sample_models_follow_the_documented_row_layout(phase_choices):
     for row, (size, words) in enumerate(edge_rows, start=4):
         uniforms[row, 0] = (size - 1) / 16
         uniforms[row, 21:25] = [word / 2 ** 16 for word in words]
-    weights, thetas, bits = sample_models(FixedUniforms(uniforms), 300, phase_choices)
+    weights, thetas, drawn = sample_models(FixedUniforms(uniforms), 300, phase_choices)
+    bits = word_bits(drawn)
     assert bits[1].tolist() == [[0] * 16, [1] * 9 + [0] * 7, [0] * 16, [0] * 16]
     assert bits[2].tolist() == [[0] * 16, [0] * 15 + [1], [1] * 16, [0] * 15 + [1]]
     literal = {0x00FF: [1] * 8 + [0] * 8, 0xFF00: [0] * 8 + [1] * 8, 0x0100: [0] * 8 + [1] + [0] * 7,
@@ -538,6 +552,8 @@ def test_sample_models_follow_the_documented_row_layout(phase_choices):
     for row, (size, words) in enumerate(edge_rows, start=4):
         table = [literal[word][:size] for word in words]
         assert bits[row].tolist() == [vec + [0] * (16 - size) for vec in table]
+        # the drawn words themselves, cleared past the support
+        assert drawn[row].tolist() == [word & ((1 << size) - 1) for word in words]
         model = sample_model(FixedUniforms(uniforms[row]), phase_choices)
         assert [list(vec) for vec in model.bits] == table
     for row, u in enumerate(uniforms.tolist()):
@@ -557,7 +573,8 @@ def test_sample_models_bits_are_fair_and_independent_across_settings():
     # 1/2, and each pair of settings agrees at a point half the time, each to
     # 6 sigma = 3 / sqrt(count): a point that reads a bit fixed in every word
     # or two settings that read one word fail it
-    weights, _, bits = sample_models(np.random.default_rng(31), 50_000)
+    weights, _, words = sample_models(np.random.default_rng(31), 50_000)
+    bits = word_bits(words)
     support = weights > 0.0
     rows_per_point = support.sum(axis=0)
     assert np.all(np.abs(bits.sum(axis=0) / rows_per_point - 0.5) <= 3.0 / np.sqrt(rows_per_point))
@@ -568,14 +585,14 @@ def test_sample_models_bits_are_fair_and_independent_across_settings():
 
 
 def as_batch(models):
-    """Padded (weights, thetas, bits) of ChshModels."""
+    """Padded weights, thetas and words of ChshModels, bit p of a word
+    being the bit at point p."""
     weights = np.zeros((len(models), MAX_POINTS))
-    bits = np.zeros((len(models), 4, MAX_POINTS), dtype=int)
+    words = np.zeros((len(models), 4), dtype=int)
     for row, model in enumerate(models):
-        n = len(model.weights)
-        weights[row, :n] = model.weights
-        bits[row, :, :n] = model.bits
-    return weights, np.array([model.thetas for model in models], dtype=float), bits
+        weights[row, :len(model.weights)] = model.weights
+        words[row] = [sum(bit << p for p, bit in enumerate(vec)) for vec in model.bits]
+    return weights, np.array([model.thetas for model in models], dtype=float), words
 
 
 @st.composite
@@ -603,23 +620,26 @@ def phase_rounding_bound(ulps, *models):
     return 1e-14 + ulps * math.ulp(2 * max(abs(t) for model in models for t in model.thetas))
 
 
-@given(st.lists(chsh_models(), min_size=1, max_size=8), st.integers(1, 5), st.randoms())
-def test_bell_values_match_bell_expression(models, extra, random):
+@given(st.lists(chsh_models(), min_size=1, max_size=8), st.randoms())
+def test_bell_values_match_bell_expression(models, random):
     models = models + [make_achieving_model()]
-    weights, thetas, bits = as_batch(models)
-    values = bell_values(weights, thetas, bits)
+    weights, thetas, words = as_batch(models)
+    values = bell_values(weights, thetas, words)
     assert values.shape == (len(models),)
     for value, model in zip(values, models):
         # within u and 2u of one exact value: 3u apart
         assert abs(value - bell_expression(model)) <= phase_rounding_bound(3, model)
     assert abs(values[-1] - TSIRELSON) <= 1e-14
 
-    # zero-weight columns change no value, whatever their bits
-    padded_bits = np.array([[[random.randint(0, 1) for _ in range(extra)] for _ in range(4)]
-                            for _ in models])
-    padded = bell_values(np.pad(weights, ((0, 0), (0, extra))), thetas,
-                         np.concatenate([bits, padded_bits], axis=2))
+    # zero-weight points change no value, whatever their bits, nor do the
+    # points past the weight columns
+    support = np.array([(1 << len(model.weights)) - 1 for model in models])
+    noise = np.array([[random.getrandbits(MAX_POINTS) for _ in range(4)] for _ in models])
+    noisy = words | (noise & ~support[:, None])
+    padded = bell_values(weights, thetas, noisy)
     assert np.all(np.abs(padded - values) <= 1e-14)
+    columns = max(len(model.weights) for model in models)
+    assert np.all(np.abs(bell_values(weights[:, :columns], thetas, noisy) - values) <= 1e-14)
 
 
 @given(chsh_models())
@@ -662,12 +682,12 @@ def test_bell_values_are_closer_to_the_exact_value_than_bell_expression():
     # of four sums, is the closer one
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2024)
-    weights, _, bits = sample_models(rng, 3_000)
+    weights, _, words = sample_models(rng, 3_000)
     thetas = rng.uniform(-1e3, 1e3, size=(3_000, 4))
-    batch = bell_values(weights, thetas, bits)
+    batch = bell_values(weights, thetas, words)
     errors = {"bell_values": [], "bell_expression": []}
     for row in range(3_000):
-        model = chsh._row_model(weights, thetas, bits, row)
+        model = chsh._row_model(weights, thetas, words, row)
         with mpmath.workdps(40):
             t = [mpmath.mpf(theta) for theta in model.thetas]
             e = [sum(mpmath.mpf(w) if x == y else -mpmath.mpf(w) for w, x, y in
@@ -708,6 +728,15 @@ def _negative_weight(batch):
     return batch
 
 
+def _word(value):
+    # the batch with words[2, 1] set to value, the words widened to int64
+    def mutate(batch):
+        batch[2] = batch[2].astype(np.int64)
+        batch[2][2, 1] = value
+        return batch
+    return mutate
+
+
 def _nan_in_second_regime(batch):
     second = batch[1].copy()
     second[2, 3] = math.nan
@@ -716,13 +745,18 @@ def _nan_in_second_regime(batch):
 
 @pytest.mark.parametrize("mutate, reason", [
     pytest.param(lambda b: [b[0], b[1][:, :3], b[2]], "need", id="theta-shape"),
-    pytest.param(lambda b: [b[0], b[1], b[2][:, :, :-1]], "need", id="bits-shape"),
+    pytest.param(lambda b: [b[0], b[1], b[2][:, :-1]], "need", id="words-shape"),
+    pytest.param(lambda b: [b[0], b[1], b[2][..., None]], "need", id="words-of-bits-shape"),
+    pytest.param(lambda b: [np.pad(b[0], ((0, 0), (0, 1))), b[1], b[2]], "need", id="seventeen-points"),
     pytest.param(lambda b: [b[0][0], b[1], b[2]], "need", id="weights-shape"),
     pytest.param(lambda b: [np.vstack([b[0], b[0][:1]]), b[1], b[2]], "need", id="row-count"),
     pytest.param(_negative_weight, "distribution", id="negative-weight"),
     pytest.param(_set(0, (1, 0), math.nan), "distribution", id="nan-weight"),
     pytest.param(lambda b: [b[0] * (1.0 + 1e-11), b[1], b[2]], "distribution", id="row-sum"),
-    pytest.param(_set(2, (2, 1, 0), 2), "bits", id="bit-outside-0-1"),
+    pytest.param(_word(2 ** 16), "bits must be words", id="word-2**16"),
+    pytest.param(_word(-1), "bits must be words", id="word-negative"),
+    pytest.param(lambda b: [b[0], b[1], b[2].astype(float)], "bits must be words", id="float-words"),
+    pytest.param(lambda b: [b[0], b[1], b[2] > 0], "bits must be words", id="bool-words"),
     pytest.param(_set(1, (3, 2), math.nan), "finite", id="nan-theta"),
     pytest.param(_set(1, (4, 0), math.inf), "finite", id="inf-theta"),
     pytest.param(lambda b: [b[0], np.stack([b[1][:4]] * 2), b[2]], "need", id="stacked-theta-rows"),
@@ -735,33 +769,37 @@ def test_bell_values_rejects_invalid_batches(mutate, reason):
         bell_values(*batch)
 
 
-def test_bell_values_take_bits_of_any_0_1_dtype():
-    weights, thetas, bits = sample_models(np.random.default_rng(5), 200)
-    values = [bell_values(weights, thetas, bits.astype(dtype))
-              for dtype in (np.int8, bool, np.int64, float)]
+def test_bell_values_take_words_of_any_integer_dtype():
+    # the word rule: an int or uint dtype of either byte order, or a list of
+    # ints, each word in [0, 2**16); the largest word 0xFFFF passes, 2**16
+    # and a float word fail
+    weights, thetas, words = sample_models(np.random.default_rng(5), 200)
+    values = [bell_values(weights, thetas, given)
+              for given in (words, words.astype(">u2"), words.astype(np.int32), words.astype(np.uint64),
+                            words.tolist())]
     for other in values[1:]:
         assert np.array_equal(values[0], other)
-    half = bits.astype(float)
-    half[7, 1, 0] = 0.5
-    with pytest.raises(ValueError, match="bits must be 0 or 1"):
-        bell_values(weights, thetas, half)
+    assert bell_values(weights, thetas, words | 0xFFFF).shape == (200,)
+    for bad in (words.astype(np.int64) + (1 << 16), words.astype(float)):
+        with pytest.raises(ValueError, match="bits must be words"):
+            bell_values(weights, thetas, bad)
 
 
-_ONE_POINT_BITS = [[[0], [0], [0], [0]]]
+_ONE_POINT_WORDS = [[0, 0, 0, 0]]
 _NUMBERS = "weights and phases must be numbers"
 _CHOICES = "phase_choices must be a nonempty sequence of reals"
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda rng: bell_values([["1.0"]], [["0"] * 4], _ONE_POINT_BITS), _NUMBERS,
+    pytest.param(lambda rng: bell_values([["1.0"]], [["0"] * 4], _ONE_POINT_WORDS), _NUMBERS,
                  id="str-weight-and-phases"),
-    pytest.param(lambda rng: bell_values([[True]], [[0.0] * 4], _ONE_POINT_BITS), _NUMBERS,
+    pytest.param(lambda rng: bell_values([[True]], [[0.0] * 4], _ONE_POINT_WORDS), _NUMBERS,
                  id="bool-weight"),
-    pytest.param(lambda rng: bell_values([[1.0]], [[b"0"] * 4], _ONE_POINT_BITS), _NUMBERS,
+    pytest.param(lambda rng: bell_values([[1.0]], [[b"0"] * 4], _ONE_POINT_WORDS), _NUMBERS,
                  id="bytes-phases"),
-    pytest.param(lambda rng: bell_values([[1.0]], np.zeros((1, 4), complex), _ONE_POINT_BITS), _NUMBERS,
+    pytest.param(lambda rng: bell_values([[1.0]], np.zeros((1, 4), complex), _ONE_POINT_WORDS), _NUMBERS,
                  id="complex-phases"),
-    pytest.param(lambda rng: bell_values(np.ones((1, 1), object), [[0.0] * 4], _ONE_POINT_BITS), _NUMBERS,
+    pytest.param(lambda rng: bell_values(np.ones((1, 1), object), [[0.0] * 4], _ONE_POINT_WORDS), _NUMBERS,
                  id="object-weight"),
     pytest.param(lambda rng: sample_model(rng, (True, False)), _CHOICES, id="bool-choices"),
     pytest.param(lambda rng: sample_model(rng, ("0", "1")), _CHOICES, id="str-choices"),
@@ -775,7 +813,7 @@ def test_population_inputs_follow_the_real_rule(call, message):
 
 def test_population_inputs_take_numbers_of_any_int_uint_or_float_dtype():
     for weights, thetas in (([[1]], [[0] * 4]), (np.ones((1, 1), np.uint8), np.zeros((1, 4), np.float32))):
-        assert bell_values(weights, thetas, _ONE_POINT_BITS).tolist() == [2.0]
+        assert bell_values(weights, thetas, _ONE_POINT_WORDS).tolist() == [2.0]
     for choices in ([0, 1.5], np.array([0.0, math.pi])):
         expected = sample_model(np.random.default_rng(1), tuple(map(float, choices)))
         assert sample_model(np.random.default_rng(1), choices) == expected
@@ -786,16 +824,28 @@ def test_analytic_bound_is_elementwise():
     bounds = analytic_bound(t2, t4)
     assert bounds.shape == (200,)
     for bound, a, b in zip(bounds, t2, t4):
-        assert abs(bound - analytic_bound(float(a), float(b))) <= 1e-15
+        assert bound == analytic_bound(float(a), float(b))
+
+
+def test_analytic_bound_is_within_two_ulps_of_the_exact_magnitudes():
+    # the closed form 2(|cos(d/2)| + |sin(d/2)|) against the definition
+    # |e^{i t2} + e^{i t4}| + |e^{i t2} - e^{i t4}| at 40 digits, on seeded
+    # phases in [0, 2pi), within 2 ulps of 2 sqrt(2)
+    mpmath = pytest.importorskip("mpmath")
+    t2, t4 = np.random.default_rng(23).uniform(0.0, 2.0 * math.pi, size=(2, 2000))
+    with mpmath.workdps(40):
+        for bound, a, b in zip(analytic_bound(t2, t4).tolist(), t2.tolist(), t4.tolist()):
+            z2, z4 = mpmath.expj(mpmath.mpf(a)), mpmath.expj(mpmath.mpf(b))
+            assert abs(mpmath.mpf(bound) - (abs(z2 + z4) + abs(z2 - z4))) <= 2 * math.ulp(TSIRELSON), (a, b)
 
 
 def test_bell_values_on_stacked_phases_equal_one_call_per_regime():
-    weights, thetas, bits = sample_models(np.random.default_rng(11), 500)
+    weights, thetas, words = sample_models(np.random.default_rng(11), 500)
     real = np.where(thetas < math.pi, 0.0, math.pi)
-    stacked = bell_values(weights, np.stack([thetas, real]), bits)
+    stacked = bell_values(weights, np.stack([thetas, real]), words)
     assert stacked.shape == (2, 500)
-    assert np.array_equal(stacked[0], bell_values(weights, thetas, bits))
-    assert np.array_equal(stacked[1], bell_values(weights, real, bits))
+    assert np.array_equal(stacked[0], bell_values(weights, thetas, words))
+    assert np.array_equal(stacked[1], bell_values(weights, real, words))
 
 
 def test_real_phase_from_the_complex_phase_is_the_floor_of_two_u():
@@ -864,6 +914,17 @@ def test_bell_sweep_returns_the_first_two_rows_as_spot_rows(monkeypatch):
     # below, leads until the maximum comes in row 12, then drops out
     pytest.param({3: math.nextafter(2.0 - EXACT_TOL, 0.0), 8: 2.0 - EXACT_TOL, 12: 2.0,
                   26: 2.0 - EXACT_TOL}, 8, 3, id="band-edge"),
+    # with blocks of 7 the maximum rises in the third block (rows 14-20), so
+    # the first block's near rows drop out; that block holds the witness,
+    # row 16 before its maximum at row 18, and the ties 18 and 19, and the
+    # fourth block one more tie
+    pytest.param({1: 1.9, 2: 1.9 - 0.5e-12, 5: 1.9, 16: 2.0 - 0.8e-12, 18: 2.0, 19: 2.0 - 0.3e-12,
+                  24: 2.0}, 16, 4, id="rises-in-a-later-block"),
+    # the first block keeps rows 3 and 5 until the second raises the maximum
+    # at row 9: row 3 then falls below the floor, and row 5 of the same
+    # block, a row the first block did not start with, is the witness
+    pytest.param({3: 2.0 - 0.9e-12, 5: 2.0, 9: 2.0 + 0.5e-12, 11: 2.0 - 0.6e-12}, 5, 2,
+                 id="first-kept-row-falls-out"),
 ])
 @pytest.mark.parametrize("block", [1, 7, 1024])
 def test_bell_sweep_real_witness_is_the_lowest_row_within_exact_tol_of_the_maximum(
@@ -877,8 +938,8 @@ def test_bell_sweep_real_witness_is_the_lowest_row_within_exact_tol_of_the_maxim
     monkeypatch.setattr(chsh, "_BLOCK", block)
     done = []
 
-    def crafted(weights, thetas, bits):
-        values = bell_values(weights, thetas, bits)
+    def crafted(weights, thetas, words):
+        values = bell_values(weights, thetas, words)
         values[1] = real[len(done):len(done) + len(weights)]
         done.extend(range(len(weights)))
         return values

@@ -96,10 +96,12 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number in report: {name}")
 
 
-def _fresh_python(*args):
-    # a new interpreter, which imports qlhv from nothing, unlike main() here
+def _fresh_python(*args, env=None):
+    # a new interpreter, which imports qlhv from nothing, unlike main() here;
+    # env adds to the environment
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
@@ -308,6 +310,28 @@ def test_chsh_verify_matches_the_two_generator_sweeps(capsys, seed):
             rng = np.random.default_rng(seed)
             chsh.sample_models(rng, witness["index"], phase_choices)
             assert chsh.model_from_dict(witness["model"]) == chsh.sample_model(rng, phase_choices)
+
+
+# numpy's X86_V2 baseline: these names switch off every dispatch level above
+# it, and numpy ignores the name of a feature that the CPU lacks
+BASELINE_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+# (samples, seed); --samples 200 --seed 2 printed another gap at the
+# baseline while the bound went through complex abs
+SIMD_CASES = [(samples, seed) for samples in (200, 1_000) for seed in range(10)]
+
+
+def test_chsh_verify_reports_do_not_depend_on_the_simd_level():
+    script = ("import json, sys\nfrom qlhv import cli\nreports = []\n"
+              "for samples, seed in json.loads(sys.argv[1]):\n"
+              "    reports.append(cli.run('chsh-verify', {'samples': samples, 'seed': seed}))\n"
+              "    reports[-1].pop('elapsed_ms')\n"
+              "print(json.dumps(reports))\n")
+    proc = _fresh_python("-c", script, json.dumps(SIMD_CASES), env=BASELINE_SIMD)
+    assert proc.returncode == 0, proc.stderr
+    for (samples, seed), baseline in zip(SIMD_CASES, json.loads(proc.stdout), strict=True):
+        report = json.loads(cli.render_report(cli.run("chsh-verify", {"samples": samples, "seed": seed}), "json"))
+        report.pop("elapsed_ms")
+        _assert_same(report, baseline, f"--samples {samples} --seed {seed}")
 
 
 def test_chsh_verify_reports_its_spot_rows(capsys):
@@ -715,6 +739,12 @@ MALFORMED_CONFIG = [
     ("ghz-verify", [], "ghz-verify: config must be a dict, got []"),
     ("ghz-verify", None, "ghz-verify: config must be a dict, got None"),
     (["ghz-verify"], {}, "unknown command: ['ghz-verify']"),
+    ("chsh-verify", {"samples": 200, "seed": "7"},
+     "chsh-verify: config value 'seed' must be a number or a list of numbers, got '7'"),
+    ("chsh-optimize", {"grid": True, "seed": 7},
+     "chsh-optimize: config value 'grid' must be a number or a list of numbers, got True"),
+    ("qubit-dist", {"bloch": [[0.6], 0.8, 0.0]},
+     "qubit-dist: config value 'bloch' must be a number or a list of numbers, got [[0.6], 0.8, 0.0]"),
 ]
 
 
@@ -724,6 +754,27 @@ def test_run_rejects_a_malformed_config(command, config, message):
     with pytest.raises(ValueError) as error:
         cli.run(command, config)
     assert str(error.value) == message
+
+
+# configs of numpy numbers, which main never builds, and the argv whose
+# report run must then return
+NUMPY_CONFIGS = [
+    ("qubit-dist", {"bloch": np.array([0.6, 0.8, 0.0])}, ("--bloch", "0.6,0.8,0.0")),
+    ("chsh-verify", {"samples": np.int64(200), "seed": np.int64(7)}, ("--samples", "200", "--seed", "7")),
+    ("chsh-optimize", {"grid": np.int64(16), "seed": np.int64(7)}, ("--grid", "16", "--seed", "7")),
+    ("oracle-check", {"samples": np.int64(5), "seed": np.int64(1)}, ("--samples", "5", "--seed", "1")),
+]
+
+
+@pytest.mark.parametrize("command, config, flags", NUMPY_CONFIGS, ids=[c[0] for c in NUMPY_CONFIGS])
+def test_run_stores_numpy_config_values_as_python_numbers(capsys, command, config, flags):
+    report = cli.run(command, config)
+    assert all(type(v) in (int, float) or type(v) is list and {type(x) for x in v} <= {int, float}
+               for v in report["config"].values()), report["config"]
+    rendered = json.loads(cli.render_report(report, "json"))
+    _, printed = run_json(capsys, command, *flags)
+    rendered["elapsed_ms"] = printed["elapsed_ms"]
+    _assert_same(printed, rendered, "report")
 
 
 def test_run_raises_on_bad_input_and_prints_nothing(capsys):
