@@ -5,4 +5,4 @@ Each public name has one import path, qlhv.<module>.<name>, so import the
 modules (from qlhv import chsh).  The package itself binds only
 __version__, the one home of the version, which pyproject.toml reads."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -7,19 +7,20 @@ with no NaN or Infinity by default, or as a flat CSV check table, and
 exits 0 only if every check passes.  Randomized commands require an
 explicit seed, so reports are reproducible by construction.
 
-A command is one record of COMMANDS: help text, (flag, parse, required)
-triples and a handler.  argparse reads each flag as text; main converts the
-given flags once, each by its parse, into config, keyed by flag name without
-"--", which is both the handler's only argument and the report's config.
-A flag is read as an integer, comma-separated numbers or cycle notation,
-and one that does not parse raises ValueError naming it, as in
-"--bloch: could not convert string to float: 'a'".  The library judges
-every parsed value, counts and seeds by tolerances.count.  Either
+A command is one record of COMMANDS: help text, (flag, parse) pairs and a
+handler.  Every command flag is required, so each command has one config
+shape, and no flag depends on another.  argparse reads each flag as text;
+main converts every flag once, by its parse, into config, keyed by flag
+name without "--", which is both the handler's only argument and the
+report's config.  A flag is read as an integer, comma-separated numbers or
+cycle notation, and one that does not parse raises ValueError naming it,
+as in "--bloch: could not convert string to float: 'a'".  The library
+judges every parsed value, counts and seeds by tolerances.count.  Either
 ValueError prints one "error: ..." line on stderr, prints no report and
-exits 2, as does a --out path that cannot be written.  A missing required
-flag or an unknown one is argparse's usage message, also exit 2.  The
-report's config prints a vector as a list of numbers and a permutation as
-the list of the images of 1..8.
+exits 2, as does a --out path that cannot be written.  A missing flag or
+an unknown one is argparse's usage message, also exit 2.  The report's
+config prints a vector as a list of numbers and a permutation as the list
+of the images of 1..8.
 
 run(command, config) turns a config into its report and is the one place
 that judges claims: a handler returns its claims (name, expected, actual,
@@ -234,9 +235,7 @@ def _qubit_expect(config):
         quantum = oracle.qubit_expectation(config["bloch"], tuple(float(i == idx) for i in range(3)))
         claims.append((f"expectation_{axis}", config["bloch"][idx], lhv, "close", EXACT_TOL))
         claims.append((f"oracle_agreement_{axis}", quantum, lhv, "close", EXACT_TOL))
-    if "dir" not in config:
-        return claims, None
-    return claims, {"oracle_direction_expectation": oracle.qubit_expectation(config["bloch"], config["dir"])}
+    return claims, None
 
 
 def _qubit_search_sign(config):
@@ -270,16 +269,19 @@ def _qubit_evolve(config):
                     "bloch_after": bloch_after}
 
 
+_SETTINGS_BLOCK = 1024
+
+
 def _oracle_check(config):
-    """The GHZ eigenrelations and Tsirelson's bound at the optimal settings;
-    with --samples N, the largest value over N random settings, drawn in
-    one standard_normal((N, 4, 3)) call, the stream of N draws of (4, 3).
-    --samples and --seed are nonnegative, and --samples needs --seed; both
-    are judged before numpy is imported."""
-    samples = count(config.get("samples", 0), "samples", 0)
-    seed = count(config.get("seed", 0), "seed", 0)
-    if samples and "seed" not in config:
-        raise ValueError("--samples requires --seed")
+    """The GHZ eigenrelations, Tsirelson's bound at the optimal settings and
+    the largest value over --samples random settings from a generator
+    seeded with --seed.  The settings are drawn in standard_normal blocks
+    of at most _SETTINGS_BLOCK, which bounds memory and, like chsh-verify's
+    batch size, is not part of the stream of draws of (4, 3).  --samples is
+    at least 1 and --seed nonnegative; both are judged before numpy is
+    imported."""
+    samples = count(config["samples"], "samples", 1)
+    seed = count(config["seed"], "seed", 0)
     import numpy as np
     from . import oracle
     state = oracle.ghz_state()
@@ -290,12 +292,12 @@ def _oracle_check(config):
     s = 1.0 / math.sqrt(2.0)
     optimal = oracle.chsh_quantum_value((1, 0, 0), (0, 1, 0), (s, s, 0.0), (s, -s, 0.0))
     claims.append(("tsirelson_optimal_settings", TSIRELSON, optimal, "close", EXACT_TOL))
-    if samples:
-        # all settings in one draw, the stream of samples draws of (4, 3)
-        settings = np.random.default_rng(seed).standard_normal((samples, 4, 3))
+    rng, worst = np.random.default_rng(seed), -math.inf
+    for left in range(samples, 0, -_SETTINGS_BLOCK):
+        settings = rng.standard_normal((min(_SETTINGS_BLOCK, left), 4, 3))
         settings /= np.linalg.norm(settings, axis=2, keepdims=True)
-        worst = max(oracle.chsh_quantum_value(*dirs) for dirs in settings)
-        claims.append(("random_settings_max_leq_tsirelson", TSIRELSON, worst, "at_most", BOUND_TOL))
+        worst = max(worst, *(oracle.chsh_quantum_value(*dirs) for dirs in settings))
+    claims.append(("random_settings_max_leq_tsirelson", TSIRELSON, worst, "at_most", BOUND_TOL))
     return claims, None
 
 
@@ -304,29 +306,28 @@ def _oracle_check(config):
 class Command(NamedTuple):
     help: str
     run: Callable
-    args: tuple = ()    # (flag, parse, required) triples
+    args: tuple = ()    # (flag, parse) pairs
 
 
-_SEED = ("--seed", int, True)
-_BLOCH = ("--bloch", _vector3, True)
+_SEED = ("--seed", int)
+_BLOCH = ("--bloch", _vector3)
 
 COMMANDS = {
     "chsh-achieve": Command("evaluate the saturating configuration", _chsh_achieve),
     "chsh-verify": Command("randomized Bell-bound sweep", _chsh_verify, (
-        ("--samples", int, True), _SEED)),
+        ("--samples", int), _SEED)),
     "chsh-optimize": Command("numerical Bell maximizer", _chsh_optimize, (
-        ("--grid", int, True), _SEED)),
+        ("--grid", int), _SEED)),
     "ghz-enumerate": Command("count assignments and condition sets", _ghz_enumerate),
     "ghz-verify": Command("intersection, product and parity checks", _ghz_verify),
     "qubit-dist": Command("hidden-variable distribution of a state", _qubit_dist, (_BLOCH,)),
-    "qubit-expect": Command("axis expectations vs the quantum oracle", _qubit_expect, (
-        _BLOCH, ("--dir", _vector3, False))),
+    "qubit-expect": Command("axis expectations vs the quantum oracle", _qubit_expect, (_BLOCH,)),
     "qubit-search-sign": Command("exhaustive sign-assignment search", _qubit_search_sign, (
-        ("--dir", _vector3, True),)),
+        ("--dir", _vector3),)),
     "qubit-evolve": Command("permute the hidden-variable weights", _qubit_evolve, (
-        _BLOCH, ("--perm", parse_permutation, True))),
+        _BLOCH, ("--perm", parse_permutation))),
     "oracle-check": Command("quantum ground-truth checks", _oracle_check, (
-        ("--samples", int, False), ("--seed", int, False))),
+        ("--samples", int), _SEED)),
 }
 
 
@@ -339,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        for flag, _, required in command.args:
-            p.add_argument(flag, required=required)
+        for flag, _ in command.args:
+            p.add_argument(flag, required=True)
     return parser
 
 
@@ -359,12 +360,13 @@ def _config_value(command: str, key: str, value):
 def run(command: str, config: dict) -> dict:
     """The report of command on config, a dict keyed by flag name without
     "--", as main prints it: the handler's claims, each judged by RULES,
-    timed with the handler in elapsed_ms.  The config's keys must be the
-    command's flags, every required one among them: an unknown command, an
-    unknown key or a missing required key raises ValueError naming it, as
-    does a command that is not a str or a config that is not a dict, as
-    run("chsh-verify", {"samples": 200}) raises ValueError("chsh-verify:
-    missing config key 'seed'") and run("ghz-verify", None) raises
+    timed with the handler in elapsed_ms.  The config's keys must be
+    exactly the command's flags: an unknown command, an unknown key or a
+    missing key raises ValueError naming it, as does a command that is not
+    a str or a config that is not a dict, as run("chsh-verify", {"samples":
+    200}) raises ValueError("chsh-verify: missing config key 'seed'"),
+    run("oracle-check", {}) raises ValueError("oracle-check: missing config
+    key 'samples'") and run("ghz-verify", None) raises
     ValueError("ghz-verify: config must be a dict, got None").  The
     library's ValueError on a bad value propagates, as run("qubit-dist",
     {"bloch": [2, 0, 0]}) raises ValueError("outside Bloch ball"); run
@@ -380,12 +382,12 @@ def run(command: str, config: dict) -> dict:
         raise ValueError(f"unknown command: {command!r}")
     if not isinstance(config, dict):
         raise ValueError(f"{command}: config must be a dict, got {config!r}")
-    flags = {flag[2:]: required for flag, _, required in COMMANDS[command].args}
+    keys = [flag[2:] for flag, _ in COMMANDS[command].args]
     for key in config:
-        if key not in flags:
+        if key not in keys:
             raise ValueError(f"{command}: unknown config key {key!r}")
-    for key, required in flags.items():
-        if required and key not in config:
+    for key in keys:
+        if key not in config:
             raise ValueError(f"{command}: missing config key {key!r}")
     config = {key: _config_value(command, key, value) for key, value in config.items()}
     started = time.perf_counter()
@@ -407,12 +409,11 @@ def main(argv=None) -> int:
 
     try:
         config = {}
-        for flag, parse, _ in COMMANDS[args.command].args:
-            if (given := getattr(args, flag[2:])) is not None:
-                try:
-                    config[flag[2:]] = parse(given)
-                except ValueError as exc:
-                    raise ValueError(f"{flag}: {exc}") from None
+        for flag, parse in COMMANDS[args.command].args:
+            try:
+                config[flag[2:]] = parse(getattr(args, flag[2:]))
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
         report = run(args.command, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

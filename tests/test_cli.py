@@ -194,17 +194,22 @@ def test_oracle_check_rejects_samples_without_seed_before_numpy():
     proc = _fresh_python("-W", "error", "-c", _MAIN_THEN_LOADED, "oracle-check", "--samples", "20")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    error, loaded = proc.stderr.splitlines()
-    assert error == "error: --samples requires --seed" and json.loads(loaded)[2] is False
+    *_, error, loaded = proc.stderr.splitlines()
+    assert error == "qlhv oracle-check: error: the following arguments are required: --seed"
+    assert json.loads(loaded)[2] is False
 
 
-def test_oracle_check_rejects_a_negative_seed_before_numpy():
-    proc = _fresh_python("-W", "error", "-c", _MAIN_THEN_LOADED, "oracle-check", "--samples", "5",
-                         "--seed", "-1")
+@pytest.mark.parametrize("samples, seed, message", [
+    ("5", "-1", "seed must be nonnegative"),
+    ("0", "1", "samples must be at least 1"),
+], ids=["negative seed", "zero samples"])
+def test_oracle_check_judges_its_counts_before_numpy(samples, seed, message):
+    proc = _fresh_python("-W", "error", "-c", _MAIN_THEN_LOADED, "oracle-check", "--samples", samples,
+                         "--seed", seed)
     assert proc.returncode == 2
     assert proc.stdout == ""
     error, loaded = proc.stderr.splitlines()
-    assert error == "error: seed must be nonnegative" and json.loads(loaded)[2] is False
+    assert error == f"error: {message}" and json.loads(loaded)[2] is False
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
@@ -403,7 +408,8 @@ def test_reused_parser_keeps_nothing_between_calls(capsys):
     assert run(capsys, "chsh-verify", "--samples", "5", "--seed", "1")[0] == 0
     assert run(capsys, "chsh-verify")[0] == 2
     assert run(capsys, "oracle-check", "--help")[0] == 0
-    code, report = run_json(capsys, "oracle-check")
+    assert run(capsys, "oracle-check") == (2, "")
+    code, report = run_json(capsys, "chsh-achieve")
     assert code == 0
     assert report["config"] == {}
 
@@ -616,6 +622,23 @@ def test_oracle_check_samples_require_seed(capsys):
     assert code == 2
 
 
+def test_oracle_check_does_not_depend_on_the_settings_block(monkeypatch, capsys):
+    # 50 settings in 8 blocks or in one
+    reports = []
+    for block in (7, 1024):
+        monkeypatch.setattr(cli, "_SETTINGS_BLOCK", block)
+        code, report = run_json(capsys, "oracle-check", "--samples", "50", "--seed", "7")
+        assert code == 0
+        report.pop("elapsed_ms")
+        reports.append(report)
+    _assert_same(*reports, "report")
+
+
+def test_qubit_expect_takes_no_direction(capsys):
+    assert main(["qubit-expect", "--bloch", "0.6,0,0.8", "--dir", "0,0,1"]) == 2
+    assert "unrecognized arguments: --dir 0,0,1" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -628,7 +651,7 @@ def test_malformed_vector_exits_2(capsys):
         (("qubit-dist", "--bloch", "nan,0,0"), "outside Bloch ball"),
         (("qubit-search-sign", "--dir", "nan,0,1"), "non-unit direction"),
         (("qubit-search-sign", "--dir", "0,0,2"), "non-unit direction"),
-        (("qubit-expect", "--bloch", "0,0,0", "--dir", "inf,0,0"), "non-unit direction"),
+        (("qubit-search-sign", "--dir", "inf,0,1"), "non-unit direction"),
     ):
         assert main(list(argv)) == 2, argv
         assert capsys.readouterr() == ("", f"error: {message}\n"), argv
@@ -671,17 +694,15 @@ def test_bad_input_prints_one_error_line(capsys, argv, flag):
     assert err.startswith(f"error: {flag}: ") if flag else not err.startswith("error: --")
 
 
-# (command, flag) for every required flag of every command
-REQUIRED_FLAGS = [(name, flag) for name, command in cli.COMMANDS.items()
-                  for flag, _, required in command.args if required]
+# (command, flag) for every flag of every command, each of them required
+REQUIRED_FLAGS = [(name, flag) for name, command in cli.COMMANDS.items() for flag, _ in command.args]
 
 
 @pytest.mark.parametrize("command, flag", REQUIRED_FLAGS, ids=[" ".join(pair) for pair in REQUIRED_FLAGS])
 def test_missing_required_flag_is_an_argparse_usage_error(capsys, command, flag):
     # argparse, not run's missing-key check, turns the flag away; argparse
-    # parses no value, so "1" stands for each other required flag
-    others = [arg for other, _, required in cli.COMMANDS[command].args
-              if required and other != flag for arg in (other, "1")]
+    # parses no value, so "1" stands for each other flag
+    others = [arg for other, _ in cli.COMMANDS[command].args if other != flag for arg in (other, "1")]
     assert main([command, *others]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -695,8 +716,8 @@ def test_help_lists_the_report_flags_before_the_command_flags(capsys, command):
     assert err == ""
     # argparse may wrap a long usage line, so whitespace is compared collapsed
     usage = " ".join(out.split("\n\n")[0].split())
-    own = [f"{flag} {flag[2:].upper()}" if required else f"[{flag} {flag[2:].upper()}]"
-           for flag, _, required in cli.COMMANDS[command].args]
+    # every command flag is required, so none is in brackets
+    own = [f"{flag} {flag[2:].upper()}" for flag, _ in cli.COMMANDS[command].args]
     assert usage == " ".join([f"usage: qlhv {command} [-h] [--out OUT] [--format {{json,csv}}]", *own])
 
 
@@ -735,6 +756,8 @@ def test_run_returns_the_report_that_main_prints(capsys, argv):
 MALFORMED_CONFIG = [
     ("nope", {}, "unknown command: 'nope'"),
     ("chsh-verify", {"samples": 200}, "chsh-verify: missing config key 'seed'"),
+    ("oracle-check", {}, "oracle-check: missing config key 'samples'"),
+    ("qubit-expect", {"bloch": [0.6, 0, 0.8], "dir": [0, 0, 1]}, "qubit-expect: unknown config key 'dir'"),
     ("qubit-dist", {"bloch": [0, 0, 1], "extra": 1}, "qubit-dist: unknown config key 'extra'"),
     ("ghz-verify", [], "ghz-verify: config must be a dict, got []"),
     ("ghz-verify", None, "ghz-verify: config must be a dict, got None"),

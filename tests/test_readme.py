@@ -61,10 +61,9 @@ def claims_table(readme):
 
 
 def config_of(argv):
-    # the config that main builds from argv: each given flag parsed once
+    # the config that main builds from argv: each flag parsed once
     args = cli.build_parser().parse_args(argv)
-    return {flag[2:]: parse(getattr(args, flag[2:])) for flag, parse, _ in cli.COMMANDS[argv[0]].args
-            if getattr(args, flag[2:]) is not None}
+    return {flag[2:]: parse(getattr(args, flag[2:])) for flag, parse in cli.COMMANDS[argv[0]].args}
 
 
 def test_claims_table_names_checks_that_pass():
