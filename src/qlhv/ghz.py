@@ -52,12 +52,18 @@ def _checked(assignment) -> int:
     return integer(assignment)
 
 
-@lru_cache(maxsize=None)
 def condition_set(pattern: str) -> frozenset[int]:
     """All assignments satisfying one sign-product condition; a single
     parity constraint, so exactly half the 512-element space."""
-    if pattern not in PATTERNS:
+    # a str first, before the cache: it would hash an unhashable pattern and
+    # raise TypeError, and an array equal to a pattern is `in` PATTERNS
+    if not isinstance(pattern, str) or pattern not in PATTERNS:
         raise ValueError(f"unknown condition pattern: {pattern!r}")
+    return _condition_set(pattern)
+
+
+@lru_cache(maxsize=None)
+def _condition_set(pattern: str) -> frozenset[int]:
     return frozenset(a for a in enumerate_assignments() if (a & _mask(pattern)).bit_count() % 2 == 0)
 
 

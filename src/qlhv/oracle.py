@@ -4,11 +4,14 @@ Pauli algebra, tensor products, the three-qubit GHZ state and its
 eigenrelations, single-qubit expectations, and the quantum value of the
 CHSH operator via power iteration.  Dimensions never exceed 8.
 
-One Pauli table underlies every operator: I, X, Y and Z, each flattened
-to its four complex entries, and every operator is built from it.  rho
-and n . sigma are each one fused combination c0*I + cx*X + cy*Y + cz*Z
-of the table; the single-qubit path (density_matrix, qubit_expectation)
-takes the trace by explicit 2x2 complex arithmetic and needs no numpy.
+rho and n . sigma are each the combination c0*I + cx*X + cy*Y + cz*Z,
+which _combination writes in closed form in float arithmetic.  Its
+entries equal, bit for bit, the complex sum over the Pauli table, so
+every report is the same on either route and the closed form took no
+version bump.  _PAULI is the table: pauli() returns its matrices, and the
+tests compare the closed form against its sum.
+The single-qubit path (density_matrix, qubit_expectation) takes the
+trace by explicit 2x2 complex arithmetic and needs no numpy.
 Tensor products are one broadcast product each, whose every entry is the
 single product x[i, j] * y[k, l] that np.kron computes, without its
 generic Python path: the package never calls np.kron.  pauli,
@@ -31,23 +34,28 @@ if TYPE_CHECKING:
     import numpy as np
 
 # The Pauli table, each matrix flattened to its entries (m00, m01, m10, m11)
-_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
 _PAULI = {
     "x": (0j, 1 + 0j, 1 + 0j, 0j),
     "y": (0j, -1j, 1j, 0j),
     "z": (1 + 0j, 0j, 0j, -1 + 0j),
 }
-# entry k of I, X, Y and Z, side by side
-_ENTRIES = tuple(zip(_IDENTITY, *_PAULI.values()))
 
 
 def _combination(c0: float, cx: float, cy: float, cz: float) -> list:
-    """The entries of c0*I + cx*X + cy*Y + cz*Z, added in this order."""
-    return [c0 * i + cx * x + cy * y + cz * z for i, x, y, z in _ENTRIES]
+    """The entries (m00, m01, m10, m11) of c0*I + cx*X + cy*Y + cz*Z, i.e.
+    [[c0 + cz, cx - i*cy], [cx + i*cy, c0 - cz]].  Callers pass c0 = 0.0
+    (n . sigma) or 0.5 (rho).  Where the table's complex sum gives +0.0,
+    so does this: the off-diagonal parts add 0.0 to a -0.0 or subtract from
+    0.0, and the diagonal starts from c0, which is not -0.0.  So every
+    entry, signed zeros included, equals that sum bit for bit for any
+    c0 >= 0 other than -0.0."""
+    return [complex(c0 + cz, 0.0), complex(cx + 0.0, 0.0 - cy),
+            complex(cx + 0.0, cy + 0.0), complex(c0 - cz, 0.0)]
 
 
 def pauli(axis: str) -> np.ndarray:
-    if axis not in _PAULI:
+    # a str first: the dict would hash an unhashable axis and raise TypeError
+    if not isinstance(axis, str) or axis not in _PAULI:
         raise ValueError(f"unknown axis: {axis!r}")
     import numpy as np
     return np.array(_PAULI[axis]).reshape(2, 2)
@@ -72,7 +80,8 @@ def ghz_state() -> np.ndarray:
 
 def three_party_operator(axes: str) -> np.ndarray:
     """Tensor product of one Pauli per party, e.g. "xyy"."""
-    if len(axes) != 3:
+    # a Sequence, so that a mapping or set of three fails here, not on axes[0]
+    if not isinstance(axes, Sequence) or len(axes) != 3:
         raise ValueError("need one axis per party")
     op = pauli(axes[0])
     for axis in axes[1:]:

@@ -69,7 +69,8 @@ def axis_expectation(dist: SignedDistribution, axis: str) -> float:
     right from 0.0."""
     try:
         signs = _AXIS_SIGNS[axis]
-    except KeyError:
+    except (KeyError, TypeError):
+        # an unknown axis, or an unhashable one
         raise ValueError(f"unknown axis: {axis!r}") from None
     # not sum(), which compensates from CPython 3.12
     total = 0.0

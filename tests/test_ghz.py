@@ -84,6 +84,17 @@ def test_condition_set_examples():
         condition_set("xxy")
 
 
+@pytest.mark.parametrize("pattern, message", [
+    pytest.param(["xyy"], "unknown condition pattern: \\['xyy'\\]", id="unhashable"),
+    pytest.param({"xyy"}, "unknown condition pattern: \\{'xyy'\\}", id="set"),
+    pytest.param(np.array(["xyy"]), "unknown condition pattern: array\\(\\['xyy'\\], dtype='<U3'\\)",
+                 id="array"),
+])
+def test_condition_set_rejects_unknown_patterns(pattern, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        condition_set(pattern)
+
+
 def test_condition_sets_have_size_256():
     for pattern in PATTERNS:
         assert len(condition_set(pattern)) == 256

@@ -1,9 +1,11 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from qlhv import oracle
+from qlhv import cli, oracle
 from qlhv.oracle import (
     chsh_quantum_value,
     density_matrix,
@@ -52,6 +54,21 @@ def test_pauli_x_flips_basis():
 def test_unknown_axis_rejected():
     with pytest.raises(ValueError):
         pauli("w")
+
+
+@pytest.mark.parametrize("build, argument, message", [
+    pytest.param(pauli, ["x"], "unknown axis: \\['x'\\]", id="pauli-unhashable"),
+    pytest.param(pauli, {"x"}, "unknown axis: \\{'x'\\}", id="pauli-set"),
+    pytest.param(three_party_operator, 123, "need one axis per party", id="parties-int"),
+    pytest.param(three_party_operator, None, "need one axis per party", id="parties-none"),
+    pytest.param(three_party_operator, dict.fromkeys("xyz"), "need one axis per party",
+                 id="parties-mapping"),
+    pytest.param(three_party_operator, ["x", ["y"], "y"], "unknown axis: \\['y'\\]",
+                 id="parties-unhashable-axis"),
+])
+def test_operators_reject_unhashable_or_unsized_arguments(build, argument, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(argument)
 
 
 def test_operators_reject_the_wrong_number_of_parties():
@@ -153,6 +170,56 @@ def test_single_qubit_path_matches_numpy_route():
         reference = 0.5 * (np.eye(2) + sum(c * pauli(axis) for c, axis in zip(r, "xyz")))
         assert np.max(np.abs(rho - reference)) <= 1e-15
         assert abs(qubit_expectation(r, n) - np.trace(rho @ direction_operator(n)).real) <= 1e-15
+
+
+IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
+# entry k of I, X, Y and Z side by side, the Pauli matrices read from pauli()
+PAULI_COLUMNS = tuple(zip(IDENTITY, *(pauli(axis).ravel().tolist() for axis in "xyz")))
+
+
+def table_combination(c0, cx, cy, cz):
+    """The entries of c0*I + cx*X + cy*Y + cz*Z summed over the Pauli table in
+    complex arithmetic, added in this order: the route _combination closes."""
+    return [c0 * i + cx * x + cy * y + cz * z for i, x, y, z in PAULI_COLUMNS]
+
+
+def bits(entries):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(v.real.hex(), v.imag.hex()) for v in entries]
+
+
+SIGNED_GRID = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.25, -0.25, 0.6, -0.6, 0.8, -0.8,
+               1.0, -1.0)
+
+
+def test_combination_closed_form_equals_the_table_sum_bit_for_bit():
+    # c0 is 0.0 for n . sigma and 0.5 for rho; the draws span subnormals to 1
+    rng = random.Random(38)
+    draws = [tuple(rng.uniform(-1.0, 1.0) * 10.0 ** -rng.randrange(330) for _ in range(3))
+             for _ in range(3000)]
+    for c0 in (0.0, 0.5):
+        for c in itertools.chain(itertools.product(SIGNED_GRID, repeat=3), draws):
+            assert bits(oracle._combination(c0, *c)) == bits(table_combination(c0, *c)), (c0, c)
+
+
+def json_reports(runs):
+    # the JSON text keeps the sign of a zero, which dict equality ignores
+    texts = []
+    for command, config in runs:
+        report = cli.run(command, config)
+        report.pop("elapsed_ms")
+        texts.append(cli.render_report(report, "json"))
+    return texts
+
+
+def test_reports_are_the_same_on_the_table_route(monkeypatch):
+    grid = (0.0, -0.0, 0.6, -0.6, 0.8, -0.8)
+    runs = [("qubit-expect", {"bloch": list(r)}) for r in itertools.product(grid, repeat=3)
+            if r[0] * r[0] + r[1] * r[1] + r[2] * r[2] <= 1.0 + EXACT_TOL]
+    runs += [("oracle-check", {"samples": 50, "seed": seed}) for seed in (0, 7, 29)]
+    closed_form = json_reports(runs)
+    monkeypatch.setattr(oracle, "_combination", table_combination)
+    assert json_reports(runs) == closed_form
 
 
 def test_qubit_expectation_validates_inputs():

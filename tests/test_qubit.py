@@ -72,6 +72,16 @@ def test_state_distribution_rejects_outside_ball():
         state_distribution((math.nan, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("axis, message", [
+    pytest.param("w", "unknown axis: 'w'", id="unknown"),
+    pytest.param(["x"], "unknown axis: \\['x'\\]", id="unhashable"),
+    pytest.param({"x": 1}, "unknown axis: \\{'x': 1\\}", id="dict"),
+])
+def test_axis_expectation_rejects_unknown_axes(axis, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        axis_expectation(state_distribution((0.0, 0.0, 1.0)), axis)
+
+
 def test_distribution_invariants_rejected():
     with pytest.raises(ValueError):
         SignedDistribution((0.5,) * 8)
