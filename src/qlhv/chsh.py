@@ -141,19 +141,21 @@ class ChshModel(CheckedRecord, namedtuple("ChshModel", "weights thetas bits")):
 def correlation(model: ChshModel, alice: str, bob: str) -> complex:
     """Weighted sum over hidden points of the product of Alice's and Bob's
     outcome values for the given settings: one of the four correlations
-    that _correlations computes in one pass.  Each parity sum adds its
-    signed weights left to right from 0.0, as sum() does only up to
-    CPython 3.11, so the values are the same on every interpreter."""
+    that _correlations computes in one pass.  A setting is a str naming
+    one: "a" or "a'" for Alice, "b" or "b'" for Bob.  Anything else, an
+    array equal to such a name among them, raises ValueError naming the
+    first bad setting.  Each parity sum adds its signed weights left to
+    right from 0.0, as sum() does only up to CPython 3.11, so the values
+    are the same on every interpreter."""
+    # _correlations raises neither KeyError nor TypeError on a ChshModel, so
+    # either comes from the lookup of the settings
     try:
-        index = _INDEX[alice, bob]
+        return _correlations(model)[_INDEX[alice, bob]]
     except (KeyError, TypeError):
-        # an unknown setting, named here, or an unhashable one equal to a known one
-        if alice not in ALICE_SETTINGS:
+        # a str first: an unhashable setting equal to a known one is `in` them
+        if not isinstance(alice, str) or alice not in ALICE_SETTINGS:
             raise ValueError(f"unknown Alice setting: {alice!r}") from None
-        if bob not in BOB_SETTINGS:
-            raise ValueError(f"unknown Bob setting: {bob!r}") from None
-        index = 2 * ALICE_SETTINGS.index(alice) + BOB_SETTINGS.index(bob)
-    return _correlations(model)[index]
+        raise ValueError(f"unknown Bob setting: {bob!r}") from None
 
 
 # the last model given to _correlations and its four values: a model is an
@@ -263,6 +265,10 @@ def analytic_bound(t2, t4):
         cos, sin = math.cos, math.sin
     else:
         import numpy as np
+        t2, t4 = np.asarray(t2), np.asarray(t4)
+        # bell_values' dtype rule: no bool, str, bytes, complex or object
+        if t2.dtype.kind not in "iuf" or t4.dtype.kind not in "iuf":
+            raise ValueError("phases must be numbers")
         cos, sin = np.cos, np.sin
     half = (t4 - t2) / 2
     return 2 * (abs(cos(half)) + abs(sin(half)))

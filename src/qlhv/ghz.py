@@ -9,9 +9,14 @@ of qlhv.tolerances and in range(512); any other value, 512, -1, True or
 1.5 among them, raises ValueError("assignment outside 0..511: ...").
 Each of the three product constraints (xyy, yxy, yyx) is the parity of
 the assignment under a mask, and condition_set lists the assignments that
-meet one; the punchline product over the three x components is evaluated
-as an exact quaternion product.  classical_parity_check brute-forces the
-all-real counterpart and returns a plain ParityCheckReport.
+meet one, computed on each call; the punchline product over the three x
+components is evaluated as an exact quaternion product.
+classical_parity_check brute-forces the all-real counterpart and returns a
+plain ParityCheckReport.
+
+Two sets are cached, each built once per process: full_intersection, which
+ghz-verify reads twice, once through ghz_intersection; and
+ghz_intersection, whose first build the benchmark's cold-build probe times.
 """
 
 from __future__ import annotations
@@ -55,15 +60,9 @@ def _checked(assignment) -> int:
 def condition_set(pattern: str) -> frozenset[int]:
     """All assignments satisfying one sign-product condition; a single
     parity constraint, so exactly half the 512-element space."""
-    # a str first, before the cache: it would hash an unhashable pattern and
-    # raise TypeError, and an array equal to a pattern is `in` PATTERNS
+    # a str first: an array equal to a pattern is `in` PATTERNS
     if not isinstance(pattern, str) or pattern not in PATTERNS:
         raise ValueError(f"unknown condition pattern: {pattern!r}")
-    return _condition_set(pattern)
-
-
-@lru_cache(maxsize=None)
-def _condition_set(pattern: str) -> frozenset[int]:
     return frozenset(a for a in enumerate_assignments() if (a & _mask(pattern)).bit_count() % 2 == 0)
 
 
@@ -133,5 +132,8 @@ def classical_parity_check() -> ParityCheckReport:
 def export_assignments(assignments) -> list[list[list[str]]]:
     """Label export, e.g. [["+i", "+j", "-k"], ...] per party.  Descending
     ints put -1 before +1, party by party and axis by axis."""
-    return [[[str(_unit(a, party, axis)) for axis in "xyz"] for party in range(3)]
-            for a in sorted(map(_checked, assignments), reverse=True)]
+    try:
+        checked = sorted(map(_checked, assignments), reverse=True)
+    except TypeError:   # no iterable
+        raise ValueError(f"assignments must be an iterable of assignments, got {assignments!r}") from None
+    return [[[str(_unit(a, party, axis)) for axis in "xyz"] for party in range(3)] for a in checked]

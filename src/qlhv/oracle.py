@@ -7,9 +7,9 @@ CHSH operator via power iteration.  Dimensions never exceed 8.
 rho and n . sigma are each the combination c0*I + cx*X + cy*Y + cz*Z,
 which _combination writes in closed form in float arithmetic.  Its
 entries equal, bit for bit, the complex sum over the Pauli table, so
-every report is the same on either route and the closed form took no
-version bump.  _PAULI is the table: pauli() returns its matrices, and the
-tests compare the closed form against its sum.
+every report is the same on either route.  _PAULI is the table: pauli()
+returns its matrices, and the tests compare the closed form against its
+sum.
 The single-qubit path (density_matrix, qubit_expectation) takes the
 trace by explicit 2x2 complex arithmetic and needs no numpy.
 Tensor products are one broadcast product each, whose every entry is the
@@ -28,7 +28,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .tolerances import EXACT_TOL, bloch_vector, unit_direction
+from .tolerances import EXACT_TOL, bloch_vector, is_real, unit_direction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,7 +90,10 @@ def three_party_operator(axes: str) -> np.ndarray:
 
 
 def verify_eigenrelation(op: np.ndarray, v: np.ndarray, expected: int) -> bool:
-    """True iff op @ v = expected * v within EXACT_TOL (Euclidean norm)."""
+    """True iff op @ v = expected * v within EXACT_TOL (Euclidean norm);
+    expected is a real by the rule of qlhv.tolerances, else ValueError."""
+    if not is_real(expected):
+        raise ValueError(f"expected eigenvalue must be a number, got {expected!r}")
     if op.shape[1] != v.shape[0]:
         raise ValueError("dimension mismatch")
     import numpy as np

@@ -2,7 +2,10 @@
 
 The group {±1, ±i, ±j, ±k} is represented exactly (no floating point) so
 that identities proved over it hold with no tolerance.  The package has no
-floating-point quaternion type and no float helper.
+floating-point quaternion type and no float helper.  _basis_product is the
+one statement of the Hamilton relations, and q8_mul calls it on every
+product.  q8_product takes an iterable of Q8Element values, else
+ValueError.
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ def _basis_product(a: Basis, b: Basis) -> tuple[Basis, int]:
     return Basis(6 - a - b), 1 if (b - a) % 3 == 1 else -1
 
 
-# (a, b) -> (basis of a*b, sign factor)
-_MUL_TABLE = {(a, b): _basis_product(a, b) for a in Basis for b in Basis}
-
-
 class Q8Element(CheckedRecord, namedtuple("Q8Element", "basis sign")):
     """One of the eight unit quaternions ±1, ±i, ±j, ±k: a Basis and a sign,
     the integer +1 or -1, ordered by basis, then sign."""
@@ -65,14 +64,19 @@ class Q8Element(CheckedRecord, namedtuple("Q8Element", "basis sign")):
 
 def q8_mul(a: Q8Element, b: Q8Element) -> Q8Element:
     """Exact group product a*b."""
-    basis, factor = _MUL_TABLE[(a.basis, b.basis)]
+    basis, factor = _basis_product(a.basis, b.basis)
     return Q8Element(basis, a.sign * b.sign * factor)
 
 
 def q8_product(seq: Iterable[Q8Element]) -> Q8Element:
     """Left-to-right fold of q8_mul; the group is non-commutative, so
     operand order matters."""
-    items = list(seq)
+    try:
+        items = list(seq)
+    except TypeError:   # no iterable: a single factor, which the check below refuses
+        items = [seq]
     if not items:
         raise ValueError("empty product")
+    if not all(isinstance(item, Q8Element) for item in items):
+        raise ValueError("factors must be Q8Element values")
     return reduce(q8_mul, items)

@@ -108,8 +108,10 @@ def sign_function_search(n: Sequence[float]):
 
 
 def commutes_with_antipode(s: Sequence[int]) -> bool:
-    """True iff s commutes with the involution m -> 9-m."""
-    return all(s[8 - m] == 9 - s[m - 1] for m in LAMBDAS)
+    """True iff s, a permutation of 1..8 (else ValueError("not a
+    permutation of 1..8")), commutes with the involution m -> 9-m."""
+    perm = _check_permutation(s)
+    return all(perm[8 - m] == 9 - perm[m - 1] for m in LAMBDAS)
 
 
 def _check_permutation(s: Sequence[int]) -> tuple[int, ...]:
@@ -119,8 +121,6 @@ def _check_permutation(s: Sequence[int]) -> tuple[int, ...]:
         perm = ()
     if None in perm or sorted(perm) != list(LAMBDAS):
         raise ValueError("not a permutation of 1..8")
-    if not commutes_with_antipode(perm):
-        raise ValueError("breaks antipodal constraint")
     return perm
 
 
@@ -141,6 +141,8 @@ class PermutationMix(CheckedRecord, namedtuple("PermutationMix", "terms")):
         perms, weights = zip(*pairs)
         # the checked tuples, so that no caller keeps a mutable permutation
         perms = tuple(map(_check_permutation, perms))
+        if not all(map(commutes_with_antipode, perms)):
+            raise ValueError("breaks antipodal constraint")
         weights = reals(weights, message)
         if not all(w >= 0.0 for w in weights):
             raise ValueError("mixture weights must be nonnegative")

@@ -2,8 +2,11 @@
 renders as strict JSON and as CSV, or a ValueError, and a config is valid
 only when it holds exactly its command's flags.  Model records round-trip
 through model_to_dict and model_from_dict, and a mangled record raises
-ValueError.  The examples are derandomized, so the test is deterministic,
-and their counts are small, so no sweep runs long."""
+ValueError.  Every value argument of the library's public functions and
+record constructors, one at a time, takes each hostile value, and the call
+returns or raises ValueError.  The hypothesis examples are derandomized and
+the library cases are listed, so each test is deterministic, and their
+counts are small, so no sweep runs long."""
 
 import csv
 import io
@@ -11,9 +14,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qlhv import chsh, cli
+from qlhv import chsh, cli, ghz, oracle, quaternions, qubit, tolerances
+from qlhv.quaternions import Basis, Q8Element
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=300,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -148,3 +153,83 @@ def test_mangled_model_records_raise_value_error(record):
     except ValueError:
         return
     raise AssertionError(f"model_from_dict read {record!r}")
+
+
+MODEL = chsh.make_achieving_model()
+DIST = qubit.state_distribution([0.3, -0.2, 0.4])
+X_FLIP = (5, 6, 7, 8, 1, 2, 3, 4)
+
+
+def _rng():
+    # a fresh generator per call, so that every call draws the same stream
+    return np.random.default_rng(7)
+
+
+# name -> (a call of the function on its value arguments alone, valid values
+# of those).  Records, generators and matrices are held valid inside the
+# call: bell_expression, bell_values, model_to_dict, retroaction_check,
+# evolve_mixture and q8_mul take nothing else, so they are not listed.
+# Counts stay at 5 or below and grids at 16 or below
+LIBRARY = {
+    "chsh.ChshModel": (chsh.ChshModel, ([0.5, 0.5], [0.0, 1.0, 2.0, 3.0], [[0, 1]] * 4)),
+    "chsh.correlation": (lambda alice, bob: chsh.correlation(MODEL, alice, bob), ("a", "b")),
+    "chsh.analytic_bound": (chsh.analytic_bound, (np.zeros(2), np.array([0.5, 1.5]))),
+    "chsh.analytic_bound.floats": (chsh.analytic_bound, (0.0, math.pi / 2)),
+    "chsh.maximize_bell": (chsh.maximize_bell, (8, 3, 0)),
+    "chsh.sample_model": (lambda choices: chsh.sample_model(_rng(), choices), ((0.0, math.pi),)),
+    "chsh.sample_models": (lambda count, choices: chsh.sample_models(_rng(), count, choices), (3, None)),
+    "chsh.bell_sweep": (lambda samples: chsh.bell_sweep(_rng(), samples), (3,)),
+    "chsh.model_from_dict": (chsh.model_from_dict, (chsh.model_to_dict(MODEL),)),
+    "ghz.condition_set": (ghz.condition_set, ("yxy",)),
+    "ghz.xxx_product": (ghz.xxx_product, (5,)),
+    "ghz.export_assignments": (ghz.export_assignments, ([0, 7, 511],)),
+    "oracle.pauli": (oracle.pauli, ("y",)),
+    "oracle.three_party_operator": (oracle.three_party_operator, ("xyy",)),
+    "oracle.verify_eigenrelation": (
+        lambda expected: oracle.verify_eigenrelation(oracle.three_party_operator("xyy"), oracle.ghz_state(),
+                                                     expected), (1,)),
+    "oracle.direction_operator": (oracle.direction_operator, ([0.0, 0.6, 0.8],)),
+    "oracle.density_matrix": (oracle.density_matrix, ([0.3, -0.2, 0.4],)),
+    "oracle.qubit_expectation": (oracle.qubit_expectation, ([0.3, -0.2, 0.4], [0.0, 0.6, 0.8])),
+    "oracle.chsh_quantum_value": (oracle.chsh_quantum_value, ([0, 0, 1], [1, 0, 0], [0.6, 0, 0.8], [0.8, 0, -0.6])),
+    "qubit.SignedDistribution": (qubit.SignedDistribution, ([0.125] * 8,)),
+    "qubit.state_distribution": (qubit.state_distribution, ([0.6, 0.0, 0.8],)),
+    "qubit.axis_expectation": (lambda axis: qubit.axis_expectation(DIST, axis), ("z",)),
+    "qubit.sign_function_search": (qubit.sign_function_search, ([0, 0, 1],)),
+    "qubit.commutes_with_antipode": (qubit.commutes_with_antipode, (X_FLIP,)),
+    "qubit.PermutationMix": (qubit.PermutationMix, ([(X_FLIP, 0.5), (list(range(1, 9)), 0.5)],)),
+    "qubit.PermutationMix.term": (lambda perm, weight: qubit.PermutationMix([(perm, weight)]), (X_FLIP, 1.0)),
+    "qubit.evolve_permutation": (lambda s: qubit.evolve_permutation(DIST, s), (X_FLIP,)),
+    "quaternions.Q8Element": (Q8Element, (Basis.J, -1)),
+    "quaternions.q8_product": (quaternions.q8_product, ([Q8Element(Basis.I), Q8Element(Basis.K, -1)],)),
+    "quaternions.q8_product.factor": (lambda factor: quaternions.q8_product([Q8Element(Basis.I), factor]),
+                                      (Q8Element(Basis.J),)),
+    "tolerances.is_real": (tolerances.is_real, (0.5,)),
+    "tolerances.integer": (tolerances.integer, (3,)),
+    "tolerances.count": (lambda value: tolerances.count(value, "count", 1), (3,)),
+    "tolerances.reals": (lambda values: tolerances.reals(values, "need reals"), ([0.5, 1],)),
+    "tolerances.bloch_vector": (tolerances.bloch_vector, ([0.6, 0.0, 0.8],)),
+    "tolerances.unit_direction": (tolerances.unit_direction, ([0.0, 1.0, 0.0],)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_library_gives_a_value_or_a_value_error(name):
+    call, valid = LIBRARY[name]
+    call(*valid)
+    for position, value in enumerate(valid):
+        for atom in HOSTILE:
+            args = [*valid[:position], atom, *valid[position + 1:]]
+            # numpy's floating-point warnings, on an infinite phase, are no escape
+            with np.errstate(all="ignore"):
+                try:
+                    call(*args)
+                except ValueError:
+                    pass
+                except Exception as error:
+                    raise AssertionError(f"{name} argument {position} = {atom!r}: {error!r}") from error
+        # a name is a str: its value as a 0-d array, unhashable yet equal to
+        # the name and so `in` a tuple of names, names nothing
+        if isinstance(value, str):
+            with pytest.raises(ValueError):
+                call(*valid[:position], np.array(value), *valid[position + 1:])

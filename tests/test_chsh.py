@@ -58,6 +58,9 @@ def test_correlation_cancellation():
     pytest.param("a", "c", "unknown Bob setting: 'c'", id="bob-unknown"),
     pytest.param("a'", None, "unknown Bob setting: None", id="bob-none"),
     pytest.param("b", "a", "unknown Alice setting: 'b'", id="swapped"),
+    # unhashable, yet equal to a setting name: a setting is a str
+    pytest.param(np.array("a"), "b", "unknown Alice setting: array\\('a', dtype='<U1'\\)", id="alice-array"),
+    pytest.param("a", np.array("b"), "unknown Bob setting: array\\('b', dtype='<U1'\\)", id="bob-array"),
 ])
 def test_correlation_rejects_unknown_settings(alice, bob, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -106,6 +109,19 @@ def test_analytic_bound_examples():
     assert analytic_bound(0.0, math.pi / 2) == pytest.approx(TSIRELSON, abs=1e-12)
     assert analytic_bound(0.0, 0.0) == pytest.approx(2.0, abs=1e-12)
     assert analytic_bound(0.0, math.pi / 3) == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("t2, t4", [
+    pytest.param(None, 0.0, id="none"),
+    pytest.param("0", 0.0, id="str"),
+    pytest.param(0.0, [1j], id="complex"),
+    pytest.param(np.array([True]), np.zeros(1), id="bool-array"),
+    pytest.param([None], [0.0], id="object"),
+])
+def test_analytic_bound_takes_arrays_of_numbers_only(t2, t4):
+    # the dtype rule of bell_values; two floats take the scalar path
+    with pytest.raises(ValueError, match="^phases must be numbers$"):
+        analytic_bound(t2, t4)
 
 
 def phase_pair_magnitudes(t2, t4):

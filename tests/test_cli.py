@@ -321,8 +321,9 @@ def test_chsh_verify_matches_the_two_generator_sweeps(capsys, seed):
 # it, and numpy ignores the name of a feature that the CPU lacks
 BASELINE_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 # (samples, seed); --samples 200 --seed 2 printed another gap at the
-# baseline while the bound went through complex abs
-SIMD_CASES = [(samples, seed) for samples in (200, 1_000) for seed in range(10)]
+# baseline while the bound went through complex abs.  3,000 samples cross
+# two 1,024-model block boundaries of bell_sweep
+SIMD_CASES = [(samples, seed) for samples in (200, 1_000, 3_000) for seed in range(10)]
 
 
 def test_chsh_verify_reports_do_not_depend_on_the_simd_level():

@@ -197,6 +197,12 @@ def test_assignment_boundary_takes_only_integers_in_0_to_511(value, accepted):
                 call(value)
 
 
+@pytest.mark.parametrize("assignments", [None, 5, np.array(5)], ids=["none", "int", "array-0d"])
+def test_export_assignments_takes_only_an_iterable(assignments):
+    with pytest.raises(ValueError, match="^assignments must be an iterable of assignments"):
+        export_assignments(assignments)
+
+
 def test_export_format():
     exported = export_assignments([ALL_PLUS])
     assert exported == [[["+i", "+j", "+k"], ["+i", "+j", "+k"], ["+i", "+j", "+k"]]]

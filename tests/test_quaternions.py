@@ -69,6 +69,18 @@ def test_q8_product_empty_errors():
         q8_product([])
 
 
+@pytest.mark.parametrize("seq", [
+    pytest.param("xyy", id="str"),
+    pytest.param([I, "j"], id="str-factor"),
+    pytest.param([I, (Basis.J, 1)], id="plain-tuple"),
+    pytest.param(None, id="none"),
+    pytest.param(I, id="one-element-not-in-a-sequence"),
+])
+def test_q8_product_takes_only_q8_elements(seq):
+    with pytest.raises(ValueError, match="^factors must be Q8Element values$"):
+        q8_product(seq)
+
+
 def test_bad_sign_rejected():
     with pytest.raises(ValueError):
         Q8Element(Basis.I, 2)

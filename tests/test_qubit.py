@@ -238,6 +238,18 @@ def test_identity_and_uniform_evolution():
     assert evolve_permutation(UNIFORM, X_FLIP) == UNIFORM
 
 
+@pytest.mark.parametrize("s", [
+    pytest.param("x", id="str"),
+    pytest.param(None, id="none"),
+    pytest.param((1,) * 8, id="repeated"),
+    pytest.param(range(1, 10), id="nine"),
+    pytest.param((1, 2, 3, 4, 5, 6, 7, 8.5), id="non-integer"),
+])
+def test_commutes_with_antipode_takes_only_permutations(s):
+    with pytest.raises(ValueError, match="^not a permutation of 1..8$"):
+        commutes_with_antipode(s)
+
+
 def test_strict_mode_rejects_antipode_breaking_permutation():
     swap_12 = (2, 1, 3, 4, 5, 6, 7, 8)
     assert not commutes_with_antipode(swap_12)
