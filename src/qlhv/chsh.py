@@ -35,7 +35,10 @@ and agree to the rounding of the phases.
 
 bell_sweep draws each block of a sweep once through sample_models and
 evaluates it under complex and real phases, the two regimes the paper
-compares, returning a witness row for each maximum and two fixed spot rows.
+compares, stacked in one phase array, so that one bell_values call checks
+the block, by reductions that cost a few per cent of the call, and
+evaluates both; it returns a witness row for each maximum and two fixed
+spot rows.
 The real maximum ties among many rows, so its witness is the lowest row
 within EXACT_TOL of it, and the sweep counts those rows.  Its check of each
 complex value against analytic_bound reads the bound's real closed form,
@@ -207,8 +210,14 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, words: np.ndarray) -> n
     complex or object array).  Words must have an int or uint dtype and
     lie in [0, 2**16), else ValueError("bits must be words ...").  The
     whole batch is validated once, and each row must be a valid model:
-    weights nonnegative summing to 1 within EXACT_TOL, finite phases.  Bits
-    at zero-weight points, and at points P and above, change no value.
+    weights nonnegative summing to 1 within EXACT_TOL, finite phases.  Each
+    rule is a reduction over the batch, in which a NaN fails: the weights'
+    minimum; the row sums, one matrix-vector product with a vector of ones,
+    pass when both max - 1 and 1 - min are at most EXACT_TOL (an empty
+    batch passes); the words by their dtype when it is a uint of at most 16
+    bits, which holds no word out of range, else by their minimum and
+    maximum; and isfinite over every regime's phases.  Bits at zero-weight
+    points, and at points P and above, change no value.
 
     The XOR of Alice's and Bob's words of each setting pair holds the four
     pair parities, pair-major as (4, N); they are unpacked once to
@@ -224,11 +233,15 @@ def bell_values(weights: np.ndarray, thetas: np.ndarray, words: np.ndarray) -> n
             or thetas.shape[-2:] != (len(weights), 4) or words.shape != (len(weights), 4)):
         raise ValueError("need weights (N, P) with P <= 16, thetas (N, 4) or (S, N, 4) and words (N, 4)")
     # reductions, not elementwise masks: min and max carry a NaN into the
-    # comparison, which it fails
-    if not (weights.min(initial=0.0) >= 0.0
-            and np.abs(weights.sum(axis=1) - 1.0).max(initial=0.0) <= EXACT_TOL):
+    # comparison, which it fails.  The row sums are one matrix-vector product,
+    # whose order of addition feeds only this test
+    sums = weights @ np.ones(weights.shape[1])
+    if not (weights.min(initial=0.0) >= 0.0 and sums.max(initial=1.0) - 1.0 <= EXACT_TOL
+            and 1.0 - sums.min(initial=1.0) <= EXACT_TOL):
         raise ValueError("invalid distribution")
-    if not (words.dtype.kind in "iu" and words.min(initial=0) >= 0 and words.max(initial=0) < _WORD):
+    # a uint of at most 16 bits holds only words in range
+    if not (words.dtype.kind == "u" and words.dtype.itemsize <= 2
+            or words.dtype.kind in "iu" and words.min(initial=0) >= 0 and words.max(initial=0) < _WORD):
         raise ValueError("bits must be words of an int or uint dtype in [0, 2**16)")
     if not np.isfinite(thetas).all():
         raise ValueError("phases must be finite")
@@ -459,12 +472,15 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
     phases (0 or pi) mapped from the same phase uniforms: the real models
     are those that sample_models(rng, samples, (0.0, math.pi)) would draw
     from a generator in the same state.  Works in blocks of up to _BLOCK
-    models, one rng.random call and one bell_values call each.  The real
-    maximum, 2, is reached by about one row in six, whose values differ in
-    the last place, so a last-place change of the values would move a
-    witness taken at the maximum itself.  Its witness is the lowest row
-    whose value v has v >= real_max - EXACT_TOL, which such a change does
-    not move; the complex witness is the lowest row at the complex maximum.
+    models, one rng.random call and one bell_values call each: both regimes
+    share one (2, n, 4) phase array, the drawn phases and their real
+    images filled into it in place, so one call validates and evaluates
+    both.  The real maximum, 2, is reached by about one row in six, whose
+    values differ in the last place, so a last-place change of the values
+    would move a witness taken at the maximum itself.  Its witness is the
+    lowest row whose value v has v >= real_max - EXACT_TOL, which such a
+    change does not move; the complex witness is the lowest row at the
+    complex maximum.
     samples is an integer of at least 1.  Returns a Sweep, whose spot rows
     are fewer than _SPOT_ROWS if samples is smaller.
 
@@ -487,10 +503,13 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
         # the uniforms live only inside sample_models, so they are freed
         # before evaluation: a block held through bell_values made malloc
         # return and re-fault about 360 heap pages per call
-        weights, thetas, words = sample_models(rng, min(_BLOCK, samples - start))
-        # the real phase (0.0, pi)[floor(2u)] of each phase uniform u: the
-        # phase 2pi*u rounds below pi exactly when u < 1/2
-        thetas = np.stack((thetas, np.where(thetas < math.pi, 0.0, math.pi)))
+        weights, drawn, words = sample_models(rng, min(_BLOCK, samples - start))
+        # both regimes in one phase array: the drawn phases, and the real
+        # phase (0.0, pi)[floor(2u)] of each phase uniform u, since the phase
+        # 2pi*u rounds below pi exactly when u < 1/2
+        thetas = np.empty((2, *drawn.shape))
+        thetas[0] = drawn
+        np.multiply(drawn >= math.pi, math.pi, out=thetas[1])
         values = bell_values(weights, thetas, words)
         gap = max(gap, float((values[0] - analytic_bound(thetas[0, :, 1], thetas[0, :, 3])).max()))
         spots += [Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], words, row))

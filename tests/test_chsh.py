@@ -753,6 +753,14 @@ def _word(value):
     return mutate
 
 
+def _scale_last_row(factor):
+    # the batch with only its last row of weights scaled by factor
+    def mutate(batch):
+        batch[0][-1] *= factor
+        return batch
+    return mutate
+
+
 def _nan_in_second_regime(batch):
     second = batch[1].copy()
     second[2, 3] = math.nan
@@ -769,6 +777,9 @@ def _nan_in_second_regime(batch):
     pytest.param(_negative_weight, "distribution", id="negative-weight"),
     pytest.param(_set(0, (1, 0), math.nan), "distribution", id="nan-weight"),
     pytest.param(lambda b: [b[0] * (1.0 + 1e-11), b[1], b[2]], "distribution", id="row-sum"),
+    pytest.param(_scale_last_row(1.0 - 1e-11), "distribution", id="last-row-sum-low"),
+    pytest.param(_scale_last_row(1.0 + 1e-11), "distribution", id="last-row-sum-high"),
+    pytest.param(_set(0, (-1, 0), math.nan), "distribution", id="nan-weight-last-row"),
     pytest.param(_word(2 ** 16), "bits must be words", id="word-2**16"),
     pytest.param(_word(-1), "bits must be words", id="word-negative"),
     pytest.param(lambda b: [b[0], b[1], b[2].astype(float)], "bits must be words", id="float-words"),
@@ -788,15 +799,18 @@ def test_bell_values_rejects_invalid_batches(mutate, reason):
 def test_bell_values_take_words_of_any_integer_dtype():
     # the word rule: an int or uint dtype of either byte order, or a list of
     # ints, each word in [0, 2**16); the largest word 0xFFFF passes, 2**16
-    # and a float word fail
+    # and a float word fail.  uint8 words hold points 0 to 7 only
     weights, thetas, words = sample_models(np.random.default_rng(5), 200)
     values = [bell_values(weights, thetas, given)
               for given in (words, words.astype(">u2"), words.astype(np.int32), words.astype(np.uint64),
                             words.tolist())]
     for other in values[1:]:
         assert np.array_equal(values[0], other)
+    assert np.array_equal(bell_values(weights, thetas, (words & 0xFF).astype(np.uint8)),
+                          bell_values(weights, thetas, words & 0xFF))
     assert bell_values(weights, thetas, words | 0xFFFF).shape == (200,)
-    for bad in (words.astype(np.int64) + (1 << 16), words.astype(float)):
+    # a uint wider than 16 bits still gets the range test
+    for bad in (words.astype(np.int64) + (1 << 16), words.astype(np.uint32) + (1 << 16), words.astype(float)):
         with pytest.raises(ValueError, match="bits must be words"):
             bell_values(weights, thetas, bad)
 
