@@ -20,8 +20,7 @@ serialization, whose weights and phases follow the real rule of
 qlhv.tolerances (bell_values applies it as a dtype rule).  sample_model
 decodes one row of the same layout in plain Python, which on a single row
 is faster than numpy, into the ChshModel that is row 0 of sample_models
-bit for bit; both per-model decoders read a word's bits through
-_word_bits.
+bit for bit, reading a word's bits through _word_bits.
 
 A model's value depends only on its four parity sums s_xy and on Bob's
 phase difference t4 - t2: E(x,y) = s_xy e^{i(theta_x + theta_y)}, so
@@ -33,12 +32,16 @@ while bell_expression multiplies out the four correlations, so the batch
 route and the replay of a row through bell_expression differ by formula,
 and agree to the rounding of the phases.
 
-bell_sweep draws each block of a sweep once through sample_models and
-evaluates it under complex and real phases, the two regimes the paper
-compares, stacked in one phase array, so that one bell_values call checks
-the block, by reductions that cost a few per cent of the call, and
-evaluates both; it returns a witness row for each maximum and two fixed
-spot rows.
+bell_sweep takes a seed, draws each block of a sweep once through
+sample_models and evaluates it under complex and real phases, the two
+regimes the paper compares, stacked in one phase array, so that one
+bell_values call checks the block, by reductions that cost a few per cent
+of the call, and evaluates both; it returns a witness row for each maximum
+and two fixed spot rows.  It keeps only each such row's index and value,
+and rebuilds its model from the seed and the index: the generator's start
+state advanced by the row's raw draws, decoded by sample_model.  So the
+replay of a reported row shares no decoder with the batch, and a fault of
+_decode_rows shows as a difference between the two.
 The real maximum ties among many rows, so its witness is the lowest row
 within EXACT_TOL of it, and the sweep counts those rows.  Its check of each
 complex value against analytic_bound reads the bound's real closed form,
@@ -78,9 +81,9 @@ MAX_POINTS = 16
 _BITS = 1 + MAX_POINTS + 4   # the first bit uniform's column
 _ROW = _BITS + 4
 _WORD = 2.0 ** MAX_POINTS
-# added to each raw weight uniform, so that no support point has weight 0
-# (_row_model reads the support as the nonzero weights); sample_model and
-# _decode_rows must add the same double
+# added to each raw weight uniform, so that every support point has a
+# positive weight; part of the row layout, so sample_model and _decode_rows
+# must add the same double
 _WEIGHT_OFFSET = 1e-9
 
 # the bits of each byte, least significant first: _BYTE_BITS[i][p] is
@@ -429,14 +432,6 @@ def _decode_rows(u, choices):
     return weights, thetas, words
 
 
-def _row_model(weights, thetas, words, row: int) -> ChshModel:
-    # a row of a drawn population as a ChshModel: its support is its nonzero
-    # weights, which come first
-    w = weights[row].tolist()
-    n = len(w) - w.count(0.0)
-    return ChshModel(w[:n], thetas[row].tolist(), [_word_bits(word, n) for word in words[row].tolist()])
-
-
 # models per block of bell_sweep: bounds the memory of its model arrays for
 # any sample count without changing the stream
 _BLOCK = 1024
@@ -447,8 +442,11 @@ _SPOT_ROWS = 2
 
 class Witness(NamedTuple):
     """A row of a sweep: the lowest-indexed model that reaches a maximum, or
-    is within EXACT_TOL of it, or a spot row.  Witness and Sweep are plain
-    results, which only the library builds and which check nothing."""
+    is within EXACT_TOL of it, or a spot row.  Its value is the batch's,
+    and its model is rebuilt from the sweep's seed and the index by
+    sample_model, which shares no decoder with the batch.  Witness and Sweep
+    are plain results, which only the library builds and which check
+    nothing."""
 
     index: int      # row of the sweep, counted from 0 across blocks
     value: float    # its Bell value through bell_values
@@ -456,7 +454,8 @@ class Witness(NamedTuple):
 
 
 class Sweep(NamedTuple):
-    """What bell_sweep finds in its complex and real regimes."""
+    """What bell_sweep finds in its complex and real regimes; each witness
+    and spot row is rebuilt from the seed and its index."""
 
     complex_witness: Witness    # the lowest row at the complex maximum
     real_max: float
@@ -466,39 +465,47 @@ class Sweep(NamedTuple):
     spots: list[Witness]        # the first _SPOT_ROWS rows under complex phases
 
 
-def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
-    """Draw samples models from rng, as sample_models draws them, and
-    evaluate each under complex phases (uniform on [0, 2pi)) and under real
-    phases (0 or pi) mapped from the same phase uniforms: the real models
-    are those that sample_models(rng, samples, (0.0, math.pi)) would draw
-    from a generator in the same state.  Works in blocks of up to _BLOCK
-    models, one rng.random call and one bell_values call each: both regimes
-    share one (2, n, 4) phase array, the drawn phases and their real
-    images filled into it in place, so one call validates and evaluates
-    both.  The real maximum, 2, is reached by about one row in six, whose
-    values differ in the last place, so a last-place change of the values
-    would move a witness taken at the maximum itself.  Its witness is the
-    lowest row whose value v has v >= real_max - EXACT_TOL, which such a
-    change does not move; the complex witness is the lowest row at the
-    complex maximum.
-    samples is an integer of at least 1.  Returns a Sweep, whose spot rows
-    are fewer than _SPOT_ROWS if samples is smaller.
+def bell_sweep(seed: int, samples: int) -> Sweep:
+    """Draw samples models from np.random.default_rng(seed), as
+    sample_models draws them, and evaluate each under complex phases
+    (uniform on [0, 2pi)) and under real phases (0 or pi) mapped from the
+    same phase uniforms: the real models are those that
+    sample_models(rng, samples, (0.0, math.pi)) would draw from a generator
+    in the same state.  Works in blocks of up to _BLOCK models, one
+    rng.random call and one bell_values call each: both regimes share one
+    (2, n, 4) phase array, the drawn phases and their real images filled
+    into it in place, so one call validates and evaluates both.  The real
+    maximum, 2, is reached by about one row in six, whose values differ in
+    the last place, so a last-place change of the values would move a
+    witness taken at the maximum itself.  Its witness is the lowest row
+    whose value v has v >= real_max - EXACT_TOL, which such a change does
+    not move; the complex witness is the lowest row at the complex maximum.
+    seed is an integer of at least 0, judged before samples, an integer of
+    at least 1.  Returns a Sweep, whose spot rows are fewer than _SPOT_ROWS
+    if samples is smaller.
+
+    The sweep keeps only the index and value of each reported row.  At the
+    end it rebuilds each of them from the seed and its index: the
+    generator's start state, advanced by _ROW * index raw draws (row i
+    starts at raw draw 25 i, since Generator.random on PCG64 takes one raw
+    draw per double), decoded by sample_model.  So a reported model shares
+    the stream position with the batch but not its decoder, and a fault of
+    _decode_rows does not replay itself.
 
     The real bookkeeping is arrays: each block keeps the indexes and values
     of its rows at or above the running floor real_max - EXACT_TOL, and its
     best value.  The floor only rises, so a row below it never comes back,
     and when the maximum rises, every kept block whose best falls below the
-    new floor is dropped.  Only a block that raised the maximum keeps its
-    model arrays, for only such a block can come first at the end: an
-    earlier kept block reaches at least as high.  At the end, the first
-    kept row at or above the floor is the witness, the only row that
-    becomes a ChshModel, and the kept rows at or above the floor are the
+    new floor is dropped.  At the end, the first kept row at or above the
+    floor is the witness, and the kept rows at or above the floor are the
     ties.  A kept row costs 16 bytes, about 2.7 MB per million samples."""
     import numpy as np
+    seed = tolerances.count(seed, "seed", 0)
     samples = tolerances.count(samples, "samples", 1)
-    best = None
-    # kept holds (start, rows, values, arrays or None, best) per block
-    real_max, gap, spots, kept = -math.inf, -math.inf, [], []
+    rng = np.random.default_rng(seed)
+    origin = rng.bit_generator.state
+    # best and spots hold (index, value); kept holds (start, rows, values, best) per block
+    best, real_max, gap, spots, kept = None, -math.inf, -math.inf, [], []
     for start in range(0, samples, _BLOCK):
         # the uniforms live only inside sample_models, so they are freed
         # before evaluation: a block held through bell_values made malloc
@@ -512,23 +519,30 @@ def bell_sweep(rng: np.random.Generator, samples: int) -> Sweep:
         np.multiply(drawn >= math.pi, math.pi, out=thetas[1])
         values = bell_values(weights, thetas, words)
         gap = max(gap, float((values[0] - analytic_bound(thetas[0, :, 1], thetas[0, :, 3])).max()))
-        spots += [Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], words, row))
-                  for row in range(min(len(words), _SPOT_ROWS - start))]
+        spots += [(start + row, float(values[0, row])) for row in range(min(len(words), _SPOT_ROWS - start))]
         row = int(values[0].argmax())
         # a tie keeps the earlier witness, as argmax does within a block
-        if best is None or values[0, row] > best.value:
-            best = Witness(start + row, float(values[0, row]), _row_model(weights, thetas[0], words, row))
-        top, arrays = float(values[1].max()), None
+        if best is None or values[0, row] > best[1]:
+            best = start + row, float(values[0, row])
+        top = float(values[1].max())
         if top > real_max:
-            real_max, arrays = top, (weights, thetas[1], words)
-            kept = [block for block in kept if block[4] >= real_max - EXACT_TOL]
+            real_max = top
+            kept = [block for block in kept if block[3] >= real_max - EXACT_TOL]
         rows = np.flatnonzero(values[1] >= real_max - EXACT_TOL)
-        kept.append((start, rows, values[1, rows], arrays, top))
+        kept.append((start, rows, values[1, rows], top))
     floor = real_max - EXACT_TOL
-    start, rows, near, arrays, _ = kept[0]
+    start, rows, near, _ = kept[0]
     first = int((near >= floor).argmax())
-    witness = Witness(start + int(rows[first]), float(near[first]), _row_model(*arrays, int(rows[first])))
-    return Sweep(best, real_max, witness, sum(int((block[2] >= floor).sum()) for block in kept), gap, spots)
+
+    def rebuilt(index, value, phase_choices=None):
+        # row index of the sweep from the seed, through the per-model decoder
+        rng.bit_generator.state = origin
+        rng.bit_generator.advance(_ROW * index)
+        return Witness(index, value, sample_model(rng, phase_choices))
+
+    witness = rebuilt(start + int(rows[first]), float(near[first]), (0.0, math.pi))
+    ties = sum(int((block[2] >= floor).sum()) for block in kept)
+    return Sweep(rebuilt(*best), real_max, witness, ties, gap, [rebuilt(*spot) for spot in spots])
 
 
 def model_to_dict(model: ChshModel) -> dict:

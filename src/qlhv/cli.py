@@ -31,17 +31,19 @@ bad input, and rendering and writing the report.  The console script and
 `python -m qlhv.cli` call sys.exit(main()).
 
 chsh-verify's result names its maximal models, with their records, and two
-spot rows, which --seed and the index replay; one claim replays all of them
-by the per-model route (see _chsh_verify).
+spot rows.  The library rebuilds each of these rows from --seed and its
+index through the per-model decoder, not the batch decoder, and one claim
+replays all of them by the per-model route (see _chsh_verify).
 
-numpy is imported only by chsh-verify, for its generator and arrays, and by
-oracle-check, for the oracle's matrices and its random settings; the other
-eight commands, chsh-optimize and qubit-expect among them, run in plain
-Python, and import qlhv.cli loads neither numpy nor dataclasses.  Each
-handler imports the one qlhv module it runs: chsh-* load chsh, ghz-* load
-ghz (and its quaternions), qubit-* load qubit, and qubit-expect and
-oracle-check load oracle; csv is imported only by the CSV format.  So a
-command's process compiles no module that it does not run.
+numpy is imported only by chsh-verify, through chsh.bell_sweep, which builds
+the generator from --seed, and by oracle-check, for the oracle's matrices
+and its random settings; the other eight commands, chsh-optimize and
+qubit-expect among them, run in plain Python, and import qlhv.cli loads
+neither numpy nor dataclasses.  Each handler imports the one qlhv module it
+runs: chsh-* load chsh, ghz-* load ghz (and its quaternions), qubit-* load
+qubit, and qubit-expect and oracle-check load oracle; csv is imported only
+by the CSV format.  So a command's process compiles no module that it does
+not run.
 
 main(argv) returns the exit code and may be called repeatedly in one
 process: the parser is built on the first call and reused, and each call
@@ -134,8 +136,8 @@ def _chsh_achieve(config):
 
 
 def _chsh_verify(config):
-    """bell_sweep over --samples models from one generator seeded with
-    --seed; the batch size bounds memory and is not part of the stream.
+    """bell_sweep over --samples models drawn from --seed; the batch size
+    bounds memory and is not part of the stream.
     The result holds complex_witness and real_witness, each {index, value,
     model}: a sample counted from 0, its Bell value and its model_to_dict
     record.  The real witness also counts its ties.  The check
@@ -148,11 +150,12 @@ def _chsh_verify(config):
     witness nearly always has one point (71 of 80 reports over seeds 0-39
     with 200 and 10,000 samples), while most rows have several (samples 0
     and 1 of --seed 7 have 11 and 9), so through the spot rows a batch-route
-    bug that moves only multi-point rows fails the report."""
-    import numpy as np
+    bug that moves only multi-point rows fails the report.  bell_sweep
+    rebuilds every one of these models from --seed and its index through
+    sample_model, which shares no decoder with the batch, so a fault of the
+    batch decoder fails witness_replays as well."""
     from . import chsh
-    rng = np.random.default_rng(count(config["seed"], "seed", 0))
-    sweep = chsh.bell_sweep(rng, config["samples"])
+    sweep = chsh.bell_sweep(config["seed"], config["samples"])
     witnesses = {name: {"index": w.index, "value": w.value, "model": chsh.model_to_dict(w.model)}
                  for name, w in (("complex_witness", sweep.complex_witness),
                                  ("real_witness", sweep.real_witness))}

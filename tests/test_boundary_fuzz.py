@@ -178,7 +178,7 @@ LIBRARY = {
     "chsh.maximize_bell": (chsh.maximize_bell, (8, 3, 0)),
     "chsh.sample_model": (lambda choices: chsh.sample_model(_rng(), choices), ((0.0, math.pi),)),
     "chsh.sample_models": (lambda count, choices: chsh.sample_models(_rng(), count, choices), (3, None)),
-    "chsh.bell_sweep": (lambda samples: chsh.bell_sweep(_rng(), samples), (3,)),
+    "chsh.bell_sweep": (chsh.bell_sweep, (7, 3)),
     "chsh.model_from_dict": (chsh.model_from_dict, (chsh.model_to_dict(MODEL),)),
     "ghz.condition_set": (ghz.condition_set, ("yxy",)),
     "ghz.xxx_product": (ghz.xxx_product, (5,)),
@@ -233,3 +233,9 @@ def test_library_gives_a_value_or_a_value_error(name):
         if isinstance(value, str):
             with pytest.raises(ValueError):
                 call(*valid[:position], np.array(value), *valid[position + 1:])
+
+
+@pytest.mark.parametrize("seed", [True, 7.0, "7", None, -1], ids=repr)
+def test_bell_sweep_rejects_a_seed_that_is_no_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be"):
+        chsh.bell_sweep(seed, 3)

@@ -234,9 +234,8 @@ def test_maximizer_rejects_negative_seed():
     pytest.param(lambda: maximize_bell(16, 2.5), "refine_iters must be an integer", id="float-refine"),
     pytest.param(lambda: maximize_bell(16, -1), "refine_iters must be nonnegative", id="negative-refine"),
     pytest.param(lambda: maximize_bell(16, 50, True), "rng_seed must be an integer", id="bool-seed"),
-    pytest.param(lambda: bell_sweep(np.random.default_rng(0), 2.5), "samples must be an integer",
-                 id="float-samples"),
-    pytest.param(lambda: bell_sweep(np.random.default_rng(0), 0), "samples must be at least 1", id="no-samples"),
+    pytest.param(lambda: bell_sweep(0, 2.5), "samples must be an integer", id="float-samples"),
+    pytest.param(lambda: bell_sweep(0, 0), "samples must be at least 1", id="no-samples"),
     pytest.param(lambda: sample_models(np.random.default_rng(0), True), "count must be an integer", id="bool-count"),
     pytest.param(lambda: sample_models(np.random.default_rng(0), -1), "count must be nonnegative",
                  id="negative-count"),
@@ -511,6 +510,14 @@ def word_bits(words):
     return (np.asarray(words, dtype=np.int64)[..., None] >> np.arange(MAX_POINTS)) & 1
 
 
+def array_row_model(weights, thetas, words, row):
+    """One row of a population as a ChshModel: its support is its nonzero
+    weights, which come first, and its bits are read by shifts."""
+    w = weights[row].tolist()
+    n = len(w) - w.count(0.0)
+    return ChshModel(w[:n], thetas[row].tolist(), word_bits(words[row])[:, :n].tolist())
+
+
 def reference_row(u, phase_choices):
     """One model from a row of 25 uniforms by the documented layout, in plain
     Python: (weights, thetas, bits) over the support.  Setting k's bits are
@@ -703,7 +710,7 @@ def test_bell_values_are_closer_to_the_exact_value_than_bell_expression():
     batch = bell_values(weights, thetas, words)
     errors = {"bell_values": [], "bell_expression": []}
     for row in range(3_000):
-        model = chsh._row_model(weights, thetas, words, row)
+        model = array_row_model(weights, thetas, words, row)
         with mpmath.workdps(40):
             t = [mpmath.mpf(theta) for theta in model.thetas]
             e = [sum(mpmath.mpf(w) if x == y else -mpmath.mpf(w) for w, x, y in
@@ -905,8 +912,9 @@ def test_bell_sweep_evaluates_the_phases_that_sample_models_draws(monkeypatch):
     rows[:, 17:21] = np.concatenate([0.5 - 2.0 ** -54 * np.arange(1, 1001), 0.5 + 2.0 ** -53 * np.arange(1000),
                                      [0.0, 1.0 - 2.0 ** -53, 0.25, 0.75]]).reshape(501, 4)
     evaluated = []
+    monkeypatch.setattr(chsh, "sample_models", lambda rng, count: sample_models(FixedUniforms(rows), count))
     monkeypatch.setattr(chsh, "bell_values", lambda w, t, b: evaluated.append(t) or bell_values(w, t, b))
-    bell_sweep(FixedUniforms(rows), 501)
+    bell_sweep(0, 501)
     (phases,) = evaluated
     for regime, choices in enumerate((None, (0.0, math.pi))):
         assert np.array_equal(phases[regime], sample_models(FixedUniforms(rows), 501, choices)[1])
@@ -916,7 +924,7 @@ def test_bell_sweep_returns_the_first_two_rows_as_spot_rows(monkeypatch):
     for block in (1, 1024):
         monkeypatch.setattr(chsh, "_BLOCK", block)
         for samples in (1, 2, 5):
-            *_, spots = bell_sweep(np.random.default_rng(3), samples)
+            *_, spots = bell_sweep(3, samples)
             rng = np.random.default_rng(3)
             models = [sample_model(rng) for _ in range(min(samples, 2))]
             assert [(spot.index, spot.model) for spot in spots] == list(enumerate(models))
@@ -975,7 +983,7 @@ def test_bell_sweep_real_witness_is_the_lowest_row_within_exact_tol_of_the_maxim
         return values
 
     monkeypatch.setattr(chsh, "bell_values", crafted)
-    sweep = bell_sweep(np.random.default_rng(0), 30)
+    sweep = bell_sweep(0, 30)
     assert (sweep.real_max, sweep.real_ties) == (real.max(), ties)
     assert sweep.real_witness[:2] == (witness, real[witness])
     rng = np.random.default_rng(0)
@@ -983,10 +991,37 @@ def test_bell_sweep_real_witness_is_the_lowest_row_within_exact_tol_of_the_maxim
     assert sweep.real_witness.model == sample_model(rng, (0.0, math.pi))
 
 
+@pytest.mark.parametrize("row", [0, 1023, 1024, 2499])
+def test_bell_sweep_rebuilds_a_witness_equal_to_its_batch_row(monkeypatch, row):
+    # the complex maximum forced onto the row, at the edges of the 1,024-model
+    # blocks of a 2,500-sample sweep: the model rebuilt from the seed and the
+    # index by sample_model is the batch route's row, decoded by _decode_rows
+    done = []
+
+    def crafted(weights, thetas, words):
+        values = bell_values(weights, thetas, words)
+        if len(done) <= row < len(done) + len(weights):
+            values[0, row - len(done)] = 3.0
+        done.extend(range(len(weights)))
+        return values
+
+    monkeypatch.setattr(chsh, "bell_values", crafted)
+    witness = bell_sweep(11, 2_500).complex_witness
+    assert witness[:2] == (row, 3.0)
+    assert witness.model == array_row_model(*sample_models(np.random.default_rng(11), 2_500), row)
+
+
+def test_generator_random_on_pcg64_is_the_top_53_bits_of_each_raw_draw():
+    # bell_sweep addresses row i at raw draw 25 i, which rests on this
+    drawn = np.random.default_rng(7).random(2_000)
+    raw = np.random.PCG64(7).random_raw(2_000)
+    assert np.array_equal(drawn, (raw >> 11) * 2.0 ** -53)
+
+
 def test_bell_sweep_does_not_depend_on_the_block_size(monkeypatch):
     # 1,100 samples in 158, two or one blocks; witnesses compare index, value and model
     sweeps = []
     for block in (7, 1024, 1100):
         monkeypatch.setattr(chsh, "_BLOCK", block)
-        sweeps.append(bell_sweep(np.random.default_rng(107), 1_100))
+        sweeps.append(bell_sweep(107, 1_100))
     assert sweeps[0] == sweeps[1] == sweeps[2]

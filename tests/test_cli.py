@@ -370,6 +370,20 @@ def test_chsh_verify_fails_when_bell_values_moves_only_multi_point_rows(monkeypa
     assert [len(w["model"]["weights"]) for w in witnesses] == [1, 1]
 
 
+def test_chsh_verify_fails_when_only_the_batch_decoder_moves(monkeypatch):
+    # halved complex phases in _decode_rows alone: every reported row is
+    # rebuilt by sample_model, so its replay no longer repeats the batch value
+    decode = chsh._decode_rows
+
+    def halved(u, choices):
+        weights, thetas, words = decode(u, choices)
+        return weights, thetas / 2 if choices is None else thetas, words
+
+    monkeypatch.setattr(chsh, "_decode_rows", halved)
+    report = cli.run("chsh-verify", {"samples": 200, "seed": 7})
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["witness_replays"]
+
+
 def test_chsh_verify_fails_when_the_per_model_combination_moves(monkeypatch):
     # bell_values combines its correlations itself, so the replay through
     # bell_expression is a second route to each value
@@ -387,14 +401,16 @@ def test_chsh_verify_draws_each_block_once(monkeypatch, capsys):
     default_rng, generators = np.random.default_rng, []
 
     class CountingGenerator:
-        """Stands in for a Generator: counts its random calls."""
+        """Stands in for a Generator: counts its block draws."""
 
         def __init__(self, seed):
             self.rng, self.draws = default_rng(seed), 0
+            self.bit_generator = self.rng.bit_generator
             generators.append(self)
 
         def random(self, shape):
-            self.draws += 1
+            # a block draws (n, 25) uniforms, a rebuilt row 25
+            self.draws += isinstance(shape, tuple)
             return self.rng.random(shape)
 
     monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
@@ -763,6 +779,8 @@ MALFORMED_CONFIG = [
     ("ghz-verify", [], "ghz-verify: config must be a dict, got []"),
     ("ghz-verify", None, "ghz-verify: config must be a dict, got None"),
     (["ghz-verify"], {}, "unknown command: ['ghz-verify']"),
+    # the seed is judged before the sample count
+    ("chsh-verify", {"samples": 0, "seed": -1}, "seed must be nonnegative"),
     ("chsh-verify", {"samples": 200, "seed": "7"},
      "chsh-verify: config value 'seed' must be a number or a list of numbers, got '7'"),
     ("chsh-optimize", {"grid": True, "seed": 7},
